@@ -20,9 +20,9 @@ std::string SymBound::to_string() const {
 }
 
 DimFootprint DimFootprint::range(int64_t lo, SymBound hi, int64_t step) {
-  check_argument(step >= 1,
-                 "DimFootprint::range needs step >= 1 (use normalize for "
-                 "raw triples)");
+  P2G_CHECK_ARGUMENT(step >= 1,
+                     "DimFootprint::range needs step >= 1 (use normalize for "
+                     "raw triples)");
   DimFootprint f{lo, hi, step};
   if (f.is_empty()) return empty();
   if (f.hi.is_finite()) {
@@ -36,7 +36,7 @@ DimFootprint DimFootprint::range(int64_t lo, SymBound hi, int64_t step) {
 }
 
 DimFootprint normalize(int64_t start, int64_t stop, int64_t step) {
-  check_argument(step != 0, "footprint stride must be non-zero");
+  P2G_CHECK_ARGUMENT(step != 0, "footprint stride must be non-zero");
   if (step > 0) {
     if (stop <= start) return DimFootprint::empty();
     return DimFootprint::range(start, SymBound::finite(stop), step);

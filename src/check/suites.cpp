@@ -124,20 +124,36 @@ void suite_field_seal_publish(CheckSession& session) {
   FieldDecl decl;
   decl.id = 0;
   decl.name = "f";
-  decl.type = nd::ElementType::kInt32;
+  decl.type = nd::ElementType::kInt64;  // one checker cell per element
   decl.rank = 1;
   auto field = std::make_shared<FieldStorage>(decl);
-  session.spawn("writer", [field] {
-    const int32_t v = 7;
-    field->store(0, nd::Region::point({0}),
-                 reinterpret_cast<const std::byte*>(&v));
-    field->seal(0, nd::Extents({1}));
-  });
+  // Sealed before any store: whichever writer stores first publishes the
+  // age into the directory, and both then take the lock-free
+  // claim/copy/commit path (or the locked publish path, if they lose the
+  // race to the directory).
+  field->seal(0, nd::Extents({2}));
+  for (int64_t element = 0; element < 2; ++element) {
+    session.spawn(element == 0 ? "writer-0" : "writer-1", [field, element] {
+      const int64_t v = 7 + element;
+      field->store(0, nd::Region::point({element}),
+                   reinterpret_cast<const std::byte*>(&v));
+    });
+  }
   session.spawn("reader", [field] {
-    // The lock-free fast path: spins on the published seal index. Bounded
-    // so schedules where the writer never gets ahead still terminate.
-    for (int i = 0; i < 32; ++i) {
-      if (field->try_fetch_view_whole(0).has_value()) break;
+    // Reads only what the commit says is there. Bounded so schedules
+    // where the writers never get ahead still terminate.
+    for (int i = 0; i < 16; ++i) {
+      if (field->region_written(0, nd::Region::point({0}))) {
+        const auto view = field->try_fetch_view(0, nd::Region::point({0}));
+        check::read_range(view->raw(), sizeof(int64_t),
+                          "FieldStorage.payload");
+        break;
+      }
+    }
+    if (field->is_complete(0)) {
+      const auto view = field->try_fetch_view_whole(0);
+      check::read_range(view->raw(), 2 * sizeof(int64_t),
+                        "FieldStorage.payload");
     }
   });
 }
@@ -293,6 +309,31 @@ void suite_broken_ring(CheckSession& session) {
   });
 }
 
+void suite_broken_publish(CheckSession& session) {
+  // Bug under test: a published-age store that commits its written bit
+  // BEFORE copying the payload — the inverse of FieldStorage's
+  // claim/copy/commit order. A reader that sees the bit acquires it and
+  // reads bytes the writer is still copying.
+  struct Shared {
+    std::atomic<uint64_t> written{0};
+    int32_t payload = 0;
+  };
+  auto shared = std::make_shared<Shared>();
+  session.spawn("writer", [shared] {
+    check::release(&shared->written);
+    shared->written.fetch_or(1, std::memory_order_release);  // too early
+    check::write(shared->payload, "demo.broken_publish.payload");
+    shared->payload = 7;
+  });
+  session.spawn("reader", [shared] {
+    if (shared->written.load(std::memory_order_acquire) & 1) {
+      check::acquire(&shared->written);
+      check::read(shared->payload, "demo.broken_publish.payload");
+      (void)shared->payload;
+    }
+  });
+}
+
 void suite_lock_cycle(CheckSession& session) {
   struct Shared {
     sync::Mutex a{"demo.lock_cycle.A"};
@@ -355,7 +396,8 @@ void register_builtin_suites() {
         "MpscQueues",
         suite_shard_cross_handoff);
     add("field.seal_publish",
-        "FieldStorage seal-index publication vs lock-free fetch",
+        "FieldStorage store-after-seal: directory publish, lock-free "
+        "claim/copy/commit vs region_written/is_complete readers",
         suite_field_seal_publish);
     add("bus.shutdown", "MessageBus send / mailbox drain vs close_all",
         suite_bus_shutdown);
@@ -379,6 +421,10 @@ void register_builtin_suites() {
         "fixture: ring tail published before the slot write (must find "
         "P2G-C001)",
         suite_broken_ring, "P2G-C001");
+    add("demo.broken_publish",
+        "fixture: written bit committed before the payload copy (must "
+        "find P2G-C001)",
+        suite_broken_publish, "P2G-C001");
     add("demo.lock_cycle", "fixture: AB/BA lock order (must find P2G-C002)",
         suite_lock_cycle, "P2G-C002");
     add("demo.lost_wakeup",

@@ -16,9 +16,9 @@
 //
 // The annotation API (check::read / write / acquire / release / fence /
 // racy_read) lets lock-free code describe its intended happens-before
-// edges: FieldStorage's seal index and the FlightRecorder rings use it so
-// the checker can verify their publication protocols instead of flagging
-// them as races.
+// edges: FieldStorage's published-age commits and the FlightRecorder rings
+// use it so the checker can verify their publication protocols instead of
+// flagging them as races.
 //
 // Participation model: a thread reports events only when it is registered
 // with the active session (explorer-spawned threads, sync::Thread children,

@@ -47,14 +47,23 @@ class Error : public std::runtime_error {
 /// Throws ErrorKind::kInternal. Use for broken framework invariants.
 [[noreturn]] void internal_error(const std::string& message);
 
+}  // namespace p2g
+
+// Precondition checks. Macros rather than functions so the message
+// expression (often a string concatenation) is only evaluated when the
+// check fails: a passing check costs one branch and no allocation.
+
 /// Checks a framework invariant; throws kInternal when `condition` is false.
-inline void check_internal(bool condition, const std::string& message) {
-  if (!condition) internal_error(message);
-}
+#define P2G_CHECK_INTERNAL(condition, ...)                 \
+  do {                                                     \
+    if (!(condition)) ::p2g::internal_error(__VA_ARGS__);  \
+  } while (0)
 
 /// Checks a user-facing precondition; throws kInvalidArgument when false.
-inline void check_argument(bool condition, const std::string& message) {
-  if (!condition) throw_error(ErrorKind::kInvalidArgument, message);
-}
-
-}  // namespace p2g
+#define P2G_CHECK_ARGUMENT(condition, ...)                              \
+  do {                                                                  \
+    if (!(condition)) {                                                 \
+      ::p2g::throw_error(::p2g::ErrorKind::kInvalidArgument,            \
+                         __VA_ARGS__);                                  \
+    }                                                                   \
+  } while (0)

@@ -54,7 +54,7 @@ std::string RunningStat::summary() const {
 }
 
 double percentile(std::vector<double> samples, double p) {
-  check_argument(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
+  P2G_CHECK_ARGUMENT(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
   const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);

@@ -13,27 +13,27 @@ KernelContext::KernelContext(const KernelDef& def, Age age, nd::Coord indices,
       fetches_(def.fetches.size()) {}
 
 int64_t KernelContext::index(size_t var) const {
-  check_argument(var < indices_.size(), "index variable position out of "
-                                        "range");
+  P2G_CHECK_ARGUMENT(var < indices_.size(), "index variable position out of "
+                                            "range");
   return indices_[var];
 }
 
 int64_t KernelContext::index(std::string_view name) const {
   const auto it = std::find(def_->index_vars.begin(), def_->index_vars.end(),
                             name);
-  check_argument(it != def_->index_vars.end(),
-                 "unknown index variable '" + std::string(name) + "'");
+  P2G_CHECK_ARGUMENT(it != def_->index_vars.end(),
+                     "unknown index variable '" + std::string(name) + "'");
   return indices_[static_cast<size_t>(it - def_->index_vars.begin())];
 }
 
 const KernelContext::FetchSlot& KernelContext::slot_for(
     std::string_view slot) const {
   const int i = def_->fetch_slot(slot);
-  check_argument(i >= 0, "kernel '" + def_->name + "' has no fetch slot '" +
-                             std::string(slot) + "'");
+  P2G_CHECK_ARGUMENT(i >= 0, "kernel '" + def_->name + "' has no fetch slot '" +
+                                 std::string(slot) + "'");
   const FetchSlot& fs = fetches_[static_cast<size_t>(i)];
-  check_internal(fs.prepared,
-                 "fetch slot '" + std::string(slot) + "' was not prepared");
+  P2G_CHECK_INTERNAL(fs.prepared,
+                     "fetch slot '" + std::string(slot) + "' was not prepared");
   return fs;
 }
 
@@ -50,8 +50,8 @@ const nd::AnyBuffer& KernelContext::fetch_array(std::string_view slot) const {
 
 void KernelContext::store_array(std::string_view slot, nd::AnyBuffer data) {
   const int i = def_->store_slot(slot);
-  check_argument(i >= 0, "kernel '" + def_->name + "' has no store slot '" +
-                             std::string(slot) + "'");
+  P2G_CHECK_ARGUMENT(i >= 0, "kernel '" + def_->name + "' has no store slot '" +
+                                 std::string(slot) + "'");
   for (const PendingStore& p : stores_) {
     if (p.decl == static_cast<size_t>(i)) {
       throw_error(ErrorKind::kWriteOnceViolation,
@@ -63,12 +63,12 @@ void KernelContext::store_array(std::string_view slot, nd::AnyBuffer data) {
 }
 
 TimerSet& KernelContext::timers() const {
-  check_internal(timers_ != nullptr, "no timer set attached to context");
+  P2G_CHECK_INTERNAL(timers_ != nullptr, "no timer set attached to context");
   return *timers_;
 }
 
 void KernelContext::set_fetch(size_t slot, nd::AnyBuffer data) {
-  check_internal(slot < fetches_.size(), "set_fetch slot out of range");
+  P2G_CHECK_INTERNAL(slot < fetches_.size(), "set_fetch slot out of range");
   FetchSlot& fs = fetches_[slot];
   fs.owned = std::move(data);
   // The view aliases the owned buffer, which lives exactly as long as the
@@ -80,7 +80,7 @@ void KernelContext::set_fetch(size_t slot, nd::AnyBuffer data) {
 }
 
 void KernelContext::set_fetch(size_t slot, nd::ConstView view) {
-  check_internal(slot < fetches_.size(), "set_fetch slot out of range");
+  P2G_CHECK_INTERNAL(slot < fetches_.size(), "set_fetch slot out of range");
   FetchSlot& fs = fetches_[slot];
   fs.view = std::move(view);
   fs.owned.reset();

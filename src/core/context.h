@@ -49,8 +49,8 @@ class KernelContext {
   template <typename T>
   T fetch_scalar(std::string_view slot) const {
     const nd::ConstView& view = fetch_view(slot);
-    check_argument(view.element_count() == 1,
-                   "fetch_scalar on a non-scalar slice");
+    P2G_CHECK_ARGUMENT(view.element_count() == 1,
+                       "fetch_scalar on a non-scalar slice");
     return view.at_flat<T>(0);
   }
 

@@ -639,8 +639,8 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
   bool domain_final = true;
   for (size_t v = 0; v < nvars; ++v) {
     const auto binding = def.binding_of_var(static_cast<int>(v));
-    check_internal(binding.has_value(), "unbound index variable survived "
-                                        "validation");
+    P2G_CHECK_INTERNAL(binding.has_value(), "unbound index variable survived "
+                                            "validation");
     const FetchDecl& bf = def.fetches[binding->fetch_index];
     const Age ga = bf.age.resolve(age);
     if (ga >= 0 && storage(bf.field).is_sealed(ga)) {
@@ -871,9 +871,9 @@ void DependencyAnalyzer::submit_or_park(Shard& s, WorkItem item) {
     state.in_flight = true;
     runtime_.submit(std::move(item));
   } else {
-    check_internal(!state.parked.count(item.age),
-                   "duplicate parked serial instance of kernel '" +
-                       def.name + "'");
+    P2G_CHECK_INTERNAL(!state.parked.count(item.age),
+                       "duplicate parked serial instance of kernel '" +
+                           def.name + "'");
     runtime_.add_outstanding(1);
     state.parked.emplace(item.age, std::move(item));
   }
@@ -884,7 +884,7 @@ std::optional<std::vector<int64_t>> DependencyAnalyzer::domain_of(
   std::vector<int64_t> lengths(def.index_vars.size(), 0);
   for (size_t v = 0; v < def.index_vars.size(); ++v) {
     const auto binding = def.binding_of_var(static_cast<int>(v));
-    check_internal(binding.has_value(), "unbound variable in domain_of");
+    P2G_CHECK_INTERNAL(binding.has_value(), "unbound variable in domain_of");
     const FetchDecl& bf = def.fetches[binding->fetch_index];
     const Age ga = bf.age.resolve(age);
     if (ga < 0) {

@@ -69,6 +69,10 @@ struct StoreOrigin {
 class FieldStorage {
  public:
   explicit FieldStorage(FieldDecl decl);
+  ~FieldStorage();
+
+  FieldStorage(const FieldStorage&) = delete;
+  FieldStorage& operator=(const FieldStorage&) = delete;
 
   const FieldDecl& decl() const { return decl_; }
 
@@ -124,20 +128,27 @@ class FieldStorage {
   /// Copies the whole content of a complete age.
   nd::AnyBuffer fetch_whole(Age age) const;
 
-  // --- zero-copy read path -------------------------------------------------
+  // --- published ages: the lock-free path ---------------------------------
   //
-  // Sealed ages never reallocate their payload again (implicit resizing is
-  // over), and write-once semantics mean already-written elements never
-  // change — so a fetch of a sealed age can alias the age buffer instead of
-  // copying it. The view carries a shared_ptr keepalive: release_age() may
-  // drop the age while kernels still hold views, and the memory is freed
-  // only when the last view goes away.
+  // Once an age is sealed its extents are final, so its buffer can be
+  // grown to them once and never reallocated again. Such an age is
+  // *published*: a record holding the buffer, an atomic written-bitmap and
+  // an atomic written-count is installed in a per-age directory (pages of
+  // atomic slot pointers indexed by age). From then on store, store_fill
+  // and every query resolve through the record without touching the
+  // storage mutex: a store claims its elements with fetch_or on a claim
+  // bitmap (a bit already set is the write-once violation), copies the
+  // payload, then commits the elements to the written-bitmap and count
+  // with release ordering, so a region never reads as written before its
+  // bytes are in place. An age is published at its first store after it
+  // seals, or at its first fetch — not at seal() itself, so an age that is
+  // sealed but never stored (the elided intermediate of a fused pipeline)
+  // costs no memory.
   //
-  // Reads of sealed ages are lock-free in steady state: the first fetch of
-  // a sealed age publishes it (grows the buffer to its final extents under
-  // the writer lock, then installs an immutable snapshot index); later
-  // fetches resolve through an atomic snapshot load without touching the
-  // storage mutex at all.
+  // Fetches of published ages alias the buffer instead of copying it. The
+  // view carries a shared_ptr keepalive: release_age() may drop the age
+  // while kernels still hold views, and the memory is freed only when the
+  // last view goes away.
 
   /// View of (age, region) aliasing the age buffer. Returns nullopt while
   /// the age is unsealed (the buffer may still be reallocated by implicit
@@ -194,36 +205,70 @@ class FieldStorage {
   bool adopt_whole(Age age, const nd::ConstView& view);
 
  private:
+  /// Writer provenance entry (track_writers only).
+  struct Writer {
+    nd::Region region;
+    StoreOrigin origin;
+    bool failed = false;  ///< the store lost its claim: it wrote nothing
+  };
+
+  struct Published;  // lock-free record of a published age (field.cpp)
+
+  /// Locked-path state of one age.
   struct AgeData {
-    /// Payload, shared with outstanding views (keepalive).
+    /// Payload, shared with outstanding views (keepalive) and, once
+    /// published, with the age's record.
     std::shared_ptr<nd::AnyBuffer> buffer;
+    /// Written elements while unpublished; publishing moves the words into
+    /// the record's atomic bitmap.
     DynamicBitset written;
     bool sealed = false;
-    /// The age is in the lock-free seal index (buffer at final extents).
-    bool published = false;
     /// Final extents once sealed. The buffer itself grows lazily (an age
     /// that is sealed but never stored — e.g. the elided intermediate of a
     /// fused pipeline — costs no memory).
     nd::Extents sealed_extents;
-    /// Writer provenance, only populated under track_writers.
-    std::vector<std::pair<nd::Region, StoreOrigin>> writers;
+    /// Writer provenance while unpublished (moved into the record).
+    std::vector<Writer> writers;
+    /// The age's directory record once published (owned by the directory).
+    Published* published = nullptr;
 
     nd::Extents current_extents() const {
       return sealed ? sealed_extents : buffer->extents();
     }
   };
 
-  /// Immutable snapshot of the published (sealed, fully grown) ages, read
-  /// lock-free on the fetch fast path and rebuilt under the writer lock on
-  /// publish/release (both rare: once per age).
-  struct SealIndex {
-    struct Entry {
-      Age age;
-      std::shared_ptr<const nd::AnyBuffer> buffer;
-    };
-    std::vector<Entry> entries;  ///< sorted by age
+  /// Age -> published record, O(1): a spine of pages of atomic slots.
+  /// Readers load slots lock-free; install/clear and growth of the spine
+  /// happen under the writer lock. Allocated on the first publish.
+  class Directory {
+   public:
+    Directory() = default;
+    Directory(const Directory&) = delete;
+    Directory& operator=(const Directory&) = delete;
 
-    const Entry* find(Age age) const;
+    /// The record of `age`, or nullptr (call inside a ReadSection).
+    Published* find(Age age) const;
+    void install(Age age, Published* record);  // writer lock held
+    void clear(Age age);                       // writer lock held
+
+   private:
+    static constexpr size_t kPageBits = 8;
+    static constexpr size_t kPageSlots = size_t{1} << kPageBits;
+    struct Page {
+      std::atomic<Published*> slots[kPageSlots] = {};
+    };
+    struct Spine {
+      explicit Spine(size_t n);
+      size_t pages;
+      std::unique_ptr<std::atomic<Page*>[]> page;
+    };
+    std::atomic<Page*>* page_slot(Age age) const;
+
+    std::atomic<Spine*> spine_{nullptr};
+    /// Every spine and page ever allocated (writer lock). Superseded
+    /// spines stay alive: a lock-free reader may still be walking one.
+    std::vector<std::unique_ptr<Spine>> spines_;
+    std::vector<std::unique_ptr<Page>> pages_;
   };
 
   AgeData& age_data(Age age);           // creates on demand (locked caller)
@@ -232,34 +277,45 @@ class FieldStorage {
   /// Grows buffer + written-bitmap to new extents, remapping set bits.
   void grow(AgeData& data, const nd::Extents& new_extents);
 
-  /// Grows a sealed age to its final extents and installs it in the seal
-  /// index (caller holds the writer lock).
-  void publish(AgeData& data, Age age);
+  /// Grows a sealed age to its final extents, converts its bitmap into a
+  /// directory record and installs it (caller holds the writer lock).
+  Published& publish(AgeData& data, Age age);
 
-  /// Rebuilds the seal index from the published entries of ages_ (caller
-  /// holds the writer lock).
-  void rebuild_seal_index();
+  /// Lock-free store into a published age: claim, copy, commit.
+  StoreResult store_published(Published& rec, Age age,
+                              const nd::Region& region, const std::byte* data,
+                              const StoreOrigin* origin);
+  int64_t store_fill_published(Published& rec, Age age,
+                               const nd::Region& region,
+                               const std::byte* data);
+  bool region_written_published(const Published& rec,
+                                const nd::Region& region) const;
+
+  /// Throws kOutOfRange for a store outside an age's sealed extents.
+  [[noreturn]] void throw_outside_seal(Age age, const nd::Region& region,
+                                       const nd::Extents& sealed) const;
 
   /// View of `region` aliasing a published buffer.
   nd::ConstView make_view(std::shared_ptr<const nd::AnyBuffer> buffer,
                           const nd::Region& region) const;
 
   /// Builds and throws the kWriteOnceViolation error for a store hitting
-  /// already-written elements of `conflict` (caller holds the lock).
-  [[noreturn]] void throw_write_once(const AgeData& ad, Age age,
-                                     const nd::Region& conflict,
+  /// already-written elements of `conflict`, naming the earlier writers
+  /// listed in `writers`.
+  [[noreturn]] void throw_write_once(const std::vector<Writer>& writers,
+                                     Age age, const nd::Region& conflict,
                                      const StoreOrigin* origin) const;
 
   FieldDecl decl_;
   bool track_writers_ = false;
   BufferFactory buffer_factory_;  ///< optional external-arena allocator
-  /// Writer lock for stores/seal/release/publish; shared for queries. The
-  /// published-age fetch path takes neither (its ordering is the
-  /// release-store/acquire-load pair on seal_index_, described to the
-  /// checker via check::release/check::acquire annotations).
+  /// Writer lock for unpublished ages, seal, publish and release; shared
+  /// for queries of unpublished ages. Published ages take neither: their
+  /// ordering is the claim/commit protocol on the record, described to the
+  /// checker via check::release/check::acquire annotations.
   mutable sync::SharedMutex mutex_{"FieldStorage.mutex"};
   std::map<Age, AgeData> ages_;
-  std::atomic<std::shared_ptr<const SealIndex>> seal_index_;
+  Directory directory_;
 };
 
 }  // namespace p2g

@@ -33,9 +33,9 @@ Instrumentation::Instrumentation(size_t kernel_count)
 
 void Instrumentation::record(KernelId kernel, int64_t dispatch_ns,
                              int64_t bodies, int64_t kernel_ns) {
-  check_internal(kernel >= 0 &&
-                     static_cast<size_t>(kernel) < counters_.size(),
-                 "instrumentation: kernel id out of range");
+  P2G_CHECK_INTERNAL(kernel >= 0 &&
+                         static_cast<size_t>(kernel) < counters_.size(),
+                     "instrumentation: kernel id out of range");
   Counters& c = counters_[static_cast<size_t>(kernel)];
   c.dispatches.fetch_add(1, std::memory_order_relaxed);
   c.instances.fetch_add(bodies, std::memory_order_relaxed);

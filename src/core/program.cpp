@@ -57,14 +57,14 @@ KernelBuilder& KernelBuilder::serial() {
 }
 
 const FieldDecl& Program::field(FieldId id) const {
-  check_argument(id >= 0 && static_cast<size_t>(id) < fields_.size(),
-                 "unknown field id");
+  P2G_CHECK_ARGUMENT(id >= 0 && static_cast<size_t>(id) < fields_.size(),
+                     "unknown field id");
   return fields_[static_cast<size_t>(id)];
 }
 
 const KernelDef& Program::kernel(KernelId id) const {
-  check_argument(id >= 0 && static_cast<size_t>(id) < kernels_.size(),
-                 "unknown kernel id");
+  P2G_CHECK_ARGUMENT(id >= 0 && static_cast<size_t>(id) < kernels_.size(),
+                     "unknown kernel id");
   return kernels_[static_cast<size_t>(id)];
 }
 
@@ -83,14 +83,16 @@ KernelId Program::find_kernel(std::string_view name) const {
 }
 
 const std::vector<Program::Use>& Program::consumers_of(FieldId field) const {
-  check_argument(field >= 0 && static_cast<size_t>(field) < consumers_.size(),
-                 "unknown field id");
+  P2G_CHECK_ARGUMENT(
+      field >= 0 && static_cast<size_t>(field) < consumers_.size(),
+      "unknown field id");
   return consumers_[static_cast<size_t>(field)];
 }
 
 const std::vector<Program::Use>& Program::producers_of(FieldId field) const {
-  check_argument(field >= 0 && static_cast<size_t>(field) < producers_.size(),
-                 "unknown field id");
+  P2G_CHECK_ARGUMENT(
+      field >= 0 && static_cast<size_t>(field) < producers_.size(),
+      "unknown field id");
   return producers_[static_cast<size_t>(field)];
 }
 
@@ -107,9 +109,9 @@ ProgramBuilder& ProgramBuilder::field(std::string name, nd::ElementType type,
       throw_error(ErrorKind::kSema, "duplicate field name '" + name + "'");
     }
   }
-  check_argument(declared_extents.empty() || declared_extents.size() == rank,
-                 "declared extents of field '" + name +
-                     "' must match its rank");
+  P2G_CHECK_ARGUMENT(
+      declared_extents.empty() || declared_extents.size() == rank,
+      "declared extents of field '" + name + "' must match its rank");
   FieldDecl decl;
   decl.id = static_cast<FieldId>(fields_.size());
   decl.name = std::move(name);

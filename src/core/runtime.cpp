@@ -141,16 +141,16 @@ void Runtime::resolve_options() {
   }
   for (const std::string& name : options_.disabled_kernels) {
     const KernelId id = program_.find_kernel(name);
-    check_argument(id != kInvalidKernel,
-                   "disabled_kernels lists unknown kernel '" + name + "'");
+    P2G_CHECK_ARGUMENT(id != kInvalidKernel,
+                       "disabled_kernels lists unknown kernel '" + name + "'");
     kcfg_[static_cast<size_t>(id)].enabled = false;
   }
   for (const auto& [name, sched] : options_.kernel_schedules) {
     const KernelId id = program_.find_kernel(name);
-    check_argument(id != kInvalidKernel,
-                   "kernel schedule for unknown kernel '" + name + "'");
+    P2G_CHECK_ARGUMENT(id != kInvalidKernel,
+                       "kernel schedule for unknown kernel '" + name + "'");
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(id)];
-    check_argument(sched.chunk >= 1, "chunk must be >= 1");
+    P2G_CHECK_ARGUMENT(sched.chunk >= 1, "chunk must be >= 1");
     cfg.chunk = sched.chunk;
     cfg.chunk_explicit = sched.chunk != 1;
     if (sched.max_age) cfg.cap = std::min(cfg.cap, *sched.max_age);
@@ -161,48 +161,49 @@ void Runtime::resolve_options() {
   }
   for (const ResolvedFusion& fu : fusions_) {
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(fu.upstream)];
-    check_argument(cfg.fusion == nullptr,
-                   "kernel '" + program_.kernel(fu.upstream).name +
-                       "' is upstream of more than one fusion");
+    P2G_CHECK_ARGUMENT(cfg.fusion == nullptr,
+                       "kernel '" + program_.kernel(fu.upstream).name +
+                           "' is upstream of more than one fusion");
     cfg.fusion = &fu;
   }
   // No fusion chains: a downstream kernel may not be fused into, or be the
   // upstream of, another fusion (the dispatched-set marking would race).
   for (const ResolvedFusion& fu : fusions_) {
-    check_argument(kcfg_[static_cast<size_t>(fu.downstream)].fusion == nullptr,
-                   "fusion chains are not supported ('" +
-                       program_.kernel(fu.downstream).name +
-                       "' is both downstream and upstream)");
+    P2G_CHECK_ARGUMENT(
+        kcfg_[static_cast<size_t>(fu.downstream)].fusion == nullptr,
+        "fusion chains are not supported ('" +
+            program_.kernel(fu.downstream).name +
+            "' is both downstream and upstream)");
     int as_downstream = 0;
     for (const ResolvedFusion& other : fusions_) {
       if (other.downstream == fu.downstream) ++as_downstream;
     }
-    check_argument(as_downstream == 1,
-                   "kernel '" + program_.kernel(fu.downstream).name +
-                       "' is downstream of more than one fusion");
+    P2G_CHECK_ARGUMENT(as_downstream == 1,
+                       "kernel '" + program_.kernel(fu.downstream).name +
+                           "' is downstream of more than one fusion");
   }
 }
 
 void Runtime::resolve_fusion(const FusionRule& rule) {
   const KernelId up_id = program_.find_kernel(rule.upstream);
   const KernelId down_id = program_.find_kernel(rule.downstream);
-  check_argument(up_id != kInvalidKernel && down_id != kInvalidKernel,
-                 "fusion references unknown kernel(s) '" + rule.upstream +
-                     "' -> '" + rule.downstream + "'");
+  P2G_CHECK_ARGUMENT(up_id != kInvalidKernel && down_id != kInvalidKernel,
+                     "fusion references unknown kernel(s) '" + rule.upstream +
+                         "' -> '" + rule.downstream + "'");
   const KernelDef& up = program_.kernel(up_id);
   const KernelDef& down = program_.kernel(down_id);
 
-  check_argument(!down.serial && !down.is_source() && !down.is_run_once(),
-                 "fusion downstream '" + down.name +
-                     "' must be a plain data-parallel kernel");
-  check_argument(down.fetches.size() == 1,
-                 "fusion downstream '" + down.name +
-                     "' must have exactly one fetch");
+  P2G_CHECK_ARGUMENT(!down.serial && !down.is_source() && !down.is_run_once(),
+                     "fusion downstream '" + down.name +
+                         "' must be a plain data-parallel kernel");
+  P2G_CHECK_ARGUMENT(down.fetches.size() == 1,
+                     "fusion downstream '" + down.name +
+                         "' must have exactly one fetch");
   const FetchDecl& df = down.fetches[0];
-  check_argument(df.slice.is_elementwise() &&
-                     df.age.kind == AgeExpr::Kind::kRelative,
-                 "fusion downstream fetch must be elementwise with a "
-                 "relative age");
+  P2G_CHECK_ARGUMENT(df.slice.is_elementwise() &&
+                         df.age.kind == AgeExpr::Kind::kRelative,
+                     "fusion downstream fetch must be elementwise with a "
+                     "relative age");
 
   // Find the upstream store feeding that fetch.
   const StoreDecl* matched = nullptr;
@@ -229,9 +230,9 @@ void Runtime::resolve_fusion(const FusionRule& rule) {
       break;
     }
   }
-  check_argument(matched != nullptr,
-                 "fusion: no elementwise store of '" + up.name +
-                     "' matches the fetch of '" + down.name + "'");
+  P2G_CHECK_ARGUMENT(matched != nullptr,
+                     "fusion: no elementwise store of '" + up.name +
+                         "' matches the fetch of '" + down.name + "'");
 
   ResolvedFusion fu;
   fu.upstream = up_id;
@@ -249,10 +250,10 @@ void Runtime::resolve_fusion(const FusionRule& rule) {
     }
   }
   for (size_t v = 0; v < fu.coord_map.size(); ++v) {
-    check_argument(fu.coord_map[v] != SIZE_MAX,
-                   "fusion: downstream index variable '" +
-                       down.index_vars[v] + "' is not covered by the fused "
-                       "fetch");
+    P2G_CHECK_ARGUMENT(fu.coord_map[v] != SIZE_MAX,
+                       "fusion: downstream index variable '" +
+                           down.index_vars[v] + "' is not covered by the fused "
+                           "fetch");
   }
 
   // The intermediate store can be elided when the fused downstream is the
@@ -265,16 +266,16 @@ void Runtime::resolve_fusion(const FusionRule& rule) {
 }
 
 FieldStorage& Runtime::storage(FieldId field) {
-  check_argument(field >= 0 &&
-                     static_cast<size_t>(field) < storages_.size(),
-                 "unknown field id");
+  P2G_CHECK_ARGUMENT(field >= 0 &&
+                         static_cast<size_t>(field) < storages_.size(),
+                     "unknown field id");
   return *storages_[static_cast<size_t>(field)];
 }
 
 FieldStorage& Runtime::storage(std::string_view field_name) {
   const FieldId id = program_.find_field(field_name);
-  check_argument(id != kInvalidField,
-                 "unknown field '" + std::string(field_name) + "'");
+  P2G_CHECK_ARGUMENT(id != kInvalidField,
+                     "unknown field '" + std::string(field_name) + "'");
   return storage(id);
 }
 
@@ -372,8 +373,8 @@ std::optional<std::string> Runtime::dump_flight() const {
 
 void Runtime::enable_kernel(const std::string& name) {
   const KernelId id = program_.find_kernel(name);
-  check_argument(id != kInvalidKernel,
-                 "enable_kernel: unknown kernel '" + name + "'");
+  P2G_CHECK_ARGUMENT(id != kInvalidKernel,
+                     "enable_kernel: unknown kernel '" + name + "'");
   RescanEvent event;
   event.kernel = id;
   push_event(event);
@@ -534,27 +535,30 @@ void Runtime::analyzer_loop(int shard) {
 #endif
 
 void Runtime::worker_loop(int worker_index) {
-  int64_t wait_start = metrics_ ? now_ns() : 0;
+  // One pair of timestamps per work item splits worker time into busy and
+  // idle and also bounds the item's trace span, so worker spans add up to
+  // busy time exactly; bookkeeping between items counts as idle.
+  const bool timed = metrics_ || trace_ || flight_;
+  int64_t wait_start = timed ? now_ns() : 0;
   std::optional<WorkItem> bonus;
   while (auto item = ready_.pop(bonus)) {
     // The queue hands over a second item when no other worker is waiting;
     // run both before going back to the lock.
     while (item) {
-      int64_t busy_start = 0;
-      if (metrics_) {
-        busy_start = now_ns();
-        m_idle_ns_->add(busy_start - wait_start);
-      }
+      const int64_t busy_start = timed ? now_ns() : 0;
+      int64_t busy_end = 0;
       try {
-        execute(*item, worker_index);
+        busy_end = execute(*item, worker_index, busy_start);
       } catch (...) {
         fail(std::current_exception());
         complete_outstanding();  // the failed instance's unit
+        busy_end = timed ? now_ns() : 0;
       }
       if (metrics_) {
-        wait_start = now_ns();
-        m_busy_ns_->add(wait_start - busy_start);
+        m_idle_ns_->add(busy_start - wait_start);
+        m_busy_ns_->add(busy_end - busy_start);
       }
+      wait_start = busy_end;
       item = std::move(bonus);
       bonus.reset();
     }
@@ -566,7 +570,7 @@ void Runtime::prepare_fetches(KernelContext& ctx) {
   for (size_t i = 0; i < def.fetches.size(); ++i) {
     const FetchDecl& f = def.fetches[i];
     const Age ga = f.age.resolve(ctx.age());
-    check_internal(ga >= 0, "dispatched instance with negative fetch age");
+    P2G_CHECK_INTERNAL(ga >= 0, "dispatched instance with negative fetch age");
     FieldStorage& fs = storage(f.field);
     if (f.slice.is_whole()) {
       // Whole fetches only dispatch once the age is complete (hence
@@ -601,14 +605,14 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
     }
     const StoreDecl& d = def.stores[p.decl];
     const FieldDecl& fd = program_.field(d.field);
-    check_argument(p.data.type() == fd.type,
-                   "kernel '" + def.name + "' stored " +
-                       std::string(nd::to_string(p.data.type())) +
-                       " into field '" + fd.name + "' of type " +
-                       std::string(nd::to_string(fd.type)));
+    P2G_CHECK_ARGUMENT(p.data.type() == fd.type,
+                       "kernel '" + def.name + "' stored " +
+                           std::string(nd::to_string(p.data.type())) +
+                           " into field '" + fd.name + "' of type " +
+                           std::string(nd::to_string(fd.type)));
     const Age ga = d.age.resolve(ctx.age());
-    check_argument(ga >= 0, "kernel '" + def.name +
-                                "' stored to a negative age");
+    P2G_CHECK_ARGUMENT(ga >= 0, "kernel '" + def.name +
+                                    "' stored to a negative age");
     FieldStorage& fs = storage(d.field);
     StoreOrigin origin;
     origin.kernel = def.name;
@@ -622,9 +626,9 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
     event.store_decl = p.decl;
 
     if (d.slice.is_whole()) {
-      check_argument(p.data.extents().rank() == fd.rank,
-                     "kernel '" + def.name + "' whole-store rank mismatch "
-                     "on field '" + fd.name + "'");
+      P2G_CHECK_ARGUMENT(p.data.extents().rank() == fd.rank,
+                         "kernel '" + def.name + "' whole-store rank mismatch "
+                         "on field '" + fd.name + "'");
       if (options_.idempotent_stores) {
         fs.store_fill(ga, nd::Region::whole(p.data.extents()), p.data.raw());
       } else {
@@ -642,7 +646,7 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
           }));
       const bool payload_is_field_shaped =
           p.data.extents().rank() == dims.size();
-      check_argument(
+      P2G_CHECK_ARGUMENT(
           all_count == 0 || payload_is_field_shaped ||
               p.data.extents().rank() == all_count,
           "kernel '" + def.name + "': payload rank does not determine the "
@@ -672,12 +676,12 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
         }
       }
       nd::Region region(std::move(intervals));
-      check_argument(region.element_count() == p.data.element_count(),
-                     "kernel '" + def.name + "': payload holds " +
-                         std::to_string(p.data.element_count()) +
-                         " elements but the store region " +
-                         region.to_string() + " needs " +
-                         std::to_string(region.element_count()));
+      P2G_CHECK_ARGUMENT(region.element_count() == p.data.element_count(),
+                         "kernel '" + def.name + "': payload holds " +
+                             std::to_string(p.data.element_count()) +
+                             " elements but the store region " +
+                             region.to_string() + " needs " +
+                             std::to_string(region.element_count()));
       if (options_.idempotent_stores) {
         fs.store_fill(ga, region, p.data.raw());
       } else {
@@ -786,9 +790,9 @@ void Runtime::run_fused_downstream(const KernelContext& up_ctx,
   instr_.record(down.id, dispatch_ns, 1, kernel_ns);
 }
 
-void Runtime::execute(const WorkItem& item, int worker_index) {
+int64_t Runtime::execute(const WorkItem& item, int worker_index,
+                         int64_t start_ns) {
   const bool tracing = trace_ != nullptr || flight_ != nullptr;
-  const int64_t trace_start = tracing ? now_ns() : 0;
   const KernelDef& def = program_.kernel(item.kernel);
   const ResolvedFusion* fusion = kcfg_[static_cast<size_t>(def.id)].fusion;
 
@@ -800,7 +804,7 @@ void Runtime::execute(const WorkItem& item, int worker_index) {
     span_ctx.span_id = next_span_id();
     if (trace_ && item.cause.valid()) {
       // Flow finish: the arrow's head, at the top of this span.
-      trace_->record_flow_finish(item.cause, trace_start, worker_index);
+      trace_->record_flow_finish(item.cause, start_ns, worker_index);
     }
   }
 
@@ -841,20 +845,6 @@ void Runtime::execute(const WorkItem& item, int worker_index) {
     m_dispatch_ns_->record(dispatch_ns);
     m_kernel_ns_->record(kernel_ns);
   }
-  if (tracing) {
-    const int64_t duration = now_ns() - trace_start;
-    if (trace_) {
-      trace_->record(TraceCollector::Span{
-          def.name, trace_start, duration, worker_index, item.age, bodies,
-          SpanKind::kWorker, span_ctx.trace_id, span_ctx.span_id,
-          item.cause.span_id});
-    }
-    if (flight_) {
-      flight_->record(def.name, SpanKind::kWorker, trace_start, duration,
-                      worker_index, item.cause, span_ctx.span_id, item.age);
-    }
-  }
-
   if (needs_done_event(def)) {
     InstanceDoneEvent done;
     done.kernel = def.id;
@@ -863,10 +853,29 @@ void Runtime::execute(const WorkItem& item, int worker_index) {
     push_event(done);
   }
   complete_outstanding();
+
+  // The span covers the whole work item, completion accounting included.
+  // Recording after complete_outstanding() is safe: shutdown joins this
+  // worker first.
+  const int64_t end_ns = tracing || metrics_ ? now_ns() : 0;
+  if (tracing) {
+    const int64_t duration = end_ns - start_ns;
+    if (trace_) {
+      trace_->record(TraceCollector::Span{
+          def.name, start_ns, duration, worker_index, item.age, bodies,
+          SpanKind::kWorker, span_ctx.trace_id, span_ctx.span_id,
+          item.cause.span_id});
+    }
+    if (flight_) {
+      flight_->record(def.name, SpanKind::kWorker, start_ns, duration,
+                      worker_index, item.cause, span_ctx.span_id, item.age);
+    }
+  }
+  return end_ns;
 }
 
 RunReport Runtime::run() {
-  check_argument(!started_, "Runtime::run() may only be called once");
+  P2G_CHECK_ARGUMENT(!started_, "Runtime::run() may only be called once");
   started_ = true;
 
   Stopwatch stopwatch;

@@ -341,8 +341,11 @@ class Runtime {
   void analyzer_loop(int shard);
 
   /// Runs all bodies of a work item: fetch prep, body, store commit, fused
-  /// downstream execution, instrumentation, done-event emission.
-  void execute(const WorkItem& item, int worker_index);
+  /// downstream execution, instrumentation, done-event emission. Under
+  /// metrics or tracing, `start_ns` is the item's start time and the
+  /// return value its end time (the bounds of its trace span); otherwise
+  /// both are 0.
+  int64_t execute(const WorkItem& item, int worker_index, int64_t start_ns);
   void prepare_fetches(KernelContext& ctx);
   /// Commits buffered stores into field storage; appends the store events
   /// to `events` (pushed, possibly coalesced, by execute()). `span_ctx`

@@ -1,5 +1,6 @@
 #include "core/trace.h"
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -67,9 +68,41 @@ const char* to_string(SpanKind kind) {
   return "other";
 }
 
-void TraceCollector::record(Span span) {
+namespace {
+
+std::atomic<uint64_t> g_next_collector_id{1};
+
+/// Last collector this thread recorded into and its buffer there. Keyed by
+/// the never-reused collector id, so a destroyed collector's entry can
+/// never be hit again.
+struct BufferCache {
+  uint64_t collector = 0;
+  void* buffer = nullptr;
+};
+thread_local BufferCache t_buffer_cache;
+
+}  // namespace
+
+TraceCollector::TraceCollector() : id_(g_next_collector_id.fetch_add(1)) {}
+
+TraceCollector::ThreadBuffer& TraceCollector::local_buffer() {
+  BufferCache& cache = t_buffer_cache;
+  if (cache.collector == id_) return *static_cast<ThreadBuffer*>(cache.buffer);
   std::scoped_lock lock(mutex_);
-  spans_.push_back(std::move(span));
+  ThreadBuffer*& buffer = buffer_of_[std::this_thread::get_id()];
+  if (buffer == nullptr) {
+    buffers_.push_back(std::make_unique<ThreadBuffer>());
+    buffer = buffers_.back().get();
+  }
+  cache.collector = id_;
+  cache.buffer = buffer;
+  return *buffer;
+}
+
+void TraceCollector::record(Span span) {
+  ThreadBuffer& buffer = local_buffer();
+  std::scoped_lock lock(buffer.mutex);
+  buffer.spans.push_back(std::move(span));
 }
 
 void TraceCollector::record_counter(CounterSample sample) {
@@ -78,8 +111,9 @@ void TraceCollector::record_counter(CounterSample sample) {
 }
 
 void TraceCollector::record_flow(FlowEvent flow) {
-  std::scoped_lock lock(mutex_);
-  flows_.push_back(flow);
+  ThreadBuffer& buffer = local_buffer();
+  std::scoped_lock lock(buffer.mutex);
+  buffer.flows.push_back(flow);
 }
 
 void TraceCollector::record_flow_start(const TraceContext& ctx, int64_t t_ns,
@@ -99,7 +133,9 @@ void TraceCollector::name_thread(int64_t thread_id, std::string name) {
 
 size_t TraceCollector::span_count() const {
   std::scoped_lock lock(mutex_);
-  return spans_.size();
+  size_t n = 0;
+  for_each_buffer([&n](const ThreadBuffer& b) { n += b.spans.size(); });
+  return n;
 }
 
 size_t TraceCollector::counter_sample_count() const {
@@ -109,26 +145,31 @@ size_t TraceCollector::counter_sample_count() const {
 
 size_t TraceCollector::flow_event_count() const {
   std::scoped_lock lock(mutex_);
-  return flows_.size();
+  size_t n = 0;
+  for_each_buffer([&n](const ThreadBuffer& b) { n += b.flows.size(); });
+  return n;
 }
 
 std::vector<TraceCollector::Span> TraceCollector::spans_snapshot() const {
   std::scoped_lock lock(mutex_);
-  return spans_;
+  std::vector<Span> out;
+  for_each_buffer([&out](const ThreadBuffer& b) {
+    out.insert(out.end(), b.spans.begin(), b.spans.end());
+  });
+  return out;
 }
 
 int64_t TraceCollector::earliest_ns() const {
   std::scoped_lock lock(mutex_);
   int64_t epoch = 0;
-  for (const Span& span : spans_) {
-    if (epoch == 0 || span.start_ns < epoch) epoch = span.start_ns;
-  }
-  for (const CounterSample& sample : counters_) {
-    if (epoch == 0 || sample.t_ns < epoch) epoch = sample.t_ns;
-  }
-  for (const FlowEvent& flow : flows_) {
-    if (epoch == 0 || flow.t_ns < epoch) epoch = flow.t_ns;
-  }
+  const auto take = [&epoch](int64_t t) {
+    if (epoch == 0 || t < epoch) epoch = t;
+  };
+  for_each_buffer([&take](const ThreadBuffer& b) {
+    for (const Span& span : b.spans) take(span.start_ns);
+    for (const FlowEvent& flow : b.flows) take(flow.t_ns);
+  });
+  for (const CounterSample& sample : counters_) take(sample.t_ns);
   return epoch;
 }
 
@@ -147,8 +188,10 @@ void TraceCollector::emit_events(std::ostream& os, int pid,
   os << "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
      << ", \"args\": {\"name\": \"" << json_escape(process_name) << "\"}}";
   std::set<int64_t> tids;
-  for (const Span& span : spans_) tids.insert(span.thread_id);
-  for (const FlowEvent& flow : flows_) tids.insert(flow.thread_id);
+  for_each_buffer([&tids](const ThreadBuffer& b) {
+    for (const Span& span : b.spans) tids.insert(span.thread_id);
+    for (const FlowEvent& flow : b.flows) tids.insert(flow.thread_id);
+  });
   for (const int64_t tid : tids) {
     std::string label;
     const auto it = thread_names_.find(tid);
@@ -174,23 +217,25 @@ void TraceCollector::emit_events(std::ostream& os, int pid,
        << json_escape(label) << "\"}}";
   }
 
-  for (const Span& span : spans_) {
-    sep();
-    // Chrome trace "complete" events: ph=X, ts/dur in microseconds.
-    os << "  {\"name\": \"" << json_escape(span.name)
-       << "\", \"cat\": \"p2g\", "
-       << "\"ph\": \"X\", \"pid\": " << pid
-       << ", \"tid\": " << span.thread_id
-       << ", \"ts\": " << (span.start_ns - epoch_ns) / 1000.0
-       << ", \"dur\": " << span.duration_ns / 1000.0
-       << ", \"args\": {\"age\": " << span.age
-       << ", \"bodies\": " << span.bodies;
-    if (span.trace_id != 0 || span.kind != SpanKind::kWorker) {
-      write_causal_args(os, span.kind, span.trace_id, span.span_id,
-                        span.parent_span);
+  for_each_buffer([&](const ThreadBuffer& b) {
+    for (const Span& span : b.spans) {
+      sep();
+      // Chrome trace "complete" events: ph=X, ts/dur in microseconds.
+      os << "  {\"name\": \"" << json_escape(span.name)
+         << "\", \"cat\": \"p2g\", "
+         << "\"ph\": \"X\", \"pid\": " << pid
+         << ", \"tid\": " << span.thread_id
+         << ", \"ts\": " << (span.start_ns - epoch_ns) / 1000.0
+         << ", \"dur\": " << span.duration_ns / 1000.0
+         << ", \"args\": {\"age\": " << span.age
+         << ", \"bodies\": " << span.bodies;
+      if (span.trace_id != 0 || span.kind != SpanKind::kWorker) {
+        write_causal_args(os, span.kind, span.trace_id, span.span_id,
+                          span.parent_span);
+      }
+      os << "}}";
     }
-    os << "}}";
-  }
+  });
   for (const CounterSample& sample : counters_) {
     sep();
     // Counter events: ph=C, one track per name, rendered by Perfetto as a
@@ -200,20 +245,22 @@ void TraceCollector::emit_events(std::ostream& os, int pid,
        << ", \"ts\": " << (sample.t_ns - epoch_ns) / 1000.0
        << ", \"args\": {\"value\": " << sample.value << "}}";
   }
-  for (const FlowEvent& flow : flows_) {
-    sep();
-    // Flow endpoints: ph=s where data leaves a span, ph=f (bp=e: bind to
-    // the enclosing slice) where a dependent span picks it up. The id is
-    // derived from the carried TraceContext, so the two sides agree on it
-    // across nodes and Chrome draws the arrow between lanes.
-    os << "  {\"name\": \"dep\", \"cat\": \"p2g.flow\", \"ph\": \""
-       << (flow.finish ? "f" : "s") << "\"";
-    if (flow.finish) os << ", \"bp\": \"e\"";
-    os << ", \"id\": \"";
-    write_hex(os, flow.flow_id);
-    os << "\", \"pid\": " << pid << ", \"tid\": " << flow.thread_id
-       << ", \"ts\": " << (flow.t_ns - epoch_ns) / 1000.0 << "}";
-  }
+  for_each_buffer([&](const ThreadBuffer& b) {
+    for (const FlowEvent& flow : b.flows) {
+      sep();
+      // Flow endpoints: ph=s where data leaves a span, ph=f (bp=e: bind to
+      // the enclosing slice) where a dependent span picks it up. The id is
+      // derived from the carried TraceContext, so the two sides agree on it
+      // across nodes and Chrome draws the arrow between lanes.
+      os << "  {\"name\": \"dep\", \"cat\": \"p2g.flow\", \"ph\": \""
+         << (flow.finish ? "f" : "s") << "\"";
+      if (flow.finish) os << ", \"bp\": \"e\"";
+      os << ", \"id\": \"";
+      write_hex(os, flow.flow_id);
+      os << "\", \"pid\": " << pid << ", \"tid\": " << flow.thread_id
+         << ", \"ts\": " << (flow.t_ns - epoch_ns) / 1000.0 << "}";
+    }
+  });
 }
 
 std::string TraceCollector::to_chrome_json() const {

@@ -17,8 +17,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ids.h"
@@ -55,6 +57,9 @@ enum class SpanKind : uint8_t {
 const char* to_string(SpanKind kind);
 
 /// Thread-safe collector of trace spans, counter samples and flow events.
+/// Spans and flows go to a buffer owned by the recording thread (registered
+/// on its first record), so workers and the analyzer never contend on one
+/// lock or one growing vector; readers merge the buffers.
 /// Enabled via RunOptions::trace_path (write a file after the run) or
 /// RunOptions::collect_trace (collect only; the distributed master stitches
 /// per-node collectors into one merged file). Workers record one span per
@@ -93,6 +98,8 @@ class TraceCollector {
     int64_t thread_id;
     bool finish;  ///< false = ph:"s", true = ph:"f"
   };
+
+  TraceCollector();
 
   void record(Span span);
   void record_counter(CounterSample sample);
@@ -138,10 +145,32 @@ class TraceCollector {
   size_t flow_event_count() const;
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<Span> spans_;
+  /// Events of one recording thread. Its lock is only contended while a
+  /// reader merges the buffers.
+  struct ThreadBuffer {
+    std::mutex mutex;
+    std::vector<Span> spans;
+    std::vector<FlowEvent> flows;
+  };
+
+  /// The calling thread's buffer, registered on first use.
+  ThreadBuffer& local_buffer();
+
+  /// Calls fn(buffer) for every thread buffer in registration order, each
+  /// under its own lock. The caller holds mutex_.
+  template <typename Fn>
+  void for_each_buffer(Fn&& fn) const {
+    for (const auto& buffer : buffers_) {
+      std::scoped_lock lock(buffer->mutex);
+      fn(static_cast<const ThreadBuffer&>(*buffer));
+    }
+  }
+
+  const uint64_t id_;  ///< process-unique, keys the per-thread cache
+  mutable std::mutex mutex_;  ///< buffer registry, counters, thread names
+  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::map<std::thread::id, ThreadBuffer*> buffer_of_;
   std::vector<CounterSample> counters_;
-  std::vector<FlowEvent> flows_;
   std::map<int64_t, std::string> thread_names_;
 };
 

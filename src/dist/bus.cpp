@@ -10,8 +10,8 @@ namespace p2g::dist {
 std::shared_ptr<MessageBus::Mailbox> MessageBus::register_endpoint(
     const std::string& name) {
   std::scoped_lock lock(mutex_);
-  check_argument(!endpoints_.count(name),
-                 "endpoint '" + name + "' already registered");
+  P2G_CHECK_ARGUMENT(!endpoints_.count(name),
+                     "endpoint '" + name + "' already registered");
   auto mailbox = std::make_shared<Mailbox>();
   endpoints_.emplace(name, mailbox);
   return mailbox;

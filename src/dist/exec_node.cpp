@@ -36,8 +36,8 @@ ExecutionNode::ExecutionNode(
   if (ft_.enabled) options.idempotent_stores = true;
   for (const KernelDef& k : program.kernels()) {
     const auto it = kernel_owner.find(k.name);
-    check_argument(it != kernel_owner.end(),
-                   "kernel '" + k.name + "' has no owner");
+    P2G_CHECK_ARGUMENT(it != kernel_owner.end(),
+                       "kernel '" + k.name + "' has no owner");
     if (it->second != name_) {
       options.disabled_kernels.insert(k.name);
     }
@@ -254,9 +254,9 @@ void ExecutionNode::apply_remote_store(const Message& message) {
 }
 
 void ExecutionNode::set_store_forwarder(StoreForwarder* forwarder) {
-  check_argument(!ft_.enabled,
-                 "store forwarder requires non-FT mode (the reliable "
-                 "channel owns the FT data plane)");
+  P2G_CHECK_ARGUMENT(!ft_.enabled,
+                     "store forwarder requires non-FT mode (the reliable "
+                     "channel owns the FT data plane)");
   forwarder_ = forwarder;
 }
 
@@ -543,10 +543,14 @@ void ExecutionNode::ship_checkpoints() {
 
 void ExecutionNode::crash() {
   if (crashed_.exchange(true)) return;
-  // Postmortem first: the flight recorder's rings hold the node's last
-  // spans; the dump is the artifact the master stitches into the merged
-  // trace. Best-effort file I/O, no thread joins (this may run on the
-  // crashing node's own send path).
+  // Last gasp: hand the master this node's final telemetry snapshot before
+  // it is fenced, so the snapshot survives the crash however early it
+  // fires (the periodic ship_metrics may not have run yet). A send to the
+  // master, not a join: safe on the crashing node's own send path.
+  ship_metrics();
+  // Postmortem: the flight recorder's rings hold the node's last spans;
+  // the dump is the artifact the master stitches into the merged trace.
+  // Best-effort file I/O, no thread joins.
   flight_dump_path_ = runtime_->dump_flight();
   hb_cv_.notify_all();
   runtime_->stop();

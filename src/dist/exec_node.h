@@ -80,10 +80,12 @@ class ExecutionNode {
   /// ship metrics nor rethrow their error.
   void join();
 
-  /// Simulates a crash: stops the runtime and silences the heartbeat.
-  /// Flag-only and idempotent — it may be invoked from the crashing node's
-  /// own send path (a ChaosBus crash trigger), so it must never join
-  /// threads. The master fences the node via MessageBus::mark_dead.
+  /// Simulates a crash: ships a last telemetry snapshot to the master,
+  /// then stops the runtime and silences the heartbeat. Idempotent, and it
+  /// may be invoked from the crashing node's own send path (a ChaosBus
+  /// crash trigger), so it must never join threads. The master fences the
+  /// node via MessageBus::mark_dead, which blocks traffic *to* the node;
+  /// the snapshot travels the other way.
   void crash();
 
   const std::string& name() const { return name_; }

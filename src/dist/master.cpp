@@ -46,9 +46,9 @@ Master::Master(MasterOptions options)
                              ? options_.program_factory()
                              : Program{}),
       final_graph_(graph::FinalGraph::from_program(reference_program_)) {
-  check_argument(static_cast<bool>(options_.program_factory),
-                 "MasterOptions::program_factory is required");
-  check_argument(options_.nodes >= 1, "need at least one execution node");
+  P2G_CHECK_ARGUMENT(static_cast<bool>(options_.program_factory),
+                     "MasterOptions::program_factory is required");
+  P2G_CHECK_ARGUMENT(options_.nodes >= 1, "need at least one execution node");
 }
 
 DistributedRunReport Master::run() {

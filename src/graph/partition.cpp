@@ -38,7 +38,7 @@ double Partition::imbalance(const FinalGraph& graph) const {
 }
 
 Partition greedy_partition(const FinalGraph& graph, int parts) {
-  check_argument(parts >= 1, "parts must be >= 1");
+  P2G_CHECK_ARGUMENT(parts >= 1, "parts must be >= 1");
   const size_t n = graph.kernel_count();
   Partition partition;
   partition.parts = parts;

@@ -62,8 +62,8 @@ bool GlobalTopology::remove_node(const std::string& name) {
 
 void GlobalTopology::connect(size_t a, size_t b, double bandwidth_mbps,
                              double latency_us) {
-  check_argument(a < nodes_.size() && b < nodes_.size() && a != b,
-                 "invalid interconnect endpoints");
+  P2G_CHECK_ARGUMENT(a < nodes_.size() && b < nodes_.size() && a != b,
+                     "invalid interconnect endpoints");
   interconnects_.push_back(Link{a, b, bandwidth_mbps, latency_us});
 }
 
@@ -77,7 +77,7 @@ double GlobalTopology::total_compute() const {
 
 std::vector<size_t> GlobalTopology::place_partitions(
     const std::vector<double>& part_weights) const {
-  check_argument(!nodes_.empty(), "cannot place on an empty topology");
+  P2G_CHECK_ARGUMENT(!nodes_.empty(), "cannot place on an empty topology");
   // Sort partitions by weight (descending) and nodes by capacity
   // (descending); assign round-robin so the heaviest work lands on the
   // fastest hardware.

@@ -33,12 +33,12 @@ inline double fetch_float(KernelContext& ctx, const char* slot) {
 inline void put(nd::AnyBuffer& arr, double value,
                 std::initializer_list<int64_t> indices) {
   const std::vector<int64_t> idx(indices);
-  check_argument(idx.size() == arr.extents().rank(),
-                 "put: wrong number of indices");
+  P2G_CHECK_ARGUMENT(idx.size() == arr.extents().rank(),
+                     "put: wrong number of indices");
   if (!arr.extents().contains(idx)) {
     std::vector<int64_t> dims(arr.extents().dims());
     for (size_t d = 0; d < dims.size(); ++d) {
-      check_argument(idx[d] >= 0, "put: negative index");
+      P2G_CHECK_ARGUMENT(idx[d] >= 0, "put: negative index");
       dims[d] = std::max(dims[d], idx[d] + 1);
     }
     arr.resize(nd::Extents(std::move(dims)));

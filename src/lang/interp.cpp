@@ -47,11 +47,11 @@ struct Value {
   }
 
   int64_t as_int() const {
-    check_argument(kind != Kind::kArray, "array used as scalar");
+    P2G_CHECK_ARGUMENT(kind != Kind::kArray, "array used as scalar");
     return kind == Kind::kInt ? i : static_cast<int64_t>(f);
   }
   double as_float() const {
-    check_argument(kind != Kind::kArray, "array used as scalar");
+    P2G_CHECK_ARGUMENT(kind != Kind::kArray, "array used as scalar");
     return kind == Kind::kInt ? static_cast<double>(i) : f;
   }
   bool truthy() const { return as_int() != 0 || as_float() != 0.0; }

@@ -38,7 +38,7 @@ void patch_u32(std::vector<uint8_t>& out, size_t at, uint32_t v) {
 }
 
 uint32_t get_u32(const std::vector<uint8_t>& data, size_t at) {
-  check_argument(at + 4 <= data.size(), "truncated AVI");
+  P2G_CHECK_ARGUMENT(at + 4 <= data.size(), "truncated AVI");
   return static_cast<uint32_t>(data[at]) |
          (static_cast<uint32_t>(data[at + 1]) << 8) |
          (static_cast<uint32_t>(data[at + 2]) << 16) |
@@ -57,8 +57,8 @@ constexpr uint32_t kAviIndexKeyframe = 0x00000010;
 
 std::vector<uint8_t> write_avi(
     const std::vector<std::vector<uint8_t>>& frames, const AviInfo& info) {
-  check_argument(info.width > 0 && info.height > 0 && info.fps > 0,
-                 "invalid AVI geometry");
+  P2G_CHECK_ARGUMENT(info.width > 0 && info.height > 0 && info.fps > 0,
+                     "invalid AVI geometry");
   uint32_t max_frame = 0;
   for (const auto& frame : frames) {
     max_frame = std::max(max_frame, static_cast<uint32_t>(frame.size()));
@@ -186,8 +186,8 @@ void write_avi_file(const std::string& path,
 
 std::vector<std::vector<uint8_t>> read_avi(const std::vector<uint8_t>& bytes,
                                            AviInfo* info) {
-  check_argument(fourcc_at(bytes, 0, "RIFF") && fourcc_at(bytes, 8, "AVI "),
-                 "not an AVI file");
+  P2G_CHECK_ARGUMENT(fourcc_at(bytes, 0, "RIFF") && fourcc_at(bytes, 8, "AVI "),
+                     "not an AVI file");
   std::vector<std::vector<uint8_t>> frames;
 
   size_t pos = 12;
@@ -211,8 +211,8 @@ std::vector<std::vector<uint8_t>> read_avi(const std::vector<uint8_t>& bytes,
         const uint32_t chunk_size = get_u32(bytes, cursor + 4);
         if (fourcc_at(bytes, cursor, "00dc") ||
             fourcc_at(bytes, cursor, "00db")) {
-          check_argument(cursor + 8 + chunk_size <= bytes.size(),
-                         "truncated frame chunk");
+          P2G_CHECK_ARGUMENT(cursor + 8 + chunk_size <= bytes.size(),
+                             "truncated frame chunk");
           frames.emplace_back(
               bytes.begin() + static_cast<ptrdiff_t>(cursor + 8),
               bytes.begin() +

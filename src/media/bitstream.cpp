@@ -8,7 +8,7 @@ void BitWriter::emit(uint8_t byte) {
 }
 
 void BitWriter::put_bits(uint32_t bits, int count) {
-  check_argument(count >= 0 && count <= 32, "put_bits count out of range");
+  P2G_CHECK_ARGUMENT(count >= 0 && count <= 32, "put_bits count out of range");
   if (count < 32) bits &= (uint32_t{1} << count) - 1;
   // Feed bit by bit into the byte accumulator (simple and branch-light
   // enough; entropy coding dominates elsewhere).
@@ -27,7 +27,7 @@ void BitWriter::flush() {
 }
 
 void BitWriter::put_byte(uint8_t byte) {
-  check_internal(aligned(), "put_byte requires byte alignment");
+  P2G_CHECK_INTERNAL(aligned(), "put_byte requires byte alignment");
   bytes_.push_back(byte);  // markers are never stuffed
 }
 
@@ -58,7 +58,7 @@ void BitReader::refill() {
 }
 
 uint32_t BitReader::get_bits(int count) {
-  check_argument(count >= 0 && count <= 25, "get_bits count out of range");
+  P2G_CHECK_ARGUMENT(count >= 0 && count <= 25, "get_bits count out of range");
   if (count == 0) return 0;
   refill();
   if (bit_count_ < count) {

@@ -20,8 +20,8 @@ HuffTable::HuffTable(const std::array<uint8_t, 16>& bits,
         static_cast<int32_t>(k) - code;
     const int count = bits_[static_cast<size_t>(len - 1)];
     for (int i = 0; i < count; ++i) {
-      check_argument(k < values_.size(),
-                     "huffman BITS counts exceed HUFFVAL size");
+      P2G_CHECK_ARGUMENT(k < values_.size(),
+                         "huffman BITS counts exceed HUFFVAL size");
       const uint8_t symbol = values_[k];
       code_of_[symbol] = code;
       length_of_[symbol] = static_cast<int8_t>(len);
@@ -32,13 +32,13 @@ HuffTable::HuffTable(const std::array<uint8_t, 16>& bits,
         count > 0 ? code - 1 : -1;
     code = static_cast<uint16_t>(code << 1);
   }
-  check_argument(k == values_.size(),
-                 "huffman HUFFVAL has more symbols than BITS counts");
+  P2G_CHECK_ARGUMENT(k == values_.size(),
+                     "huffman HUFFVAL has more symbols than BITS counts");
 }
 
 void HuffTable::encode(BitWriter& writer, uint8_t symbol) const {
   const int len = length_of_[symbol];
-  check_internal(len > 0, "symbol has no huffman code");
+  P2G_CHECK_INTERNAL(len > 0, "symbol has no huffman code");
   writer.put_bits(code_of_[symbol], len);
 }
 

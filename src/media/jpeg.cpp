@@ -141,9 +141,9 @@ std::vector<uint8_t> encode_jpeg_from_coeffs(
     int width, int height, const CoeffGrid& y, const CoeffGrid& u,
     const CoeffGrid& v, const QuantTable& luma_table,
     const QuantTable& chroma_table) {
-  check_argument(width > 0 && height > 0, "bad frame dimensions");
-  check_argument(u.blocks_h == v.blocks_h && u.blocks_w == v.blocks_w,
-                 "chroma grids must agree");
+  P2G_CHECK_ARGUMENT(width > 0 && height > 0, "bad frame dimensions");
+  P2G_CHECK_ARGUMENT(u.blocks_h == v.blocks_h && u.blocks_w == v.blocks_w,
+                     "chroma grids must agree");
 
   BitWriter w(/*stuffing=*/true);
   write_marker(w, kSOI);
@@ -239,7 +239,7 @@ struct Decoder {
 void parse_dqt(Decoder& d, size_t segment_end) {
   while (d.pos < segment_end) {
     const uint8_t pq_tq = d.u8();
-    check_argument((pq_tq >> 4) == 0, "only 8-bit quant tables supported");
+    P2G_CHECK_ARGUMENT((pq_tq >> 4) == 0, "only 8-bit quant tables supported");
     const int id = pq_tq & 0x0F;
     const auto& zz = zigzag_order();
     for (int k = 0; k < kBlockSize; ++k) {
@@ -275,11 +275,11 @@ void parse_dht(Decoder& d, size_t segment_end) {
 
 void parse_sof0(Decoder& d) {
   const int precision = d.u8();
-  check_argument(precision == 8, "only 8-bit precision supported");
+  P2G_CHECK_ARGUMENT(precision == 8, "only 8-bit precision supported");
   d.height = d.u16();
   d.width = d.u16();
   d.comp_count = d.u8();
-  check_argument(d.comp_count == 3, "only 3-component JPEGs supported");
+  P2G_CHECK_ARGUMENT(d.comp_count == 3, "only 3-component JPEGs supported");
   for (int i = 0; i < d.comp_count; ++i) {
     auto& c = d.comps[i];
     c.id = d.u8();
@@ -288,10 +288,10 @@ void parse_sof0(Decoder& d) {
     c.v = hv & 0x0F;
     c.qtable = d.u8();
   }
-  check_argument(d.comps[0].h == 2 && d.comps[0].v == 2 &&
-                     d.comps[1].h == 1 && d.comps[1].v == 1 &&
-                     d.comps[2].h == 1 && d.comps[2].v == 1,
-                 "only 4:2:0 (2x2 / 1x1 / 1x1) sampling supported");
+  P2G_CHECK_ARGUMENT(d.comps[0].h == 2 && d.comps[0].v == 2 &&
+                         d.comps[1].h == 1 && d.comps[1].v == 1 &&
+                         d.comps[2].h == 1 && d.comps[2].v == 1,
+                     "only 4:2:0 (2x2 / 1x1 / 1x1) sampling supported");
 }
 
 }  // namespace
@@ -300,12 +300,12 @@ YuvFrame decode_jpeg(const uint8_t* data, size_t size) {
   Decoder d;
   d.data = data;
   d.size = size;
-  check_argument(d.u8() == 0xFF && d.u8() == kSOI, "missing SOI marker");
+  P2G_CHECK_ARGUMENT(d.u8() == 0xFF && d.u8() == kSOI, "missing SOI marker");
 
   bool in_scan = false;
   while (!in_scan) {
     uint8_t byte = d.u8();
-    check_argument(byte == 0xFF, "expected marker");
+    P2G_CHECK_ARGUMENT(byte == 0xFF, "expected marker");
     uint8_t marker = d.u8();
     while (marker == 0xFF) marker = d.u8();  // fill bytes
     if (marker == kEOI) {
@@ -319,7 +319,7 @@ YuvFrame decode_jpeg(const uint8_t* data, size_t size) {
       case kSOF0: parse_sof0(d); break;
       case kSOS: {
         const int n = d.u8();
-        check_argument(n == d.comp_count, "SOS component count mismatch");
+        P2G_CHECK_ARGUMENT(n == d.comp_count, "SOS component count mismatch");
         for (int i = 0; i < n; ++i) {
           const int id = d.u8();
           const uint8_t slots = d.u8();
@@ -342,7 +342,7 @@ YuvFrame decode_jpeg(const uint8_t* data, size_t size) {
     }
   }
 
-  check_argument(d.width > 0 && d.height > 0, "missing SOF0 before SOS");
+  P2G_CHECK_ARGUMENT(d.width > 0 && d.height > 0, "missing SOF0 before SOS");
   YuvFrame frame(d.width + (d.width % 2), d.height + (d.height % 2));
   frame.width = d.width;
   frame.height = d.height;

@@ -7,9 +7,9 @@
 namespace p2g::media {
 
 void MjpegWriter::add_frame(std::vector<uint8_t> jpeg_bytes) {
-  check_argument(jpeg_bytes.size() >= 4 && jpeg_bytes[0] == 0xFF &&
-                     jpeg_bytes[1] == 0xD8,
-                 "frame does not start with SOI");
+  P2G_CHECK_ARGUMENT(jpeg_bytes.size() >= 4 && jpeg_bytes[0] == 0xFF &&
+                         jpeg_bytes[1] == 0xD8,
+                     "frame does not start with SOI");
   offsets_.push_back(stream_.size());
   stream_.insert(stream_.end(), jpeg_bytes.begin(), jpeg_bytes.end());
 }

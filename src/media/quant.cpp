@@ -34,8 +34,8 @@ const QuantTable& standard_chroma_table() {
 }
 
 QuantTable scale_table(const QuantTable& base, int quality) {
-  check_argument(quality >= 1 && quality <= 100,
-                 "quality must be in [1, 100]");
+  P2G_CHECK_ARGUMENT(quality >= 1 && quality <= 100,
+                     "quality must be in [1, 100]");
   const int scale = quality < 50 ? 5000 / quality : 200 - 2 * quality;
   QuantTable out;
   for (int i = 0; i < kBlockSize; ++i) {

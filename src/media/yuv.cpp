@@ -10,8 +10,8 @@
 namespace p2g::media {
 
 YuvFrame::YuvFrame(int w, int h) : width(w), height(h) {
-  check_argument(w > 0 && h > 0 && w % 2 == 0 && h % 2 == 0,
-                 "frame dimensions must be positive and even");
+  P2G_CHECK_ARGUMENT(w > 0 && h > 0 && w % 2 == 0 && h % 2 == 0,
+                     "frame dimensions must be positive and even");
   y.assign(static_cast<size_t>(w) * static_cast<size_t>(h), 0);
   u.assign(static_cast<size_t>(w / 2) * static_cast<size_t>(h / 2), 0);
   v.assign(static_cast<size_t>(w / 2) * static_cast<size_t>(h / 2), 0);
@@ -30,7 +30,7 @@ inline uint32_t hash3(uint32_t x, uint32_t y, uint32_t t) {
 
 YuvVideo generate_synthetic_video(int width, int height, int frames,
                                   uint32_t seed) {
-  check_argument(frames >= 0, "frame count must be non-negative");
+  P2G_CHECK_ARGUMENT(frames >= 0, "frame count must be non-negative");
   YuvVideo video;
   video.width = width;
   video.height = height;
@@ -118,8 +118,8 @@ YuvVideo read_yuv_file(const std::string& path, int width, int height) {
 }
 
 double psnr(const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
-  check_argument(a.size() == b.size() && !a.empty(),
-                 "psnr requires equal non-empty planes");
+  P2G_CHECK_ARGUMENT(a.size() == b.size() && !a.empty(),
+                     "psnr requires equal non-empty planes");
   double mse = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
     const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);

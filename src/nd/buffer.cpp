@@ -140,12 +140,12 @@ void AnyBuffer::materialize_owned() {
 }
 
 void AnyBuffer::resize(const Extents& new_extents) {
-  check_argument(new_extents.rank() == extents_.rank(),
-                 "AnyBuffer::resize cannot change rank");
-  check_argument(extents_.fits_in(new_extents),
-                 "AnyBuffer::resize dimensions may only grow (" +
-                     extents_.to_string() + " -> " + new_extents.to_string() +
-                     ")");
+  P2G_CHECK_ARGUMENT(new_extents.rank() == extents_.rank(),
+                     "AnyBuffer::resize cannot change rank");
+  P2G_CHECK_ARGUMENT(extents_.fits_in(new_extents),
+                     "AnyBuffer::resize dimensions may only grow (" +
+                         extents_.to_string() + " -> " +
+                         new_extents.to_string() + ")");
   if (new_extents == extents_) return;
 
   const size_t esz = element_size(type_);
@@ -293,9 +293,9 @@ void AnyBuffer::set_from_int(int64_t flat, int64_t value) {
 }
 
 void AnyBuffer::scatter(const Region& region, const std::byte* src) {
-  check_argument(region.within(extents_),
-                 "scatter region " + region.to_string() +
-                     " outside extents " + extents_.to_string());
+  P2G_CHECK_ARGUMENT(region.within(extents_),
+                     "scatter region " + region.to_string() +
+                         " outside extents " + extents_.to_string());
   const size_t esz = element_size(type_);
   std::byte* const mb = mutable_base();
   if (const auto span = region.contiguous_span(extents_)) {
@@ -313,9 +313,9 @@ void AnyBuffer::scatter(const Region& region, const std::byte* src) {
 }
 
 void AnyBuffer::gather(const Region& region, std::byte* dst) const {
-  check_argument(region.within(extents_),
-                 "gather region " + region.to_string() + " outside extents " +
-                     extents_.to_string());
+  P2G_CHECK_ARGUMENT(region.within(extents_),
+                     "gather region " + region.to_string() +
+                         " outside extents " + extents_.to_string());
   const size_t esz = element_size(type_);
   if (const auto span = region.contiguous_span(extents_)) {
     std::memcpy(dst, base() + static_cast<size_t>(span->offset) * esz,

@@ -8,7 +8,7 @@ namespace p2g::nd {
 
 Extents::Extents(std::vector<int64_t> dims) : dims_(std::move(dims)) {
   for (int64_t d : dims_) {
-    check_argument(d >= 0, "extent dimensions must be non-negative");
+    P2G_CHECK_ARGUMENT(d >= 0, "extent dimensions must be non-negative");
   }
 }
 
@@ -16,7 +16,7 @@ Extents::Extents(std::initializer_list<int64_t> dims)
     : Extents(std::vector<int64_t>(dims)) {}
 
 int64_t Extents::dim(size_t i) const {
-  check_internal(i < dims_.size(), "Extents::dim index out of range");
+  P2G_CHECK_INTERNAL(i < dims_.size(), "Extents::dim index out of range");
   return dims_[i];
 }
 
@@ -50,8 +50,8 @@ int64_t Extents::flatten(const Coord& coord) const {
 }
 
 Coord Extents::unflatten(int64_t offset) const {
-  check_argument(offset >= 0 && offset < element_count(),
-                 "flat offset outside extents");
+  P2G_CHECK_ARGUMENT(offset >= 0 && offset < element_count(),
+                     "flat offset outside extents");
   Coord coord(dims_.size(), 0);
   for (size_t i = dims_.size(); i-- > 0;) {
     coord[i] = offset % dims_[i];
@@ -69,9 +69,9 @@ bool Extents::contains(const Coord& coord) const {
 }
 
 Extents Extents::max_with(const Extents& other) const {
-  check_argument(rank() == other.rank(),
-                 "Extents::max_with rank mismatch: " + to_string() + " vs " +
-                     other.to_string());
+  P2G_CHECK_ARGUMENT(rank() == other.rank(),
+                     "Extents::max_with rank mismatch: " + to_string() +
+                         " vs " + other.to_string());
   std::vector<int64_t> dims(rank());
   for (size_t i = 0; i < rank(); ++i) {
     dims[i] = std::max(dims_[i], other.dims_[i]);

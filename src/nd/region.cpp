@@ -27,7 +27,7 @@ Region Region::point(const Coord& coord) {
 }
 
 const Interval& Region::interval(size_t i) const {
-  check_internal(i < intervals_.size(), "Region::interval out of range");
+  P2G_CHECK_INTERNAL(i < intervals_.size(), "Region::interval out of range");
   return intervals_[i];
 }
 
@@ -50,7 +50,7 @@ bool Region::contains(const Coord& coord) const {
 }
 
 Region Region::intersect(const Region& other) const {
-  check_argument(rank() == other.rank(), "Region::intersect rank mismatch");
+  P2G_CHECK_ARGUMENT(rank() == other.rank(), "Region::intersect rank mismatch");
   std::vector<Interval> out(rank());
   for (size_t i = 0; i < rank(); ++i) {
     out[i] = Interval{std::max(intervals_[i].begin, other.intervals_[i].begin),
@@ -60,8 +60,8 @@ Region Region::intersect(const Region& other) const {
 }
 
 Region Region::bounding_union(const Region& other) const {
-  check_argument(rank() == other.rank(),
-                 "Region::bounding_union rank mismatch");
+  P2G_CHECK_ARGUMENT(rank() == other.rank(),
+                     "Region::bounding_union rank mismatch");
   if (empty()) return other;
   if (other.empty()) return *this;
   std::vector<Interval> out(rank());
@@ -128,7 +128,7 @@ std::optional<Region::Span> Region::contiguous_span(
 }
 
 Coord Region::first() const {
-  check_internal(!empty(), "Region::first on empty region");
+  P2G_CHECK_INTERNAL(!empty(), "Region::first on empty region");
   Coord coord(rank());
   for (size_t i = 0; i < rank(); ++i) coord[i] = intervals_[i].begin;
   return coord;

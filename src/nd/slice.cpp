@@ -38,10 +38,10 @@ bool SliceSpec::is_elementwise() const {
 Region SliceSpec::resolve(const Bindings& bindings,
                           const Extents& extents) const {
   if (whole_) return Region::whole(extents);
-  check_argument(dims_.size() == extents.rank(),
-                 "slice rank " + std::to_string(dims_.size()) +
-                     " does not match field rank " +
-                     std::to_string(extents.rank()));
+  P2G_CHECK_ARGUMENT(dims_.size() == extents.rank(),
+                     "slice rank " + std::to_string(dims_.size()) +
+                         " does not match field rank " +
+                         std::to_string(extents.rank()));
   std::vector<Interval> out(dims_.size());
   for (size_t i = 0; i < dims_.size(); ++i) {
     switch (dims_[i].kind) {
@@ -52,11 +52,12 @@ Region SliceSpec::resolve(const Bindings& bindings,
         out[i] = Interval{dims_[i].value, dims_[i].value + 1};
         break;
       case SliceDim::Kind::kVar: {
-        check_internal(dims_[i].var >= 0 &&
-                           static_cast<size_t>(dims_[i].var) < bindings.size(),
-                       "slice variable id out of range");
+        P2G_CHECK_INTERNAL(
+            dims_[i].var >= 0 &&
+                static_cast<size_t>(dims_[i].var) < bindings.size(),
+            "slice variable id out of range");
         const int64_t v = bindings[static_cast<size_t>(dims_[i].var)];
-        check_internal(v != kUnbound, "unbound index variable in slice");
+        P2G_CHECK_INTERNAL(v != kUnbound, "unbound index variable in slice");
         out[i] = Interval{v, v + 1};
         break;
       }
@@ -79,8 +80,8 @@ std::optional<bool> SliceSpec::constrain(
         break;
       case SliceDim::Kind::kVar: {
         const auto var = static_cast<size_t>(dims_[i].var);
-        check_internal(var < var_ranges.size(),
-                       "constrain: variable id out of range");
+        P2G_CHECK_INTERNAL(var < var_ranges.size(),
+                           "constrain: variable id out of range");
         Interval& r = var_ranges[var];
         r = Interval{std::max(r.begin, w.begin), std::min(r.end, w.end)};
         if (r.empty()) return std::nullopt;

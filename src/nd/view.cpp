@@ -23,14 +23,14 @@ ConstView::ConstView(ElementType type, Extents extents,
       strides_(std::move(strides)),
       base_(base),
       keepalive_(std::move(keepalive)) {
-  check_argument(strides_.size() == extents_.rank(),
-                 "ConstView stride rank mismatch");
+  P2G_CHECK_ARGUMENT(strides_.size() == extents_.rank(),
+                     "ConstView stride rank mismatch");
   contiguous_ = strides_ == extents_.strides() || element_count() <= 1;
 }
 
 const std::byte* ConstView::raw() const {
-  check_internal(contiguous_,
-                 "ConstView::raw() on a strided view; materialize() first");
+  P2G_CHECK_INTERNAL(contiguous_,
+                     "ConstView::raw() on a strided view; materialize() first");
   return base_;
 }
 

@@ -85,10 +85,10 @@ namespace {
 
 int make_ring_memfd(uint32_t slots) {
   const int fd = static_cast<int>(::memfd_create("p2g-ring", 0));
-  check_internal(fd >= 0, "memfd_create for ring failed");
-  check_internal(::ftruncate(fd, static_cast<off_t>(
-                                     ShmRing::bytes_required(slots))) == 0,
-                 "ftruncate for ring failed");
+  P2G_CHECK_INTERNAL(fd >= 0, "memfd_create for ring failed");
+  P2G_CHECK_INTERNAL(::ftruncate(fd, static_cast<off_t>(
+                                         ShmRing::bytes_required(slots))) == 0,
+                     "ftruncate for ring failed");
   return fd;  // zero-filled: the valid empty-ring state
 }
 
@@ -96,11 +96,11 @@ int make_ring_memfd(uint32_t slots) {
 
 ClusterReport run_cluster(const ClusterOptions& options) {
   const WorkloadSpec* spec = find_workload(options.workload);
-  check_argument(spec != nullptr,
-                 "unknown workload '" + options.workload + "'");
-  check_argument(!options.node_binary.empty(),
-                 "ClusterOptions::node_binary is required");
-  check_argument(options.nodes >= 1, "need at least one node");
+  P2G_CHECK_ARGUMENT(spec != nullptr,
+                     "unknown workload '" + options.workload + "'");
+  P2G_CHECK_ARGUMENT(!options.node_binary.empty(),
+                     "ClusterOptions::node_binary is required");
+  P2G_CHECK_ARGUMENT(options.nodes >= 1, "need at least one node");
 
   ClusterReport report;
   Stopwatch stopwatch;
@@ -201,7 +201,7 @@ ClusterReport run_cluster(const ClusterOptions& options) {
     argv.push_back(nullptr);
 
     const pid_t pid = ::fork();
-    check_internal(pid >= 0, "fork failed");
+    P2G_CHECK_INTERNAL(pid >= 0, "fork failed");
     if (pid == 0) {
       ::execv(argv[0], argv.data());
       ::_exit(127);  // exec failed

@@ -19,12 +19,12 @@ namespace p2g::net {
 // --- ShmArena ---------------------------------------------------------------
 
 std::shared_ptr<ShmArena> ShmArena::create(size_t bytes) {
-  check_argument(bytes > kDataStart, "arena too small");
+  P2G_CHECK_ARGUMENT(bytes > kDataStart, "arena too small");
   // No MFD_CLOEXEC: the fd is inherited by number through fork+exec.
   const int fd = static_cast<int>(::memfd_create("p2g-arena", 0));
-  check_internal(fd >= 0, "memfd_create failed");
-  check_internal(::ftruncate(fd, static_cast<off_t>(bytes)) == 0,
-                 "ftruncate failed");
+  P2G_CHECK_INTERNAL(fd >= 0, "memfd_create failed");
+  P2G_CHECK_INTERNAL(::ftruncate(fd, static_cast<off_t>(bytes)) == 0,
+                     "ftruncate failed");
   auto arena = attach(fd, bytes);
   arena->owns_fd_ = true;
   arena->header()->cursor.store(kDataStart, std::memory_order_relaxed);
@@ -34,7 +34,7 @@ std::shared_ptr<ShmArena> ShmArena::create(size_t bytes) {
 std::shared_ptr<ShmArena> ShmArena::attach(int fd, size_t bytes) {
   void* map =
       ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  check_internal(map != MAP_FAILED, "mmap of arena failed");
+  P2G_CHECK_INTERNAL(map != MAP_FAILED, "mmap of arena failed");
   auto arena = std::shared_ptr<ShmArena>(new ShmArena());
   arena->fd_ = fd;
   arena->map_ = static_cast<std::byte*>(map);
@@ -140,23 +140,23 @@ void ShmDataPlane::add_peer(const std::string& name,
                             std::shared_ptr<ShmArena> peer_arena,
                             int tx_ring_fd, int rx_ring_fd,
                             uint32_t ring_slots) {
-  check_argument(!poller_.joinable(), "add_peer after attach");
+  P2G_CHECK_ARGUMENT(!poller_.joinable(), "add_peer after attach");
   auto link = std::make_unique<PeerLink>();
   link->arena = std::move(peer_arena);
   link->ring_bytes = ShmRing::bytes_required(ring_slots);
   link->tx_mem = ::mmap(nullptr, link->ring_bytes, PROT_READ | PROT_WRITE,
                         MAP_SHARED, tx_ring_fd, 0);
-  check_internal(link->tx_mem != MAP_FAILED, "mmap of tx ring failed");
+  P2G_CHECK_INTERNAL(link->tx_mem != MAP_FAILED, "mmap of tx ring failed");
   link->rx_mem = ::mmap(nullptr, link->ring_bytes, PROT_READ | PROT_WRITE,
                         MAP_SHARED, rx_ring_fd, 0);
-  check_internal(link->rx_mem != MAP_FAILED, "mmap of rx ring failed");
+  P2G_CHECK_INTERNAL(link->rx_mem != MAP_FAILED, "mmap of rx ring failed");
   link->tx = ShmRing(link->tx_mem, ring_slots);
   link->rx = ShmRing(link->rx_mem, ring_slots);
   peers_.emplace(name, std::move(link));
 }
 
 void ShmDataPlane::attach(dist::ExecutionNode& node) {
-  check_argument(node_ == nullptr, "plane already attached");
+  P2G_CHECK_ARGUMENT(node_ == nullptr, "plane already attached");
   node_ = &node;
   metrics_ = node.runtime().mutable_metrics();
   // Outgoing payloads are born in the arena: every field this node's

@@ -43,7 +43,7 @@ bool is_data_frame(dist::MessageType type) {
 
 SocketHub::SocketHub(obs::MetricsRegistry* metrics) : metrics_(metrics) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  check_internal(listen_fd_ >= 0, "socket() failed");
+  P2G_CHECK_INTERNAL(listen_fd_ >= 0, "socket() failed");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
@@ -51,10 +51,10 @@ SocketHub::SocketHub(obs::MetricsRegistry* metrics) : metrics_(metrics) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = 0;  // ephemeral
-  check_internal(
+  P2G_CHECK_INTERNAL(
       ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
       "bind() failed: " + std::string(std::strerror(errno)));
-  check_internal(::listen(listen_fd_, 64) == 0, "listen() failed");
+  P2G_CHECK_INTERNAL(::listen(listen_fd_, 64) == 0, "listen() failed");
 
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
@@ -335,16 +335,16 @@ SocketNodeTransport::SocketNodeTransport(const std::string& host,
                                          const std::string& name)
     : name_(name) {
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  check_internal(fd_ >= 0, "socket() failed");
+  P2G_CHECK_INTERNAL(fd_ >= 0, "socket() failed");
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  check_internal(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                 "bad hub address '" + host + "'");
-  check_internal(
+  P2G_CHECK_INTERNAL(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
+                     "bad hub address '" + host + "'");
+  P2G_CHECK_INTERNAL(
       ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
       "connect to " + host + ":" + std::to_string(port) +
           " failed: " + std::string(std::strerror(errno)));
@@ -358,8 +358,8 @@ SocketNodeTransport::SocketNodeTransport(const std::string& host,
   envelope.msg.from = name;
   envelope.msg.payload = hello.encode();
   const std::vector<uint8_t> frame = encode_frame(envelope);
-  check_internal(write_all(fd_, frame.data(), frame.size()),
-                 "hello handshake write failed");
+  P2G_CHECK_INTERNAL(write_all(fd_, frame.data(), frame.size()),
+                     "hello handshake write failed");
 
   reader_ = std::thread([this] { reader_loop(); });
 }

@@ -56,8 +56,8 @@ std::vector<double> generate_points(const KmeansConfig& config) {
 
 Program KmeansWorkload::build() const {
   const KmeansConfig cfg = config;
-  check_argument(cfg.n > 0 && cfg.k > 0 && cfg.k <= cfg.n && cfg.dim > 0,
-                 "invalid k-means configuration");
+  P2G_CHECK_ARGUMENT(cfg.n > 0 && cfg.k > 0 && cfg.k <= cfg.n && cfg.dim > 0,
+                     "invalid k-means configuration");
 
   ProgramBuilder pb;
   pb.field("datapoints", nd::ElementType::kFloat64, 2);  // [n][dim]

@@ -42,8 +42,8 @@ void add_dct_kernel(ProgramBuilder& pb, const std::string& name,
              Slice().var("by").var("bx").all())
       .body([table, fast_dct](KernelContext& ctx) {
         const nd::AnyBuffer& block = ctx.fetch_array("block");
-        check_internal(block.element_count() == kBlockSize,
-                       "DCT kernel expects one 8x8 block");
+        P2G_CHECK_INTERNAL(block.element_count() == kBlockSize,
+                           "DCT kernel expects one 8x8 block");
         nd::AnyBuffer out(nd::ElementType::kInt16, nd::Extents({64}));
         media::dct_quantize_block(block.data<uint8_t>(), table, fast_dct,
                                   out.data<int16_t>());
@@ -65,7 +65,7 @@ media::CoeffGrid grid_from_buffer(const nd::AnyBuffer& buf) {
 }  // namespace
 
 Program MjpegWorkload::build() const {
-  check_argument(video != nullptr, "MjpegWorkload needs a video");
+  P2G_CHECK_ARGUMENT(video != nullptr, "MjpegWorkload needs a video");
 
   ProgramBuilder pb;
   pb.field("yInput", nd::ElementType::kUInt8, 3);

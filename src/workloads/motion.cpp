@@ -91,13 +91,13 @@ std::vector<int> motion_estimate_frame(const uint8_t* cur,
 }
 
 Program MotionWorkload::build() const {
-  check_argument(video != nullptr, "MotionWorkload needs a video");
+  P2G_CHECK_ARGUMENT(video != nullptr, "MotionWorkload needs a video");
   const int block = config.block;
   const int search = config.search;
   const int width = video->width;
   const int height = video->height;
-  check_argument(width % block == 0 && height % block == 0,
-                 "frame dimensions must be multiples of the block size");
+  P2G_CHECK_ARGUMENT(width % block == 0 && height % block == 0,
+                     "frame dimensions must be multiples of the block size");
 
   ProgramBuilder pb;
   pb.field("planes", nd::ElementType::kUInt8, 2);   // [h][w]

@@ -343,7 +343,7 @@ TEST(Explorer, StepBudgetOverrunReportsLivelock) {
 }
 
 TEST(Explorer, PublicationWithoutReleaseIsFlagged) {
-  // The seal-index pattern with the release edge removed: the annotations
+  // The publication pattern with the release edge removed: the annotations
   // on FieldStorage are load-bearing, not decorative.
   const auto broken = [](CheckSession& session) {
     struct Shared {

@@ -31,13 +31,34 @@ TEST(Error, CarriesKindAndMessage) {
 }
 
 TEST(Error, CheckArgumentThrowsInvalidArgument) {
-  EXPECT_NO_THROW(check_argument(true, "ok"));
+  EXPECT_NO_THROW(P2G_CHECK_ARGUMENT(true, "ok"));
   try {
-    check_argument(false, "bad input");
+    P2G_CHECK_ARGUMENT(false, "bad input");
     FAIL();
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
   }
+}
+
+// The checks are on every hot path: a passing check must not build its
+// message, a failing one must carry it unchanged.
+TEST(Error, CheckMessageIsBuiltOnlyOnFailure) {
+  int built = 0;
+  const auto message = [&built] {
+    ++built;
+    return std::string("index ") + std::to_string(7) + " out of range";
+  };
+  P2G_CHECK_ARGUMENT(true, message());
+  P2G_CHECK_INTERNAL(true, message());
+  EXPECT_EQ(built, 0);
+  try {
+    P2G_CHECK_INTERNAL(false, message());
+    FAIL();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kInternal);
+    EXPECT_STREQ(e.what(), "internal: index 7 out of range");
+  }
+  EXPECT_EQ(built, 1);
 }
 
 TEST(RunningStat, MeanAndStddev) {
@@ -151,6 +172,25 @@ TEST(DynamicBitset, ResizeShrinkDropsBits) {
   b.resize(10);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_TRUE(b.test(3));
+}
+
+TEST(AtomicBitset, TakesOverWordsAndReportsFirstSetBit) {
+  constexpr auto kAcqRel = std::memory_order_acq_rel;
+  constexpr auto kAcquire = std::memory_order_acquire;
+  DynamicBitset bits(200);
+  bits.set(70);
+  AtomicBitset atomic(std::move(bits));
+  EXPECT_EQ(bits.size(), 0u) << "the words move, they are not copied";
+  EXPECT_EQ(atomic.size(), 200u);
+  EXPECT_TRUE(atomic.all_in_range(70, 71, kAcquire));
+  EXPECT_EQ(atomic.set_range(0, 64, kAcqRel), 64u) << "all fresh";
+  EXPECT_TRUE(atomic.all_in_range(0, 64, kAcquire));
+  // A conflict in the first word stops before the later words.
+  EXPECT_EQ(atomic.set_range(60, 130, kAcqRel), 60u);
+  EXPECT_FALSE(atomic.all_in_range(64, 70, kAcquire));
+  EXPECT_EQ(atomic.set_range(64, 130, kAcqRel), 70u);
+  EXPECT_FALSE(atomic.all_in_range(128, 130, kAcquire));
+  EXPECT_EQ(atomic.set_range(130, 130, kAcqRel), 130u) << "empty range";
 }
 
 TEST(BlockingQueue, FifoOrder) {

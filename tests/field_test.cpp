@@ -1,10 +1,12 @@
 // Unit tests for field storage: write-once, aging, implicit resize, seal,
-// and the zero-copy view path (aliasing, lifetime under release_age,
-// concurrent readers).
+// the zero-copy view path (aliasing, lifetime under release_age, concurrent
+// readers) and the lock-free claim/copy/commit path of published ages.
+// The concurrency tests are meant to run under P2G_SANITIZE=thread too.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/field.h"
 
@@ -378,6 +380,322 @@ TEST(FieldStorageStress, ConcurrentViewsAcrossRelease) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(views_read.load(), 0) << "test raced to nothing; weaken it";
   EXPECT_TRUE(fs.live_ages().empty());
+}
+
+// --- published ages: lock-free stores and queries ----------------------------
+
+const std::byte* bytes_of(const int32_t& v) {
+  return reinterpret_cast<const std::byte*>(&v);
+}
+
+// N threads store disjoint scalars into a sealed (hence published) age.
+// Completeness flips exactly with the last store, and every byte lands.
+TEST(FieldStorageConcurrency, DisjointScalarStoresCompleteAtLastStore) {
+  constexpr int kThreads = 4;
+  constexpr int64_t kElems = 4096;
+  FieldStorage fs(decl1d("dist"));
+  fs.seal(0, nd::Extents({kElems}));
+  EXPECT_TRUE(fs.is_sealed(0));
+
+  std::atomic<int> complete_early{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fs, &complete_early, t] {
+      // Element kElems - 1 is held back for the final store below.
+      for (int64_t i = t; i < kElems - 1; i += kThreads) {
+        const auto v = static_cast<int32_t>(1000 + i);
+        fs.store(0, nd::Region::point({i}), bytes_of(v));
+        if (fs.is_complete(0)) complete_early.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(complete_early.load(), 0);
+  EXPECT_FALSE(fs.is_complete(0));
+  EXPECT_EQ(fs.written_count(0), kElems - 1);
+  EXPECT_FALSE(fs.region_written(0, nd::Region({nd::Interval{0, kElems}})));
+
+  const auto last = static_cast<int32_t>(1000 + kElems - 1);
+  fs.store(0, nd::Region::point({kElems - 1}), bytes_of(last));
+  EXPECT_TRUE(fs.is_complete(0));
+  EXPECT_EQ(fs.written_count(0), kElems);
+  const auto view = fs.try_fetch_view_whole(0);
+  ASSERT_TRUE(view.has_value());
+  for (int64_t i = 0; i < kElems; ++i) {
+    ASSERT_EQ(view->at_flat<int32_t>(i), 1000 + i) << "element " << i;
+  }
+}
+
+// Two threads race on the same element of a published age: exactly one
+// wins, the other gets the write-once violation, and the winner's bytes
+// are what the age holds.
+TEST(FieldStorageConcurrency, SameElementRaceHasOneWinner) {
+  constexpr Age kRounds = 200;
+  FieldStorage fs(decl1d("race"));
+  for (Age a = 0; a < kRounds; ++a) {
+    fs.seal(a, nd::Extents({2}));
+    const int32_t other = 0;
+    fs.store(a, nd::Region::point({1}), bytes_of(other));  // publishes
+  }
+  std::atomic<int> violations{0};
+  std::atomic<int> wins[2] = {0, 0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      const int32_t v = 10 + t;
+      for (Age a = 0; a < kRounds; ++a) {
+        try {
+          fs.store(a, nd::Region::point({0}), bytes_of(v));
+          wins[t].fetch_add(1);
+        } catch (const Error& e) {
+          EXPECT_EQ(e.kind(), ErrorKind::kWriteOnceViolation);
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(violations.load(), kRounds);
+  EXPECT_EQ(wins[0].load() + wins[1].load(), kRounds);
+  for (Age a = 0; a < kRounds; ++a) {
+    EXPECT_TRUE(fs.is_complete(a));
+    const int32_t held = fs.fetch(a, nd::Region::point({0})).at<int32_t>(0);
+    EXPECT_TRUE(held == 10 || held == 11) << held;
+  }
+}
+
+// A reader that sees region_written() true must read the stored value,
+// never the zero fill: the commit is ordered after the payload copy.
+TEST(FieldStorageConcurrency, RegionWrittenImpliesBytesVisible) {
+  constexpr int64_t kElems = 2048;
+  constexpr int kWriters = 2;
+  FieldStorage fs(decl1d("stress"));
+  fs.seal(0, nd::Extents({kElems}));
+  const int32_t first = 1;
+  fs.store(0, nd::Region::point({0}), bytes_of(first));  // publishes
+  const auto view = fs.try_fetch_view_whole(0);
+  ASSERT_TRUE(view.has_value());
+
+  std::atomic<int64_t> zero_reads{0};
+  std::atomic<int64_t> checked{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    started.store(true);
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = done.load(std::memory_order_acquire);
+      for (int64_t i = 0; i < kElems; ++i) {
+        if (!fs.region_written(0, nd::Region::point({i}))) continue;
+        if (view->at_flat<int32_t>(i) != static_cast<int32_t>(i + 1)) {
+          zero_reads.fetch_add(1);
+        }
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&fs, &started, w] {
+      while (!started.load()) std::this_thread::yield();
+      for (int64_t i = 1 + w; i < kElems; i += kWriters) {
+        const auto v = static_cast<int32_t>(i + 1);
+        fs.store(0, nd::Region::point({i}), bytes_of(v));
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(zero_reads.load(), 0);
+  EXPECT_GE(checked.load(), kElems) << "the final pass sees every element";
+  EXPECT_TRUE(fs.is_complete(0));
+}
+
+// The directory is paged by age: ages on several pages (and far beyond
+// the first spine) resolve independently, and releasing one leaves the
+// others intact.
+TEST(FieldStorageConcurrency, AgesSpanningDirectoryPages) {
+  const std::vector<Age> ages = {0, 1, 255, 256, 257, 511, 512, 4000, 70000};
+  FieldStorage fs(decl1d("paged"));
+  for (const Age a : ages) {
+    fs.seal(a, nd::Extents({1}));
+    const auto v = static_cast<int32_t>(a);
+    fs.store(a, nd::Region::point({0}), bytes_of(v));
+  }
+  for (const Age a : ages) {
+    EXPECT_TRUE(fs.is_complete(a)) << a;
+    const auto view = fs.try_fetch_view_whole(a);
+    ASSERT_TRUE(view.has_value()) << a;
+    EXPECT_EQ(view->at_flat<int32_t>(0), static_cast<int32_t>(a));
+  }
+  EXPECT_FALSE(fs.is_sealed(2));
+  EXPECT_FALSE(fs.is_sealed(100000));
+  fs.release_age(256);
+  EXPECT_FALSE(fs.is_sealed(256));
+  EXPECT_FALSE(fs.try_fetch_view_whole(256).has_value());
+  EXPECT_TRUE(fs.is_complete(255));
+  EXPECT_TRUE(fs.is_complete(257));
+  EXPECT_EQ(fs.live_ages().size(), ages.size() - 1);
+}
+
+// release_age of a published age with and without a live view.
+TEST(FieldStorageConcurrency, ReleasePublishedAgeWithAndWithoutView) {
+  FieldStorage fs(decl1d());
+  for (Age a = 0; a < 2; ++a) {
+    fs.seal(a, nd::Extents({3}));
+    fs.store_whole(a, ints({7, 8, 9}));
+  }
+  const auto view = fs.try_fetch_view_whole(0);
+  ASSERT_TRUE(view.has_value());
+  const size_t before = fs.memory_bytes();
+  fs.release_age(0);  // a view is live
+  fs.release_age(1);  // no view
+  EXPECT_LT(fs.memory_bytes(), before);
+  EXPECT_TRUE(fs.live_ages().empty());
+  EXPECT_FALSE(fs.is_sealed(1));
+  EXPECT_FALSE(fs.is_complete(1));
+  EXPECT_EQ(fs.written_count(1), 0);
+  EXPECT_EQ(view->at_flat<int32_t>(2), 9);  // the keepalive holds
+  // A released age starts over as a fresh, unsealed age.
+  const int32_t v = 1;
+  fs.store(1, nd::Region::point({0}), bytes_of(v));
+  EXPECT_FALSE(fs.is_sealed(1));
+  EXPECT_EQ(fs.written_count(1), 1);
+}
+
+// Lock-free lookups racing release_age: every answer is either the
+// pre-release one or "absent", never a crash or a torn record.
+TEST(FieldStorageConcurrency, LookupsRaceRelease) {
+  constexpr Age kAges = 300;
+  constexpr int64_t kElems = 16;
+  FieldStorage fs(decl1d("released"));
+  for (Age a = 0; a < kAges; ++a) {
+    fs.seal(a, nd::Extents({kElems}));
+    nd::AnyBuffer buf(nd::ElementType::kInt32, nd::Extents({kElems}));
+    for (int64_t i = 0; i < kElems; ++i) {
+      buf.data<int32_t>()[i] = static_cast<int32_t>(a);
+    }
+    fs.store_whole(a, buf);
+  }
+  std::atomic<int64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&fs, &bad, t] {
+      for (int iter = 0; iter < 3000; ++iter) {
+        const Age a = (iter * 7 + t * 31) % kAges;
+        const int64_t n = fs.written_count(a);
+        if (n != 0 && n != kElems) bad.fetch_add(1);
+        const nd::Extents ext = fs.extents(a);
+        if (ext.dim(0) != 0 && ext.dim(0) != kElems) bad.fetch_add(1);
+        (void)fs.is_sealed(a);
+        (void)fs.is_complete(a);
+        (void)fs.region_written(a, nd::Region::point({3}));
+        if (const auto view = fs.try_fetch_view(a, nd::Region::point({3}))) {
+          if (view->at_flat<int32_t>(0) != static_cast<int32_t>(a)) {
+            bad.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  std::thread releaser([&fs] {
+    for (Age a = 0; a < kAges; ++a) fs.release_age(a);
+  });
+  for (std::thread& r : readers) r.join();
+  releaser.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_TRUE(fs.live_ages().empty());
+}
+
+// Non-contiguous (block) stores into a published age claim and commit row
+// by row; a conflict names the first already-written element, as the
+// locked path does.
+TEST(FieldStorageConcurrency, BlockStoresOnPublishedAge) {
+  FieldDecl d;
+  d.id = 0;
+  d.name = "plane";
+  d.type = nd::ElementType::kInt32;
+  d.rank = 2;
+  FieldStorage fs(d);
+  fs.seal(0, nd::Extents({4, 4}));
+  const nd::Region block({nd::Interval{0, 2}, nd::Interval{1, 3}});
+  const nd::AnyBuffer values = ints({1, 2, 3, 4});
+  fs.store(0, block, values.raw());
+  EXPECT_TRUE(fs.region_written(0, block));
+  EXPECT_FALSE(fs.region_written(
+      0, nd::Region({nd::Interval{0, 3}, nd::Interval{1, 3}})));
+  EXPECT_EQ(fs.written_count(0), 4);
+  const nd::AnyBuffer out = fs.fetch(0, block);
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(out.at<int32_t>(i), static_cast<int32_t>(i + 1));
+  }
+  const nd::Region overlap({nd::Interval{1, 3}, nd::Interval{0, 2}});
+  try {
+    fs.store(0, overlap, values.raw());
+    FAIL() << "expected write-once violation";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kWriteOnceViolation);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("region " + nd::Region::point({1, 1}).to_string() +
+                        " of field plane age 0 overlaps"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// store_fill on a published age writes only the cells not written yet and
+// never overwrites a committed one.
+TEST(FieldStorageConcurrency, StoreFillOnPublishedAge) {
+  FieldStorage fs(decl1d());
+  fs.seal(0, nd::Extents({4}));
+  const int32_t v = 42;
+  fs.store(0, nd::Region::point({1}), bytes_of(v));  // publishes
+  const nd::AnyBuffer fill = ints({1, 2, 3, 4});
+  EXPECT_EQ(fs.store_fill(0, nd::Region::whole(fill.extents()), fill.raw()),
+            3);
+  EXPECT_TRUE(fs.is_complete(0));
+  const nd::AnyBuffer out = fs.fetch_whole(0);
+  EXPECT_EQ(out.at<int32_t>(0), 1);
+  EXPECT_EQ(out.at<int32_t>(1), 42) << "fill must not overwrite";
+  EXPECT_EQ(out.at<int32_t>(3), 4);
+  EXPECT_EQ(fs.store_fill(0, nd::Region::whole(fill.extents()), fill.raw()),
+            0);
+  EXPECT_THROW(fs.store_fill(0, nd::Region::point({9}), fill.raw()), Error);
+}
+
+// Checked-mode provenance survives publishing: a violation on the
+// published path still names the earlier writer, whether it stored before
+// or after the age was published.
+TEST(FieldStorageConcurrency, PublishedPathNamesBothWriters) {
+  FieldStorage fs(decl1d());
+  fs.track_writers(true);
+  const int32_t v = 7;
+  const StoreOrigin before_seal{"early", 0, {0}};
+  fs.store(0, nd::Region::point({0}), bytes_of(v), &before_seal);
+  fs.seal(0, nd::Extents({3}));
+  const StoreOrigin alpha{"alpha", 0, {2}};
+  fs.store(0, nd::Region::point({2}), bytes_of(v), &alpha);  // publishes
+  for (const auto& [element, first] :
+       {std::pair<int64_t, const char*>{0, "early"}, {2, "alpha"}}) {
+    const StoreOrigin beta{"beta", 0, {element}};
+    try {
+      fs.store(0, nd::Region::point({element}), bytes_of(v), &beta);
+      FAIL() << "expected write-once violation";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kWriteOnceViolation);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("writer: kernel 'beta'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("previously written by kernel '") +
+                          first + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "core/runtime.h"
 #include "workloads/mul2plus5.h"
@@ -49,6 +52,38 @@ TEST(TraceCollector, CounterSamplesSerializeAsCounterEvents) {
   EXPECT_NE(json.find("\"value\": 7"), std::string::npos);
   // Counter timestamps participate in epoch normalization.
   EXPECT_NE(json.find("\"ts\": 0"), std::string::npos);
+}
+
+// Every recording thread appends to its own buffer; readers merge them.
+// Nothing is lost, and each thread's events keep their recording order.
+TEST(TraceCollector, ConcurrentRecordersMergeIntoOneTrace) {
+  constexpr int kThreads = 4;
+  constexpr int kSpans = 2000;
+  TraceCollector trace;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&trace, t] {
+      for (int i = 0; i < kSpans; ++i) {
+        trace.record(TraceCollector::Span{"work", 1'000 + i, 10, t, i, 1});
+        trace.record_flow({static_cast<uint64_t>(i), 1'000 + i, t, false});
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(trace.span_count(), static_cast<size_t>(kThreads * kSpans));
+  EXPECT_EQ(trace.flow_event_count(), static_cast<size_t>(kThreads * kSpans));
+  std::map<int64_t, Age> last_age;
+  for (const TraceCollector::Span& span : trace.spans_snapshot()) {
+    const auto it = last_age.find(span.thread_id);
+    if (it != last_age.end()) {
+      EXPECT_EQ(span.age, it->second + 1);
+    }
+    last_age[span.thread_id] = span.age;
+  }
+  EXPECT_EQ(last_age.size(), static_cast<size_t>(kThreads));
+  EXPECT_EQ(trace.earliest_ns(), 1'000);
+  const std::string json = trace.to_chrome_json();
+  EXPECT_NE(json.find("\"tid\": 3"), std::string::npos);
 }
 
 TEST(TraceCollector, RuntimeWritesTraceFile) {
