@@ -15,9 +15,6 @@
 #                       timing-sensitive tests up to N times each
 #                       (ctest --repeat until-fail:N); any failure fails
 #                       the gate
-#   P2G_FLAKE_TESTS=RE  ctest -R regex for the flake gate (default: the
-#                       crash/recovery chaos tests and the field-storage
-#                       concurrency tests)
 #
 # Sanitized builds go to build-tsan/, build-asan/ or build-ubsan/ so they
 # never pollute the regular build/ tree.
@@ -67,12 +64,12 @@ fi
 
 # Opt-in flake gate: a test that passes once may still fail one run in
 # ten. Repeating the timing-sensitive ones until failure turns "passes on
-# most runs" into a measured pass rate.
+# most runs" into a measured pass rate. The timing-sensitive tests are the
+# crash/recovery chaos tests and the field/trace concurrency tests.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
-  default_flaky="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
-  default_flaky="$default_flaky|FieldStorageStress|TraceCollector.Concurrent"
-  flake_tests="${P2G_FLAKE_TESTS:-$default_flaky}"
+  flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
+  flake_tests="$flake_tests|FieldStorageStress|TraceCollector.Concurrent"
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then

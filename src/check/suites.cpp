@@ -139,6 +139,25 @@ void suite_field_seal_publish(CheckSession& session) {
                    reinterpret_cast<const std::byte*>(&v));
     });
   }
+  // Age 1 is stored before it seals, so the store takes the locked path
+  // and the age is published by its first fetch instead — the path of
+  // whole-store producers (stream frames, MJPEG planes), raced against a
+  // reader spinning on the lock-free directory lookup.
+  session.spawn("sealer", [field] {
+    const int64_t v = 9;
+    field->store(1, nd::Region::point({0}),
+                 reinterpret_cast<const std::byte*>(&v));
+    field->seal(1, nd::Extents({1}));
+  });
+  session.spawn("viewer", [field] {
+    for (int i = 0; i < 32; ++i) {
+      if (const auto view = field->try_fetch_view_whole(1)) {
+        check::read_range(view->raw(), sizeof(int64_t),
+                          "FieldStorage.payload");
+        break;
+      }
+    }
+  });
   session.spawn("reader", [field] {
     // Reads only what the commit says is there. Bounded so schedules
     // where the writers never get ahead still terminate.
@@ -396,8 +415,9 @@ void register_builtin_suites() {
         "MpscQueues",
         suite_shard_cross_handoff);
     add("field.seal_publish",
-        "FieldStorage store-after-seal: directory publish, lock-free "
-        "claim/copy/commit vs region_written/is_complete readers",
+        "FieldStorage store-after-seal (lock-free claim/copy/commit vs "
+        "region_written/is_complete readers) and store-then-seal "
+        "(publish at first fetch vs lock-free view lookup)",
         suite_field_seal_publish);
     add("bus.shutdown", "MessageBus send / mailbox drain vs close_all",
         suite_bus_shutdown);
