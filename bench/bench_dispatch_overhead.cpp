@@ -80,29 +80,6 @@ void BM_DispatchPerInstanceMetrics(benchmark::State& state) {
 BENCHMARK(BM_DispatchPerInstanceMetrics)->Arg(16)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-/// Pre-PR dispatch ablation: one-event-per-lock analyzer loop instead of
-/// the batched pop_all/handle_batch path. The delta against
-/// BM_DispatchPerInstance is the contention saved by batching (Issue 4).
-void BM_DispatchPerInstanceUnbatched(benchmark::State& state) {
-  const int elements = static_cast<int>(state.range(0));
-  const int ages = 50;
-  int64_t instances = 0;
-  for (auto _ : state) {
-    RunOptions opts;
-    opts.workers = 2;
-    opts.analyzer_batch = false;
-    Runtime rt(dispatch_program(elements, ages), opts);
-    const RunReport report = rt.run();
-    instances += report.instrumentation.find("stage")->instances;
-  }
-  state.SetItemsProcessed(instances);
-  state.counters["sec_per_instance"] = benchmark::Counter(
-      static_cast<double>(instances),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_DispatchPerInstanceUnbatched)->Arg(16)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
 /// source -> stage(x) -> relay(x): relay consumes stage's *per-element*
 /// stores, so each of relay's candidates is scanned through a constrained
 /// store event and pays the fine-grained region check (resolve + interval

@@ -3,11 +3,10 @@
 # BENCH_<issue>.json at the repo root so future PRs have a perf trajectory
 # to compare against.
 #
-# Baseline and new numbers land in the SAME file. The baseline is the
-# pre-PR code path, reconstructed via ablation switches compiled into the
-# current binaries:
-#   - fetch:    deep-copy fetch_whole/fetch  vs  zero-copy views
-#   - dispatch: analyzer_batch=false (one event per lock) vs batched
+# Baseline and new numbers land in the SAME file. The fetch baseline is
+# the pre-PR code path, reconstructed via an ablation compiled into the
+# current binaries (deep-copy fetch_whole/fetch vs zero-copy views); the
+# dispatch rows record the batched analyzer path alone.
 #
 # Usage:
 #   scripts/bench_report.sh            # writes BENCH_4.json from build/
@@ -339,7 +338,7 @@ trap 'rm -rf "$tmp"' EXIT
   --benchmark_min_time="${P2G_BENCH_MIN_TIME:-0.2}"
 "$build_dir/bench/bench_dispatch_overhead" \
   --benchmark_out="$tmp/dispatch.json" --benchmark_out_format=json \
-  --benchmark_filter='BM_DispatchPerInstance(Unbatched)?/'
+  --benchmark_filter='BM_DispatchPerInstance/'
 
 python3 - "$tmp/field.json" "$tmp/dispatch.json" "$out" "$issue" <<'PY'
 import json, sys
@@ -377,13 +376,12 @@ fetch_row = pair(
     {"unit": "ns/op"},
 )
 
-dispatch_per_instance = {}
-for width in (16, 256, 1024):
-    single = d[f"BM_DispatchPerInstanceUnbatched/{width}"]["sec_per_instance"]
-    batched = d[f"BM_DispatchPerInstance/{width}"]["sec_per_instance"]
-    dispatch_per_instance[str(width)] = pair(
-        single * 1e9, batched * 1e9, {"unit": "ns/instance"}
+dispatch_per_instance = {
+    str(width): round(
+        d[f"BM_DispatchPerInstance/{width}"]["sec_per_instance"] * 1e9, 2
     )
+    for width in (16, 256, 1024)
+}
 
 report = {
     "issue": int(issue),
@@ -391,8 +389,6 @@ report = {
     "context": field.get("context", {}),
     "baseline_definition": {
         "fetch": "deep-copy FieldStorage::fetch_whole/fetch (pre-PR path)",
-        "dispatch": "RunOptions::analyzer_batch=false, one event per "
-                    "queue lock (pre-PR path)",
     },
     "fetch_whole_ns": fetch_whole,
     "fetch_row_ns": fetch_row,

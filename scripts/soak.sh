@@ -4,7 +4,7 @@
 # checksum is identical for every (workload, node-count, transport)
 # combination — the socket path, the shared-memory data plane and the
 # in-run supervision must never change the data. One crash-injection round
-# per workload proves a killed node is detected and the supervisor still
+# per workload proves a crashed node is detected and the master still
 # terminates.
 #
 # Usage:
@@ -62,15 +62,16 @@ for workload in mul2 kmeans pipeline; do
   echo "soak: $workload x$rounds rounds (2/3 nodes, socket+shm):" \
        "checksum $reference"
 
-  # Crash round: node1 dies 5 ms into the run; the supervisor must fence
-  # it and exit on its own (non-zero, since a node died — but promptly).
+  # Crash round: node0 (the busier node of every 2-node split) exits right
+  # after its 3rd committed store, mid-run; the master must fence it and
+  # exit on its own (non-zero, since a node died — but promptly).
   if "$p2gnode" --master --workload "$workload" --nodes 2 \
-      --crash node1:5 --watchdog-ms 20000 > "$tmp/crash.out"; then
+      --crash node0:3 --watchdog-ms 20000 > "$tmp/crash.out"; then
     echo "soak: $workload crash round reported success despite a dead node" >&2
     fail=1
   fi
-  if ! grep -q "dead: node1" "$tmp/crash.out"; then
-    echo "soak: $workload crash round did not report node1 dead" >&2
+  if ! grep -q "dead: node0" "$tmp/crash.out"; then
+    echo "soak: $workload crash round did not report node0 dead" >&2
     cat "$tmp/crash.out" >&2
     fail=1
   fi
@@ -78,7 +79,7 @@ for workload in mul2 kmeans pipeline; do
     echo "soak: $workload crash round tripped the watchdog" >&2
     fail=1
   fi
-  echo "soak: $workload crash round: node1 fenced, supervisor terminated"
+  echo "soak: $workload crash round: node0 fenced, master terminated"
 done
 
 if [ "$fail" -ne 0 ]; then

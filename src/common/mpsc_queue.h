@@ -114,8 +114,8 @@ class MpscQueue {
     }
   }
 
-  /// Blocking single-item pop (the unbatched ablation path). Single
-  /// consumer only. Returns nullopt only after close() with an empty queue.
+  /// Blocking single-item pop. Single consumer only. Returns nullopt
+  /// only after close() with an empty queue.
   std::optional<T> pop() {
     while (stash_.empty()) {
       if (!pop_all(stash_)) return std::nullopt;

@@ -202,23 +202,14 @@ void DependencyAnalyzer::handle_one(Shard& s, const Event& event) {
   }
 }
 
-void DependencyAnalyzer::handle(size_t shard, const Event& event) {
-  Shard& s = shards_[shard];
-  handle_one(s, event);
-  flush_chunks(s);
-  // Periodically revisit the data-granularity decisions (paper §V-A).
-  // Shard 0 owns the adaptation so KernelRunCfg::chunk has one writer.
-  if ((++s.events_handled & 0x3FF) == 0 && shard == 0) {
-    runtime_.adapt_granularity();
-  }
-}
-
 void DependencyAnalyzer::handle_batch(size_t shard,
                                       const std::deque<Event>& events) {
   Shard& s = shards_[shard];
   for (const Event& event : events) handle_one(s, event);
   flush_chunks(s);
-  // Same ~1024-event cadence as handle(), crossed at batch granularity.
+  // Periodically (every ~1024 events, crossed at batch granularity)
+  // revisit the data-granularity decisions (paper §V-A). Shard 0 owns the
+  // adaptation so KernelRunCfg::chunk has one writer.
   const int64_t before = s.events_handled;
   s.events_handled += static_cast<int64_t>(events.size());
   if (shard == 0 && (before >> 10) != (s.events_handled >> 10)) {

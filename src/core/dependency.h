@@ -63,13 +63,9 @@ class DependencyAnalyzer {
   /// path.
   size_t shard_of(const Event& event) const;
 
-  /// Processes one event (called from shard `shard`'s thread only).
-  void handle(size_t shard, const Event& event);
-
-  /// Processes a drained event backlog in order, flushing chunk buffers and
-  /// revisiting granularity once per batch instead of once per event. Same
-  /// observable semantics as calling handle() per event — instances only
-  /// dispatch marginally later, which chunking exploits: a batch often
+  /// Processes a drained event backlog in order (called from shard
+  /// `shard`'s thread only), flushing chunk buffers and revisiting
+  /// granularity once per batch instead of once per event: a batch often
   /// fills a chunk that single events would have split.
   void handle_batch(size_t shard, const std::deque<Event>& events);
 

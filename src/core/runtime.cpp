@@ -472,60 +472,34 @@ void Runtime::analyzer_loop(int shard) {
                               : m_shard_events_[static_cast<size_t>(shard)];
   const int64_t cpu_start = thread_cpu_ns();
 
-  if (!options_.analyzer_batch) {
-    // Ablation baseline: one event per queue round trip.
-    while (auto event = queue.pop()) {
-      const int64_t start = timed ? now_ns() : 0;
-      try {
-        analyzer_->handle(static_cast<size_t>(shard), *event);
-      } catch (...) {
-        fail(std::current_exception());
-      }
-      if (timed) {
-        const int64_t end = now_ns();
-        if (trace_) {
-          trace_->record(TraceCollector::Span{"analyze", start, end - start,
-                                              lane, 0, 0,
-                                              SpanKind::kAnalyzer, 0, 0, 0});
-        }
-        if (metrics_) {
-          m_analyzer_ns_->record(end - start);
-          m_events_->add(1);
-          if (shard_events != nullptr) shard_events->add(1);
-        }
-      }
-      complete_outstanding();
+  // Drain the whole backlog at once, handle it, then settle
+  // accounting once. The outstanding units are released only after the
+  // batch is fully handled — and any cross-shard messages it produced
+  // added their units first — so the count never undershoots the real
+  // amount of pending work (quiescence stays sound).
+  std::deque<Event> batch;
+  while (queue.pop_all(batch)) {
+    const int64_t start = timed ? now_ns() : 0;
+    const auto n = static_cast<int64_t>(batch.size());
+    try {
+      analyzer_->handle_batch(static_cast<size_t>(shard), batch);
+    } catch (...) {
+      fail(std::current_exception());
     }
-  } else {
-    // Batched: drain the whole backlog at once, handle it, then settle
-    // accounting once. The outstanding units are released only after the
-    // batch is fully handled — and any cross-shard messages it produced
-    // added their units first — so the count never undershoots the real
-    // amount of pending work (quiescence stays sound).
-    std::deque<Event> batch;
-    while (queue.pop_all(batch)) {
-      const int64_t start = timed ? now_ns() : 0;
-      const auto n = static_cast<int64_t>(batch.size());
-      try {
-        analyzer_->handle_batch(static_cast<size_t>(shard), batch);
-      } catch (...) {
-        fail(std::current_exception());
+    if (timed) {
+      const int64_t end = now_ns();
+      if (trace_) {
+        trace_->record(TraceCollector::Span{"analyze", start, end - start,
+                                            lane, 0, n,
+                                            SpanKind::kAnalyzer, 0, 0, 0});
       }
-      if (timed) {
-        const int64_t end = now_ns();
-        if (trace_) {
-          trace_->record(TraceCollector::Span{"analyze", start, end - start,
-                                              lane, 0, n,
-                                              SpanKind::kAnalyzer, 0, 0, 0});
-        }
-        if (metrics_) {
-          m_analyzer_ns_->record(end - start);
-          m_events_->add(n);
-          if (shard_events != nullptr) shard_events->add(n);
-        }
+      if (metrics_) {
+        m_analyzer_ns_->record(end - start);
+        m_events_->add(n);
+        if (shard_events != nullptr) shard_events->add(n);
       }
-      complete_outstanding(n);
     }
+    complete_outstanding(n);
   }
 
   analyzer_cpu_ns_[static_cast<size_t>(shard)] = thread_cpu_ns() - cpu_start;

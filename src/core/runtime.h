@@ -76,10 +76,6 @@ struct RunOptions {
   std::optional<std::chrono::milliseconds> watchdog;
   /// Oldest-first dispatch (paper §VI-B). false = plain FIFO (ablation).
   bool age_priority = true;
-  /// Batched event handling: the analyzer drains its whole event backlog
-  /// under one queue lock and amortizes trace/metrics/accounting over the
-  /// batch. false = one event per lock round trip (ablation baseline).
-  bool analyzer_batch = true;
   /// Analyzer shards (clamped to [1, 64]): dependency tracking is
   /// partitioned across this many analyzer threads, each owning a disjoint
   /// set of fields and kernels, fed by per-shard lock-free MPSC queues and

@@ -15,6 +15,13 @@ namespace {
 /// (matches TraceCollector's default "net" thread label).
 constexpr int64_t kNetLane = -2;
 
+/// A buffer's elements, densely packed (the wire payload format).
+std::vector<uint8_t> packed(const nd::AnyBuffer& data) {
+  const auto* raw = reinterpret_cast<const uint8_t*>(data.raw());
+  return {raw, raw + static_cast<size_t>(data.element_count()) *
+                         nd::element_size(data.type())};
+}
+
 }  // namespace
 
 ExecutionNode::ExecutionNode(
@@ -59,8 +66,10 @@ ExecutionNode::ExecutionNode(
     }
   }
 
-  options.store_tap = [this](const StoreEvent& event) {
+  options.store_tap = [this, tap = std::move(options.store_tap)](
+                          const StoreEvent& event) {
     forward_store(event);
+    if (tap) tap(event);
   };
 
   runtime_ = std::make_unique<Runtime>(std::move(program),
@@ -132,12 +141,8 @@ std::vector<uint8_t> ExecutionNode::encode_store_payload(
   remote.store_decl = static_cast<uint32_t>(event.store_decl);
   remote.whole = event.whole;
   // Pull the freshly written payload back out of local storage.
-  const nd::AnyBuffer data =
-      runtime_->storage(event.field).fetch(event.age, event.region);
-  const auto* raw = reinterpret_cast<const uint8_t*>(data.raw());
-  remote.payload.assign(
-      raw, raw + static_cast<size_t>(data.element_count()) *
-                     nd::element_size(data.type()));
+  remote.payload =
+      packed(runtime_->storage(event.field).fetch(event.age, event.region));
   return remote.encode();
 }
 
@@ -362,13 +367,13 @@ void ExecutionNode::apply_reassign(const ReassignMsg& reassign) {
 void ExecutionNode::start() {
   runtime_thread_ = std::thread([this] {
     try {
-      report_ = runtime_->run();
+      runtime_->run();
     } catch (...) {
       error_ = std::current_exception();
     }
   });
   receiver_thread_ = std::thread([this] { receiver_loop(); });
-  if (ft_.enabled) {
+  if (ft_.heartbeat_period_ms > 0) {
     heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
   }
 }
@@ -411,18 +416,12 @@ void ExecutionNode::receiver_loop() {
           }
           break;
         case MessageType::kIdleProbe: {
-          // Out-of-process quiescence: the supervisor cannot inspect this
-          // node's runtime directly, so it probes and we answer with our
-          // idleness and message-conservation counters.
-          IdleReport idle;
-          idle.idle = runtime_->idle() && mailbox_->empty() &&
-                      channel_unacked() == 0;
-          idle.stores_sent = stores_sent_.load();
-          idle.stores_received = stores_received_.load();
+          // Out-of-process quiescence: the master cannot call
+          // idle_report() across the process boundary, so it probes.
           Message reply;
           reply.type = MessageType::kIdleReport;
           reply.from = name_;
-          reply.payload = idle.encode();
+          reply.payload = idle_report().encode();
           bus_.send(master_endpoint_.empty() ? message->from
                                              : master_endpoint_,
                     std::move(reply));
@@ -527,10 +526,7 @@ void ExecutionNode::ship_checkpoints() {
       snapshot.producer = kInvalidKernel;  // restores skip seal accounting
       snapshot.store_decl = 0;
       snapshot.whole = true;
-      const auto* raw = reinterpret_cast<const uint8_t*>(data.raw());
-      snapshot.payload.assign(
-          raw, raw + static_cast<size_t>(data.element_count()) *
-                         nd::element_size(data.type()));
+      snapshot.payload = packed(data);
       Message message;
       message.type = MessageType::kCheckpoint;
       message.from = name_;
@@ -556,14 +552,29 @@ void ExecutionNode::crash() {
   runtime_->stop();
 }
 
-bool ExecutionNode::idle() const { return runtime_->idle(); }
-
-int64_t ExecutionNode::channel_unacked() const {
-  return channel_ ? channel_->unacked() : 0;
+IdleReport ExecutionNode::idle_report() const {
+  IdleReport report;
+  report.idle = runtime_->idle() && mailbox_->empty() &&
+                (!channel_ || channel_->unacked() == 0);
+  report.stores_sent = stores_sent_.load();
+  report.stores_received = stores_received_.load();
+  return report;
 }
 
 ft::ReliableChannel::Stats ExecutionNode::channel_stats() const {
   return channel_ ? channel_->stats() : ft::ReliableChannel::Stats{};
+}
+
+void ExecutionNode::capture(const std::vector<std::string>& fields,
+                            FieldCaptures* into) {
+  for (const std::string& field_name : fields) {
+    auto& ages = (*into)[field_name];
+    FieldStorage& storage = runtime_->storage(field_name);
+    for (const Age age : storage.live_ages()) {
+      if (!storage.is_complete(age) || ages.count(age)) continue;
+      ages[age] = packed(storage.fetch_whole(age));
+    }
+  }
 }
 
 void ExecutionNode::join() {

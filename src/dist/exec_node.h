@@ -7,13 +7,15 @@
 // dependency analyzer exactly like a local store. Every node also reports
 // its local topology to the master.
 //
-// Fault-tolerant mode (NodeFtOptions::enabled) layers the src/ft subsystem
-// on top: store forwards travel through a ReliableChannel (seqnos, acks,
-// retransmits), incoming stores apply idempotently (fill mode), a
-// heartbeat thread beats to the master and periodically ships checkpoints
-// of complete locally-produced (field, age) payloads, and kReassign
-// messages from the master re-point the forwarding map and re-enable the
-// kernels this node inherits from a dead peer.
+// A node with a heartbeat period beats to the master from its heartbeat
+// thread (fault-tolerant runs and every out-of-process node). Fault-tolerant
+// mode (NodeFtOptions::enabled) layers the rest of the src/ft subsystem on
+// top: store forwards travel through a ReliableChannel (seqnos, acks,
+// retransmits), incoming stores apply idempotently (fill mode), the
+// heartbeat thread periodically ships checkpoints of complete
+// locally-produced (field, age) payloads, and kReassign messages from the
+// master re-point the forwarding map and re-enable the kernels this node
+// inherits from a dead peer.
 #pragma once
 
 #include <atomic>
@@ -37,13 +39,15 @@
 
 namespace p2g::dist {
 
-/// Per-node fault-tolerance configuration (mirrors the master's FtOptions).
+/// Per-node supervision and fault-tolerance configuration (the master
+/// derives it from MasterFtOptions and the launcher).
 struct NodeFtOptions {
   bool enabled = false;
-  /// Heartbeat period toward the master.
-  int64_t heartbeat_period_ms = 15;
-  /// Ship checkpoints every N beats (0 disables checkpoint shipping).
-  int checkpoint_every_beats = 4;
+  /// Heartbeat period toward the master (0 = no heartbeat thread).
+  int64_t heartbeat_period_ms = 0;
+  /// Ship checkpoints and a telemetry snapshot every N beats (0 disables
+  /// both).
+  int checkpoint_every_beats = 0;
   /// Reliable-channel tuning (retransmission timers, jitter seed).
   ft::ReliableChannel::Options channel;
 };
@@ -58,10 +62,16 @@ class StoreForwarder {
   virtual bool forward(const StoreEvent& event, const std::string& target) = 0;
 };
 
+/// Final contents of captured fields: field name -> age -> densely packed
+/// payload bytes.
+using FieldCaptures =
+    std::map<std::string, std::map<Age, std::vector<uint8_t>>>;
+
 class ExecutionNode {
  public:
   /// `kernel_owner` maps every kernel name to the name of the node that
-  /// runs it (the master's partitioning decision).
+  /// runs it (the master's partitioning decision). A store_tap in
+  /// `base_options` still fires, after the node forwarded the store.
   ExecutionNode(std::string name, Program program,
                 const std::map<std::string, std::string>& kernel_owner,
                 net::Transport& bus, RunOptions base_options,
@@ -70,8 +80,8 @@ class ExecutionNode {
   /// Registers on the bus and reports the local topology to the master.
   void announce(const std::string& master_endpoint);
 
-  /// Starts the runtime and the mailbox receiver threads (and, in FT mode,
-  /// the heartbeat thread).
+  /// Starts the runtime and the mailbox receiver threads (and, with a
+  /// heartbeat period, the heartbeat thread).
   void start();
 
   /// Waits for both threads (after the master broadcast a shutdown). When
@@ -91,16 +101,20 @@ class ExecutionNode {
   const std::string& name() const { return name_; }
   Runtime& runtime() { return *runtime_; }
 
-  bool idle() const;
   bool crashed() const { return crashed_.load(); }
-  int64_t stores_sent() const { return stores_sent_.load(); }
-  int64_t stores_received() const { return stores_received_.load(); }
-  bool mailbox_empty() const { return mailbox_->empty(); }
 
-  /// Reliable-channel backlog (0 when FT is off). Termination detection:
-  /// quiescence requires every alive node's channel drained.
-  int64_t channel_unacked() const;
+  /// The node's answer to the master's termination probe: idle means the
+  /// runtime is quiescent, the mailbox empty and the reliable channel (FT
+  /// mode) drained; the store counters feed the conservation check. The
+  /// in-process launcher calls it directly, a kIdleProbe gets it as a
+  /// kIdleReport.
+  IdleReport idle_report() const;
+
   ft::ReliableChannel::Stats channel_stats() const;
+
+  /// Adds every complete age of the named fields that `into` does not
+  /// hold yet, densely packed (valid after join()).
+  void capture(const std::vector<std::string>& fields, FieldCaptures* into);
 
   /// Installs a data-plane forwarder (see StoreForwarder). Must be called
   /// before start(); non-FT mode only — the reliable channel owns the FT
@@ -118,9 +132,6 @@ class ExecutionNode {
   void apply_plane_store(FieldId field, Age age, const nd::Region& region,
                          KernelId producer, uint32_t store_decl, bool whole,
                          const nd::ConstView& view, bool* adopted);
-
-  /// The node's run report (valid after join(); empty for crashed nodes).
-  const std::optional<RunReport>& report() const { return report_; }
 
   /// The flight-recorder dump artifact written by crash() (set only when
   /// the node crashed with a flight recorder and flight_dir configured).
@@ -184,7 +195,6 @@ class ExecutionNode {
   std::thread runtime_thread_;
   std::thread receiver_thread_;
   std::thread heartbeat_thread_;
-  std::optional<RunReport> report_;
   std::optional<std::string> flight_dump_path_;  ///< written by crash()
   std::exception_ptr error_;
 };

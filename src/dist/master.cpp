@@ -14,6 +14,10 @@ namespace p2g::dist {
 
 namespace {
 
+/// Real processes can stall for seconds (sanitizers, loaded hosts): never
+/// suspect one on less silence than this.
+constexpr int64_t kProcessMinSilenceUs = 2'000'000;
+
 /// core SpanKind → obs mirror (the enumerators share values by contract).
 obs::SpanKind to_obs_kind(SpanKind kind) {
   return static_cast<obs::SpanKind>(static_cast<uint8_t>(kind));
@@ -38,6 +42,71 @@ void append_spans(const TraceCollector& trace, const std::string& node,
   }
 }
 
+
+/// In-process nodes: one ExecutionNode per name on this process's threads,
+/// answering the master by direct calls instead of wire messages.
+class ThreadLauncher final : public Launcher {
+ public:
+  bool in_process() const override { return true; }
+  net::Transport& transport() override { return bus_; }
+
+  bool start(const NodePlan& plan, net::Transport& bus) override {
+    capture_fields_ = plan.capture_fields;
+    for (const std::string& name : plan.names) {
+      nodes_.push_back(std::make_unique<ExecutionNode>(
+          name, plan.program_factory(), plan.kernel_owner, bus, plan.options,
+          plan.ft));
+    }
+    for (auto& node : nodes_) node->announce("master");
+    for (auto& node : nodes_) node->start();
+    return true;
+  }
+
+  bool request_idle(const std::string& node,
+                    std::map<std::string, IdleReport>* replies) override {
+    (*replies)[node] = find(node).idle_report();
+    return true;
+  }
+
+  void kill(const std::string& node) override { find(node).crash(); }
+
+  void join(std::map<std::string, NodeResult>* results,
+            FieldCaptures* captured) override {
+    std::exception_ptr error;
+    for (auto& node : nodes_) {
+      try {
+        node->join();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    for (auto& node : nodes_) {
+      NodeResult& result = (*results)[node->name()];
+      result.done = true;
+      result.profile = node->runtime().instrumentation();
+      if (!node->crashed()) node->capture(capture_fields_, captured);
+    }
+  }
+
+  std::vector<ExecutionNode*> local_nodes() override {
+    std::vector<ExecutionNode*> nodes;
+    for (auto& node : nodes_) nodes.push_back(node.get());
+    return nodes;
+  }
+
+ private:
+  ExecutionNode& find(const std::string& name) {
+    return **std::find_if(nodes_.begin(), nodes_.end(), [&](const auto& n) {
+      return n->name() == name;
+    });
+  }
+
+  MessageBus bus_;
+  std::vector<std::unique_ptr<ExecutionNode>> nodes_;
+  std::vector<std::string> capture_fields_;
+};
+
 }  // namespace
 
 Master::Master(MasterOptions options)
@@ -52,9 +121,24 @@ Master::Master(MasterOptions options)
 }
 
 DistributedRunReport Master::run() {
+  ThreadLauncher launcher;
+  return run(launcher);
+}
+
+DistributedRunReport Master::run(Launcher& launcher) {
+  const bool ft_on = options_.ft.enabled;
+  const bool in_process = launcher.in_process();
+  P2G_CHECK_ARGUMENT(in_process || !ft_on,
+                     "fault tolerance needs in-process nodes");
+  P2G_CHECK_ARGUMENT(in_process || (!options_.trace_path &&
+                                    !options_.flight_dir),
+                     "trace_path and flight_dir need in-process nodes");
+  // Nodes that heartbeat are watched by the failure detector: every node
+  // in FT mode, and out-of-process nodes always.
+  const bool supervised = ft_on || !in_process;
+
   DistributedRunReport result;
   Stopwatch stopwatch;
-  const bool ft_on = options_.ft.enabled;
 
   // 1. Partition the final static dependency graph.
   result.partition =
@@ -62,46 +146,40 @@ DistributedRunReport Master::run() {
           ? graph::tabu_partition(final_graph_, options_.nodes)
           : graph::partition_graph(final_graph_, options_.nodes);
 
-  // 2. Spin up the simulated cluster and gather topology reports. In FT
-  // mode the transport is the in-process bus decorated with a ChaosBus
-  // driving the seeded fault plan — the same decorator shape a socket
-  // backend gets in chaos mode.
-  auto bus_holder = std::make_unique<MessageBus>();
-  std::unique_ptr<ft::ChaosBus> chaos_holder;
-  ft::ChaosBus* chaos = nullptr;
-  net::Transport* transport = bus_holder.get();
+  // 2. The interconnect. In FT mode the launcher's transport is decorated
+  // with a ChaosBus driving the seeded fault plan.
+  std::unique_ptr<ft::ChaosBus> chaos;
   if (ft_on) {
-    chaos_holder =
-        std::make_unique<ft::ChaosBus>(options_.ft.plan, *bus_holder);
-    chaos = chaos_holder.get();
-    transport = chaos;
+    chaos = std::make_unique<ft::ChaosBus>(options_.ft.plan,
+                                           launcher.transport());
   }
-  net::Transport& bus = *transport;
+  net::Transport& bus = chaos ? *chaos : launcher.transport();
   auto master_mailbox = bus.register_endpoint("master");
 
-  std::vector<std::string> node_names;
+  NodePlan plan;
   for (int i = 0; i < options_.nodes; ++i) {
-    node_names.push_back("node" + std::to_string(i));
+    plan.names.push_back("node" + std::to_string(i));
   }
 
   // 3. Place partitions on nodes by capacity. (Topology reports arrive
-  // after registration; for the simulation all nodes look alike, so the
-  // placement is computed from the local machine description.)
+  // after the nodes start; all nodes look alike, so the placement is
+  // computed from the local machine description.)
   graph::GlobalTopology topology;
-  for (const std::string& name : node_names) {
+  for (const std::string& name : plan.names) {
     topology.add_node(graph::NodeTopology::local_machine(name));
   }
   result.placement =
       topology.place_partitions(result.partition.part_weights(final_graph_));
-
-  std::map<std::string, std::string> kernel_owner;
   for (size_t k = 0; k < final_graph_.kernel_count(); ++k) {
     const int part = result.partition.assignment[k];
     const size_t node = result.placement[static_cast<size_t>(part)];
-    kernel_owner[final_graph_.kernel_names[k]] = node_names[node];
+    plan.kernel_owner[final_graph_.kernel_names[k]] = plan.names[node];
   }
 
-  RunOptions base = options_.base_options;
+  plan.program_factory = options_.program_factory;
+  plan.capture_fields = options_.capture_fields;
+  RunOptions& base = plan.options;
+  base = options_.base_options;
   base.workers = options_.workers_per_node;
   if (options_.collect_node_metrics) base.metrics.enabled = true;
   const bool tracing =
@@ -111,64 +189,58 @@ DistributedRunReport Master::run() {
     base.flight_recorder = true;
     base.flight_dir = options_.flight_dir;
   }
-
-  NodeFtOptions node_ft;
+  if (supervised) plan.ft.heartbeat_period_ms = options_.ft.heartbeat_period_ms;
   if (ft_on) {
-    node_ft.enabled = true;
-    node_ft.heartbeat_period_ms = options_.ft.heartbeat_period_ms;
-    node_ft.checkpoint_every_beats = options_.ft.checkpoint_every_beats;
-    node_ft.channel = options_.ft.channel;
-  }
-
-  std::vector<std::unique_ptr<ExecutionNode>> nodes;
-  for (const std::string& name : node_names) {
-    nodes.push_back(std::make_unique<ExecutionNode>(
-        name, options_.program_factory(), kernel_owner, bus, base,
-        node_ft));
+    plan.ft.enabled = true;
+    plan.ft.checkpoint_every_beats = options_.ft.checkpoint_every_beats;
+    plan.ft.channel = options_.ft.channel;
   }
 
   // Scripted crashes: fence the node off the bus (mailbox closed, traffic
   // blackholed) and stop it. Runs on whatever thread tripped the trigger;
   // recovery itself happens on the master loop via the failure detector.
-  if (chaos != nullptr) {
-    chaos->set_crash_handler([&nodes, &bus](const std::string& name) {
-      for (auto& node : nodes) {
-        if (node->name() == name) {
-          bus.mark_dead(name);
-          node->crash();
-          break;
-        }
-      }
+  if (chaos) {
+    chaos->set_crash_handler([&bus, &launcher](const std::string& name) {
+      bus.mark_dead(name);
+      launcher.kill(name);
     });
   }
 
-  for (auto& node : nodes) node->announce("master");
-  for (auto& node : nodes) node->start();
+  const bool started = launcher.start(plan, bus);
+  result.timed_out = !started;
 
-  // Master-side FT state: failure detector primed with a synthetic beat
-  // per node (so a node that dies before its first heartbeat is still
-  // suspected), retained checkpoints, recovery bookkeeping.
-  ft::FailureDetector detector(options_.ft.detector);
+  // Master-side supervision state: failure detector primed with a
+  // synthetic beat per node (so a node that dies before its first
+  // heartbeat is still suspected), retained checkpoints, recovery
+  // bookkeeping.
+  ft::FailureDetector::Options detector_options = options_.ft.detector;
+  if (!in_process) {
+    detector_options.min_silence_us =
+        std::max(detector_options.min_silence_us, kProcessMinSilenceUs);
+  }
+  ft::FailureDetector detector(detector_options);
   ft::CheckpointStore checkpoints;
   obs::MetricsRegistry master_registry;
   // Master control lane of the merged trace: recovery spans (failure
-  // detection + reassignment, recorded below in recover()).
+  // detection + reassignment, recorded below in fence()).
   TraceCollector master_trace;
   uint64_t master_span_seq = 1;  ///< master-loop thread only
   FtRunReport ftr;
   std::set<std::string> dead;
-  if (ft_on) {
+  if (supervised) {
     const int64_t t0 = now_ns();
-    for (const std::string& name : node_names) {
-      detector.heartbeat(name, t0);
-    }
+    for (const std::string& name : plan.names) detector.heartbeat(name, t0);
   }
 
-  // Drains the master mailbox: topology reports (merged below), FT
-  // control traffic (heartbeats, checkpoints), and — after join —
-  // metrics reports, which are aggregated at the end.
-  std::vector<Message> metrics_messages;
-  const auto drain_master = [&] {
+  // Drains the master mailbox: topology reports, heartbeats, checkpoints,
+  // idle reports of the current termination round, and every node's
+  // final telemetry, profile, captures and status. Nodes ship telemetry
+  // periodically and once more when they stop; keeping the *latest*
+  // snapshot per node (mailbox order is send order per sender) means a
+  // node that crashed mid-run still contributes its last snapshot.
+  std::map<std::string, NodeResult> results;
+  std::map<std::string, IdleReport>* round = nullptr;
+  const auto drain = [&] {
     while (auto message = master_mailbox->try_pop()) {
       switch (message->type) {
         case MessageType::kTopologyReport:
@@ -183,35 +255,47 @@ DistributedRunReport Master::run() {
           checkpoints.put(RemoteStore::decode(message->payload));
           ++ftr.checkpoints_stored;
           break;
-        case MessageType::kMetricsReport:
-          metrics_messages.push_back(std::move(*message));
+        case MessageType::kIdleReport:
+          if (round != nullptr && !dead.count(message->from)) {
+            (*round)[message->from] = IdleReport::decode(message->payload);
+          }
           break;
+        case MessageType::kMetricsReport: {
+          MetricsReport metrics = MetricsReport::decode(message->payload);
+          result.node_metrics[metrics.node] = std::move(metrics.snapshot);
+          break;
+        }
+        case MessageType::kProfileReport:
+          results[message->from].profile =
+              ProfileReport::decode(message->payload).report;
+          break;
+        case MessageType::kCapture: {
+          CaptureMsg capture = CaptureMsg::decode(message->payload);
+          result.captured[capture.field].try_emplace(
+              capture.age, std::move(capture.payload));
+          break;
+        }
+        case MessageType::kNodeDone: {
+          const NodeDoneMsg done = NodeDoneMsg::decode(message->payload);
+          NodeResult& node = results[message->from];
+          node.done = true;
+          node.ok = done.ok;
+          node.error = done.error;
+          break;
+        }
         default:
           break;
       }
     }
   };
 
-  // Recovery: fence the dead node, reassign its kernels round-robin over
-  // the (sorted) survivors, and replay retained checkpoints to them. The
+  // FT recovery: reassign the dead node's kernels round-robin over the
+  // (sorted) survivors and replay retained checkpoints to them. The
   // reassignment is a deterministic function of the (seeded) crash, so
   // same-seed runs recover identically.
-  const auto recover = [&](const std::string& dead_name) {
-    if (dead.count(dead_name)) return;
-    dead.insert(dead_name);
-    const int64_t rec_t0 = now_ns();
-    const int64_t latency = now_ns() - detector.last_beat_ns(dead_name);
-    bus.mark_dead(dead_name);
-    for (auto& node : nodes) {
-      if (node->name() == dead_name) node->crash();
-    }
-    detector.remove(dead_name);
-    ftr.dead_nodes.push_back(dead_name);
-    ftr.recovery_latency_ns.push_back(latency);
-    master_registry.histogram("ft_recovery_latency_ns").record(latency);
-
+  const auto reassign = [&](const std::string& dead_name, int64_t rec_t0) {
     std::vector<std::string> alive;
-    for (const std::string& name : node_names) {
+    for (const std::string& name : plan.names) {
       if (!dead.count(name)) alive.push_back(name);
     }
     ++ftr.recoveries;
@@ -223,7 +307,7 @@ DistributedRunReport Master::run() {
     ReassignMsg reassign;
     reassign.dead = dead_name;
     size_t next = 0;
-    for (auto& [kernel, owner] : kernel_owner) {
+    for (auto& [kernel, owner] : plan.kernel_owner) {
       if (owner != dead_name) continue;
       owner = alive[next++ % alive.size()];
       reassign.kernels.emplace_back(kernel, owner);
@@ -262,89 +346,122 @@ DistributedRunReport Master::run() {
     }
   };
 
-  drain_master();  // merge the announced topologies
+  // Failure handling: declare the node dead, fence it off the bus, stop
+  // it, and (FT mode) recover its work.
+  const auto fence = [&](const std::string& name) {
+    if (!dead.insert(name).second) return;
+    const int64_t rec_t0 = now_ns();
+    const int64_t latency = rec_t0 - detector.last_beat_ns(name);
+    P2G_WARN << "master: node " << name << " declared dead";
+    bus.mark_dead(name);
+    launcher.kill(name);
+    detector.remove(name);
+    ftr.dead_nodes.push_back(name);
+    ftr.recovery_latency_ns.push_back(latency);
+    master_registry.histogram("ft_recovery_latency_ns").record(latency);
+    if (ft_on) reassign(name, rec_t0);
+  };
 
-  // 4. Termination detection. Fault-free: two consecutive observations of
-  // "every node idle, no messages in flight, send/receive counts
-  // conserved and unchanged". FT: drops, dups and crashes break message
-  // conservation, so quiescence becomes "every *alive* node idle with an
-  // empty mailbox and a drained reliable channel, and no delayed message
-  // on the chaos wire" — acks-after-apply make a drained channel prove
-  // the data actually landed.
+  // 4. Termination detection: two consecutive rounds in which every alive
+  // node reports idle (runtime quiescent, mailbox empty, reliable channel
+  // drained — acks-after-apply make a drained channel prove the data
+  // landed), nothing is delayed on the chaos wire, and the global store
+  // counts are conserved (Σsent == Σreceived) and unchanged. A dead node
+  // takes its receive counters with it (and checkpoint restores apply
+  // stores nobody sent), so conservation is waived once a node is dead:
+  // alive-side quiescence with stable send counts is the strongest
+  // terminating condition left.
   const int64_t deadline_ns =
       now_ns() + options_.watchdog.count() * 1'000'000;
   int stable_rounds = 0;
   int64_t last_sent = -1;
-  while (stable_rounds < 2) {
+  while (started && stable_rounds < 2) {
     if (now_ns() > deadline_ns) {
       result.timed_out = true;
       break;
     }
-    if (ft_on) {
-      drain_master();
+    drain();
+    if (supervised) {
       for (const std::string& suspect : detector.suspects(now_ns())) {
-        recover(suspect);
+        fence(suspect);
       }
-      bool quiet = chaos->in_flight() == 0;
-      for (const auto& node : nodes) {
-        if (dead.count(node->name())) continue;
-        quiet = quiet && node->idle() && node->mailbox_empty() &&
-                node->channel_unacked() == 0;
-      }
-      stable_rounds = quiet ? stable_rounds + 1 : 0;
-    } else {
-      bool all_idle = true;
-      int64_t sent = 0;
-      int64_t received = 0;
-      for (const auto& node : nodes) {
-        all_idle = all_idle && node->idle() && node->mailbox_empty();
-        sent += node->stores_sent();
-        received += node->stores_received();
-      }
-      if (all_idle && sent == received && sent == last_sent) {
-        ++stable_rounds;
-      } else {
-        stable_rounds = 0;
-      }
-      last_sent = sent;
     }
+    std::vector<std::string> alive;
+    for (const std::string& name : plan.names) {
+      if (!dead.count(name)) alive.push_back(name);
+    }
+    if (alive.empty()) break;
+
+    std::map<std::string, IdleReport> replies;
+    round = &replies;
+    bool lost = false;
+    for (const std::string& name : alive) {
+      if (!launcher.request_idle(name, &replies)) {
+        fence(name);
+        lost = true;
+      }
+    }
+    const int64_t round_deadline = now_ns() + 500'000'000;
+    while (!lost && replies.size() < alive.size() &&
+           now_ns() < round_deadline && now_ns() < deadline_ns) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      drain();
+    }
+    round = nullptr;
+    if (lost || replies.size() < alive.size()) {
+      stable_rounds = 0;  // straggler or death: not quiescent
+      continue;
+    }
+
+    bool all_idle = !chaos || chaos->in_flight() == 0;
+    int64_t sent = 0;
+    int64_t received = 0;
+    for (const auto& [name, idle] : replies) {
+      all_idle = all_idle && idle.idle;
+      sent += idle.stores_sent;
+      received += idle.stores_received;
+    }
+    const bool conserved = sent == received || !dead.empty();
+    stable_rounds =
+        all_idle && conserved && sent == last_sent ? stable_rounds + 1 : 0;
+    last_sent = sent;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
-  // 5. Shut the cluster down and collect profiles.
+  // 5. Shut the cluster down and collect every alive node's result.
   Message shutdown;
   shutdown.type = MessageType::kShutdown;
   shutdown.from = "master";
   bus.broadcast(std::move(shutdown));
-  for (auto& node : nodes) node->join();
-  if (chaos != nullptr) chaos->shutdown();
-
-  // Nodes ship telemetry periodically from the heartbeat loop and once
-  // more during join(); keep the *latest* snapshot per node (mailbox
-  // order is send order per sender), so a node that crashed mid-run still
-  // contributes its last periodic snapshot, then reduce over the
-  // retained set — merging every message would multiply counters.
-  drain_master();
-  for (const Message& message : metrics_messages) {
-    MetricsReport metrics = MetricsReport::decode(message.payload);
-    result.node_metrics[metrics.node] = std::move(metrics.snapshot);
+  launcher.join(&results, &result.captured);
+  if (chaos) chaos->shutdown();
+  // Results of out-of-process nodes may still be in flight on the master
+  // mailbox after the processes exited.
+  const int64_t collect_deadline = now_ns() + 5'000'000'000LL;
+  const auto all_done = [&] {
+    return std::all_of(plan.names.begin(), plan.names.end(),
+                       [&](const std::string& name) {
+                         return dead.count(name) || results[name].done;
+                       });
+  };
+  while (started && !all_done() && now_ns() < collect_deadline) {
+    drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (const auto& [node_name, snapshot] : result.node_metrics) {
-    result.combined_metrics.merge(snapshot);
-  }
+  drain();
 
-  for (auto& node : nodes) {
-    InstrumentationReport report = node->runtime().instrumentation();
-    // Serialize through the profile message to exercise the wire format.
-    ProfileReport profile;
-    profile.report = report;
-    const InstrumentationReport round_tripped =
-        ProfileReport::decode(profile.encode()).report;
-    result.node_reports.emplace(node->name(), round_tripped);
+  // Merge: captures hold every complete age of the requested fields, the
+  // first copy of an age any surviving node held; each kernel ran on
+  // exactly one node.
+  for (const std::string& field_name : options_.capture_fields) {
+    result.captured[field_name];
   }
-
-  // Merge: each kernel ran on exactly one node.
-  result.combined.kernels.clear();
+  for (const auto& [name, node] : results) {
+    if (!node.done) continue;
+    result.node_ok[name] = node.ok;
+    if (!node.ok) result.node_errors[name] = node.error;
+    result.node_reports[name] = node.profile;
+  }
   for (const std::string& kernel_name : final_graph_.kernel_names) {
     KernelStats merged;
     merged.name = kernel_name;
@@ -359,24 +476,23 @@ DistributedRunReport Master::run() {
     result.combined.kernels.push_back(std::move(merged));
   }
 
-  // Capture requested fields for bit-exact comparisons: every complete
-  // age, merged across surviving nodes (a field may live on several).
-  for (const std::string& field_name : options_.capture_fields) {
-    auto& ages = result.captured[field_name];
-    for (auto& node : nodes) {
-      if (node->crashed()) continue;
-      FieldStorage& storage = node->runtime().storage(field_name);
-      for (const Age age : storage.live_ages()) {
-        if (!storage.is_complete(age) || ages.count(age)) continue;
-        const nd::AnyBuffer data = storage.fetch_whole(age);
-        const auto* raw = reinterpret_cast<const uint8_t*>(data.raw());
-        ages[age].assign(
-            raw, raw + static_cast<size_t>(data.element_count()) *
-                           nd::element_size(data.type()));
-      }
-    }
+  for (const auto& [node_name, snapshot] : result.node_metrics) {
+    result.combined_metrics.merge(snapshot);
+  }
+  const auto counter_value = [&](const char* name) -> int64_t {
+    const obs::CounterValue* c = result.combined_metrics.find_counter(name);
+    return c != nullptr ? c->value : 0;
+  };
+  result.data_frames = counter_value("net_tx_frames_total") +
+                       counter_value("shm_tx_frames_total");
+  result.copied_bytes = counter_value("net_tx_copied_bytes_total") +
+                        counter_value("shm_tx_copied_bytes_total");
+  if (result.data_frames > 0) {
+    result.bytes_copied_per_frame = static_cast<double>(result.copied_bytes) /
+                                    static_cast<double>(result.data_frames);
   }
 
+  const std::vector<ExecutionNode*> nodes = launcher.local_nodes();
   if (ft_on) {
     const ft::ChaosBus::ChaosStats chaos_stats = chaos->chaos_stats();
     ftr.data_messages = chaos_stats.data_messages;
@@ -385,7 +501,7 @@ DistributedRunReport Master::run() {
     ftr.delayed = chaos_stats.delayed;
     ftr.reordered = chaos_stats.reordered;
     ftr.crashes_fired = chaos_stats.crashes_fired;
-    for (const auto& node : nodes) {
+    for (const ExecutionNode* node : nodes) {
       if (node->crashed()) continue;
       const ft::ReliableChannel::Stats s = node->channel_stats();
       ftr.data_sent += s.data_sent;
@@ -403,19 +519,18 @@ DistributedRunReport Master::run() {
         .add(ftr.checkpoint_restores);
     result.combined_metrics.merge(master_registry.snapshot());
   }
-
   // Causal tracing: harvest every lane's spans into one node-qualified
   // DAG, compute per-frame critical paths, and stitch the merged trace
   // file (one pid lane per node, the master control lane, and crashed
   // nodes' flight-recorder lanes rendering their final moments).
-  for (auto& node : nodes) {
+  for (ExecutionNode* node : nodes) {
     if (node->flight_dump()) {
       result.flight_dumps.push_back(*node->flight_dump());
     }
   }
   if (tracing) {
     append_spans(master_trace, "master", &result.trace_spans);
-    for (auto& node : nodes) {
+    for (ExecutionNode* node : nodes) {
       if (const TraceCollector* trace = node->runtime().trace()) {
         append_spans(*trace, node->name(), &result.trace_spans);
       }
@@ -438,7 +553,7 @@ DistributedRunReport Master::run() {
         if (t > 0 && (epoch == 0 || t < epoch)) epoch = t;
       };
       fold_epoch(master_trace.earliest_ns());
-      for (auto& node : nodes) {
+      for (ExecutionNode* node : nodes) {
         if (const TraceCollector* trace = node->runtime().trace()) {
           fold_epoch(trace->earliest_ns());
         }

@@ -3,20 +3,26 @@
 // The master derives the final implicit static dependency graph from the
 // program, partitions it (greedy + Kernighan-Lin, or tabu search), places
 // the partitions on the global topology assembled from the execution
-// nodes' reports, runs the simulated cluster to completion (a two-round
+// nodes' reports, runs the cluster to completion (a two-round
 // quiescence+message-conservation termination detector — the distributed
 // analogue of the single-node outstanding counter), and collects
 // instrumentation for repartitioning.
 //
-// With MasterFtOptions::enabled the run goes through the src/ft subsystem:
-// the bus becomes a seeded ChaosBus, nodes forward through reliable
-// channels, and the master turns into a failure detector + recovery
+// Where the nodes live is the Launcher's business, and the only thing that
+// differs between runs: Master::run() starts in-process ExecutionNodes on
+// threads over a MessageBus; Master::run(launcher) hands the same
+// ownership map to another launcher — net::ProcessLauncher fork/execs one
+// `p2gnode` process per node over sockets. Partitioning, termination,
+// failure detection and fencing, and the report exist once, here.
+//
+// With MasterFtOptions::enabled (in-process nodes only) the run goes
+// through the src/ft subsystem: the bus becomes a seeded ChaosBus, nodes
+// forward through reliable channels, and the master turns into a recovery
 // coordinator — it consumes heartbeats and checkpoints, suspects silent
 // nodes (phi-accrual style), fences them off the bus, reassigns their
 // kernels round-robin over the survivors, and replays retained
-// checkpoints. Termination detection switches to "every alive node idle,
-// channels drained, wire empty" since drops and crashes break the
-// sent==received conservation law.
+// checkpoints. Out-of-process nodes heartbeat too: a silent or
+// disconnected process is fenced and killed, without reassignment.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +62,7 @@ struct MasterFtOptions {
 };
 
 struct MasterOptions {
-  /// Number of execution nodes to simulate.
+  /// Number of execution nodes.
   int nodes = 2;
   /// Worker threads per node.
   int workers_per_node = 1;
@@ -65,14 +71,15 @@ struct MasterOptions {
   /// Enable telemetry on every node and aggregate the shipped snapshots
   /// into DistributedRunReport (node_metrics / combined_metrics).
   bool collect_node_metrics = true;
-  /// Extra runtime options applied to every node (schedules, caps, ...).
+  /// Extra runtime options applied to every in-process node (schedules,
+  /// caps, ...). Process nodes take theirs from their workload spec.
   RunOptions base_options;
   /// Abort if the cluster does not terminate in time.
   std::chrono::milliseconds watchdog{30000};
   /// Program factory: each node needs its own Program instance because
   /// kernel bodies may capture per-run state.
   std::function<Program()> program_factory;
-  /// Fault tolerance / chaos injection (src/ft).
+  /// Fault tolerance / chaos injection (src/ft; in-process nodes only).
   MasterFtOptions ft;
   /// Field names whose final contents are gathered into
   /// DistributedRunReport::captured after the run (every complete age,
@@ -80,7 +87,7 @@ struct MasterOptions {
   /// chaos tests.
   std::vector<std::string> capture_fields;
 
-  // --- distributed causal tracing (ISSUE 6) --------------------------------
+  // --- distributed causal tracing (in-process nodes only) ------------------
 
   /// Write one merged Chrome trace of the whole cluster here: a process
   /// lane per node plus the master control lane (recovery spans) and, for
@@ -114,6 +121,7 @@ struct FtRunReport {
   int64_t kernels_reassigned = 0;
   int64_t checkpoints_stored = 0;
   int64_t checkpoint_restores = 0;
+  /// Nodes the master declared dead and fenced, in detection order.
   std::vector<std::string> dead_nodes;
   std::vector<int64_t> recovery_latency_ns;
 };
@@ -142,11 +150,22 @@ struct DistributedRunReport {
   graph::GlobalTopology topology;
   /// Fault-tolerance outcome (all zeroes when ft was disabled).
   FtRunReport ft;
-  /// Final field contents per MasterOptions::capture_fields:
-  /// field name -> age -> densely packed payload bytes.
-  std::map<std::string, std::map<Age, std::vector<uint8_t>>> captured;
+  /// Final field contents per MasterOptions::capture_fields.
+  FieldCaptures captured;
+  /// Per-node final status (nodes that finished; a process node reports
+  /// false with its error when its runtime failed).
+  std::map<std::string, bool> node_ok;
+  std::map<std::string, std::string> node_errors;
 
-  // --- distributed causal tracing (ISSUE 6) --------------------------------
+  /// Data-plane economics of process nodes: cross-process store frames
+  /// (socket kRemoteStore + shm descriptors) and the payload bytes copied
+  /// to ship them. On the shm fast lane a frame ships as an arena offset,
+  /// so bytes_copied_per_frame collapses toward zero. Zero in-process.
+  int64_t data_frames = 0;
+  int64_t copied_bytes = 0;
+  double bytes_copied_per_frame = 0.0;
+
+  // --- distributed causal tracing -------------------------------------------
 
   /// The merged trace file (set when MasterOptions::trace_path was).
   std::optional<std::string> trace_file;
@@ -162,12 +181,67 @@ struct DistributedRunReport {
   std::vector<std::string> flight_dumps;
 };
 
+/// What a launcher needs to bring the execution nodes up.
+struct NodePlan {
+  std::vector<std::string> names;
+  /// Kernel name -> owning node (partition -> placement -> owner).
+  std::map<std::string, std::string> kernel_owner;
+  std::function<Program()> program_factory;
+  RunOptions options;
+  NodeFtOptions ft;
+  std::vector<std::string> capture_fields;
+};
+
+/// What one node hands back after shutdown (besides its captures).
+struct NodeResult {
+  bool done = false;
+  bool ok = true;
+  std::string error;
+  InstrumentationReport profile;
+};
+
+/// Where the execution nodes live. The master drives every launcher the
+/// same way: start, probe for idleness until termination, fence the dead,
+/// broadcast kShutdown, join.
+class Launcher {
+ public:
+  virtual ~Launcher() = default;
+  /// False when the nodes run in other processes: they heartbeat, and
+  /// their tracing state is out of the master's reach.
+  virtual bool in_process() const = 0;
+  /// The interconnect the master and nodes talk over.
+  virtual net::Transport& transport() = 0;
+  /// Brings the nodes up; in-process nodes attach to `bus` (the transport,
+  /// or a ChaosBus over it). False when they did not come up in time.
+  virtual bool start(const NodePlan& plan, net::Transport& bus) = 0;
+  /// Asks `node` whether it is idle: in-process nodes answer into
+  /// `replies`, others get a kIdleProbe and answer with a kIdleReport to
+  /// the master. False when `node` is unreachable.
+  virtual bool request_idle(const std::string& node,
+                            std::map<std::string, IdleReport>* replies) = 0;
+  /// Stops a node the master declared dead.
+  virtual void kill(const std::string& node) = 0;
+  /// Waits for the nodes to finish after kShutdown. In-process nodes fill
+  /// `results` and `captured`; others send kProfileReport, kCapture and
+  /// kNodeDone.
+  virtual void join(std::map<std::string, NodeResult>* results,
+                    FieldCaptures* captured) = 0;
+  /// The in-process nodes (trace stitching, channel statistics).
+  virtual std::vector<ExecutionNode*> local_nodes() { return {}; }
+};
+
 class Master {
  public:
   explicit Master(MasterOptions options);
 
-  /// Partitions, places, runs the simulated cluster and collects profiles.
+  /// Partitions, places, runs the cluster on in-process nodes and collects
+  /// profiles.
   DistributedRunReport run();
+
+  /// The same run with the nodes wherever `launcher` puts them. Tracing
+  /// (trace_path, flight_dir) and fault tolerance need in-process nodes
+  /// and are rejected with kInvalidArgument otherwise.
+  DistributedRunReport run(Launcher& launcher);
 
   /// HLS repartitioning input: reweights the final graph with the profile
   /// data of a finished run and partitions again (the paper repartitions

@@ -31,13 +31,13 @@ enum class MessageType : uint8_t {
   kReassign = 10,   ///< master -> nodes: failover ownership change
   kCheckpoint = 11, ///< node -> master: sealed-age snapshot (RemoteStore)
 
-  // Out-of-process cluster protocol (src/net). The supervisor process is
-  // addressed as "master"; nodes are real OS processes behind a socket.
+  // Out-of-process nodes (net::ProcessLauncher): real OS processes behind
+  // a socket, which the master cannot call directly.
   kHello = 12,      ///< node -> hub: identify this connection (HelloMsg)
-  kAssign = 13,     ///< supervisor -> node: kernel ownership (AssignMsg)
-  kIdleProbe = 14,  ///< supervisor -> nodes: quiescence probe (empty payload)
-  kCapture = 15,    ///< node -> supervisor: captured field age (CaptureMsg)
-  kNodeDone = 16,   ///< node -> supervisor: final status (NodeDoneMsg)
+  kAssign = 13,     ///< master -> node: kernel ownership (AssignMsg)
+  kIdleProbe = 14,  ///< master -> nodes: quiescence probe (empty payload)
+  kCapture = 15,    ///< node -> master: captured field age (CaptureMsg)
+  kNodeDone = 16,   ///< node -> master: final status (NodeDoneMsg)
 };
 
 struct Message {
@@ -162,6 +162,26 @@ struct IdleReport {
 
   std::vector<uint8_t> encode() const;
   static IdleReport decode(const std::vector<uint8_t>& bytes);
+};
+
+/// Node -> master: one complete age of a captured field, densely packed.
+/// The master reassembles per-field output maps from these.
+struct CaptureMsg {
+  std::string field;
+  int64_t age = 0;
+  std::vector<uint8_t> payload;
+
+  std::vector<uint8_t> encode() const;
+  static CaptureMsg decode(const std::vector<uint8_t>& bytes);
+};
+
+/// Node -> master: final exit status of a node process.
+struct NodeDoneMsg {
+  bool ok = false;
+  std::string error;
+
+  std::vector<uint8_t> encode() const;
+  static NodeDoneMsg decode(const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace p2g::dist

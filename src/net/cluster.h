@@ -1,120 +1,115 @@
-// Real multi-process cluster driver (ISSUE 10).
+// Out-of-process execution nodes.
 //
-// run_cluster() is the out-of-process counterpart of dist::Master::run():
-// it derives the same partition / placement / kernel ownership from the
-// workload's program, but instead of constructing in-process
-// ExecutionNodes it fork+execs one `p2gnode` process per node, wires them
+// ProcessLauncher is the dist::Launcher that puts every execution node in
+// its own OS process: it fork+execs one `p2gnode` per node, wires them
 // through a SocketHub (control + data frames) and optionally a
 // shared-memory data plane (memfd arenas + SPSC rings inherited across
-// exec by fd number), supervises them with the phi-accrual failure
-// detector, detects termination with the same two-round
-// quiescence+conservation protocol, and gathers captures for bit-exact
-// comparison against an in-process run.
+// exec by fd number), and ships each node the master's kernel ownership
+// map. dist::Master drives it like the in-process launcher — partitioning,
+// termination detection, fencing and the report are the master's — except
+// that idle reports and results travel as messages.
 //
 // run_node() is the other side: what a `p2gnode` process does between
 // exec and exit.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
+#include <sys/types.h>
+
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/program.h"
 #include "core/runtime.h"
-#include "net/transport.h"
-#include "obs/metrics.h"
+#include "dist/master.h"
+#include "net/socket.h"
 
 namespace p2g::net {
 
-/// A named, self-contained workload both the supervisor and the node
-/// binary can instantiate by name (the program must be identical in every
+/// A named, self-contained workload both the master and the node binary
+/// can instantiate by name (the program must be identical in every
 /// process — kernel bodies are code, not wire data).
 struct WorkloadSpec {
   std::function<Program()> build;
   std::function<void(RunOptions&)> schedule;  ///< age caps etc.
   std::vector<std::string> capture;           ///< fields gathered at the end
+
+  /// Master options running this workload: program factory, schedule and
+  /// capture fields (the rest at their defaults).
+  dist::MasterOptions master_options() const;
 };
 
 /// Built-in workloads: "mul2", "kmeans", "pipeline". Returns nullptr for
 /// unknown names.
 const WorkloadSpec* find_workload(const std::string& name);
 
-struct ClusterOptions {
+/// How ProcessLauncher starts the node processes.
+struct ProcessLaunch {
+  /// find_workload() name every node process instantiates.
   std::string workload = "mul2";
-  int nodes = 2;
-  int workers = 1;
-  /// Enable the same-host shared-memory data plane.
-  bool shm = false;
   /// Path of the node binary to exec (tools/p2gnode).
   std::string node_binary;
-  /// Per-node arena size for the shm plane.
-  size_t arena_bytes = 16u << 20;
-  uint32_t ring_slots = 1024;
-  std::chrono::milliseconds watchdog{30000};
-  /// Fault injection for supervision tests: this node gets
-  /// --crash-after-ms and dies mid-run; the supervisor must detect it,
-  /// fence it and still terminate cleanly.
+  /// Enable the same-host shared-memory data plane.
+  bool shm = false;
+  /// Fault injection for supervision tests: this node hard-exits right
+  /// after its crash_after_stores-th committed store; the master must
+  /// detect it, fence it and still terminate cleanly.
   std::string crash_node;
-  int crash_after_ms = 0;
+  int crash_after_stores = 0;
 };
 
-struct ClusterReport {
-  bool timed_out = false;
-  double wall_s = 0.0;
-  std::vector<std::string> dead_nodes;
-  /// field name -> age -> densely packed payload bytes (same shape as
-  /// DistributedRunReport::captured).
-  std::map<std::string, std::map<Age, std::vector<uint8_t>>> captured;
-  /// Cross-node reduction of the nodes' metric snapshots plus the hub's
-  /// own registry.
-  obs::MetricsSnapshot combined_metrics;
-  BusStats bus;
-  std::map<std::string, bool> node_ok;
-  std::map<std::string, std::string> node_errors;
+class ProcessLauncher final : public dist::Launcher {
+ public:
+  explicit ProcessLauncher(ProcessLaunch launch);
+  /// Kills and reaps node processes still running (a run that threw).
+  ~ProcessLauncher() override;
 
-  /// Data-plane economics: cross-process store frames (socket kRemoteStore
-  /// + shm descriptors) and how many payload bytes were copied to ship
-  /// them. On the shm fast lane a frame ships as an arena offset, so
-  /// bytes_copied_per_frame collapses toward zero.
-  int64_t data_frames = 0;
-  int64_t copied_bytes = 0;
-  double bytes_copied_per_frame = 0.0;
+  bool in_process() const override { return false; }
+  Transport& transport() override { return hub_; }
+  bool start(const dist::NodePlan& plan, Transport& bus) override;
+  bool request_idle(const std::string& node,
+                    std::map<std::string, dist::IdleReport>* replies) override;
+  void kill(const std::string& node) override;
+  void join(std::map<std::string, dist::NodeResult>* results,
+            dist::FieldCaptures* captured) override;
+
+ private:
+  /// Waits for every node process to exit; past `deadline_ns` the
+  /// stragglers are killed hard.
+  void reap(int64_t deadline_ns);
+
+  ProcessLaunch launch_;
+  SocketHub hub_;
+  std::map<std::string, pid_t> pids_;
 };
-
-ClusterReport run_cluster(const ClusterOptions& options);
 
 /// Shared-memory wiring of one peer, as handed to the node process (fd
 /// numbers survive exec because the memfds are not close-on-exec).
 struct PeerShmConfig {
   std::string name;
   int arena_fd = -1;
-  size_t arena_bytes = 0;
   int tx_ring_fd = -1;  ///< this node -> peer
   int rx_ring_fd = -1;  ///< peer -> this node
 };
 
 struct NodeConfig {
   std::string name;
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
+  uint16_t port = 0;  ///< the master's hub on 127.0.0.1
   std::string workload;
   int workers = 1;
-  int heartbeat_period_ms = 25;
-  /// Fault injection: hard-exit this process after N ms (0 = off).
-  int crash_after_ms = 0;
+  int64_t heartbeat_period_ms = 15;
+  /// Fault injection: hard-exit after this many committed stores (0 = off).
+  int crash_after_stores = 0;
   /// Shared-memory plane (disabled when arena_fd < 0).
   int arena_fd = -1;
-  size_t arena_bytes = 0;
-  uint32_t ring_slots = 0;
   std::vector<PeerShmConfig> peers;
 };
 
 /// The node-process main loop: connect, handshake, receive the kernel
-/// assignment, run the workload, ship captures, report done. Returns the
-/// process exit code.
+/// assignment, run the workload, ship profile, captures and status.
+/// Returns the process exit code.
 int run_node(const NodeConfig& config);
 
 }  // namespace p2g::net

@@ -3,12 +3,13 @@
 // Control messages always flow over the socket transport; *data* (the
 // payload bytes of cross-partition stores) can take a faster lane between
 // processes on the same host. Each node owns one mmap'd arena (a memfd
-// created by the supervisor before fork, inherited by fd number across
-// exec), and every directed node pair shares one SPSC ring of fixed-size
-// descriptor slots. A store travels as {arena offset, byte count} instead
-// of serialized payload bytes: the receiver maps the sender's arena and
-// builds an nd::ConstView directly over the mapped pages, so on the fast
-// lane *zero* payload bytes are copied on either side.
+// created by the process launcher before fork, inherited by fd number
+// across exec), and every directed node pair shares one SPSC ring of
+// fixed-size descriptor slots. A store travels as {arena offset, byte
+// count} instead of serialized payload bytes: the receiver maps the
+// sender's arena and builds an nd::ConstView directly over the mapped
+// pages, so on the fast lane *zero* payload bytes are copied on either
+// side.
 //
 // Lifetime rules that make the aliasing safe:
 //  - Arena allocation is bump-only: a block handed out is never reused or
@@ -39,7 +40,7 @@
 namespace p2g::net {
 
 /// One mmap'd bump-allocation arena backed by a memfd. Created by the
-/// supervisor (one per node), attached by the owning node (which
+/// process launcher (one per node), attached by the owning node (which
 /// allocates) and by every peer (which only reads). The bump cursor lives
 /// inside the mapping, but only the owning node allocates, so it is
 /// effectively process-local.
@@ -165,7 +166,7 @@ class ShmDataPlane : public dist::StoreForwarder {
   ~ShmDataPlane() override;
 
   /// Wires one peer: its arena (for rx aliasing) plus the two ring fds.
-  /// `ring_slots` must match what the supervisor sized the ring memfds
+  /// `ring_slots` must match what the launcher sized the ring memfds
   /// with. Call before attach().
   void add_peer(const std::string& name, std::shared_ptr<ShmArena> peer_arena,
                 int tx_ring_fd, int rx_ring_fd, uint32_t ring_slots);

@@ -1,10 +1,10 @@
 // TCP socket transport: real out-of-process message passing.
 //
-// Topology is a hub-routed star: the supervisor process runs a SocketHub
+// Topology is a hub-routed star: the master process runs a SocketHub
 // listening on 127.0.0.1, every node process connects one socket and
 // identifies itself with a kHello frame. All traffic flows through the
 // hub — node->node stores are forwarded by destination name — which keeps
-// the connection count linear and gives the supervisor a single place to
+// the connection count linear and gives the master a single place to
 // observe, fence, and count every link.
 //
 // Both ends implement net::Transport, so the Master/ExecutionNode code and
@@ -28,10 +28,10 @@
 
 namespace p2g::net {
 
-/// Supervisor-side transport: listens, accepts node connections, routes
-/// frames between nodes and to local (in-process) mailboxes. The
-/// supervisor's own endpoints ("master") are registered locally; every
-/// other destination must be a connected node.
+/// Master-side transport: listens, accepts node connections, routes
+/// frames between nodes and to local (in-process) mailboxes. The master
+/// process's own endpoints ("master") are registered locally; every other
+/// destination must be a connected node.
 class SocketHub : public Transport {
  public:
   /// Binds 127.0.0.1 on an ephemeral port and starts the accept thread.

@@ -1,6 +1,6 @@
 // The pluggable cluster transport abstraction (ISSUE 10).
 //
-// Everything above the wire — exec nodes, the master/supervisor, the
+// Everything above the wire — exec nodes, the master, the
 // fault-tolerance decorators — talks to a Transport: named endpoints with
 // mailboxes, point-to-point sends with an observable delivery status, and
 // fencing of failed endpoints. The in-process dist::MessageBus is one

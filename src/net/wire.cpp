@@ -94,40 +94,6 @@ AssignMsg AssignMsg::decode(const std::vector<uint8_t>& bytes) {
   return m;
 }
 
-std::vector<uint8_t> CaptureMsg::encode() const {
-  Writer w;
-  w.str(field);
-  w.i64(age);
-  w.blob(payload.data(), payload.size());
-  return w.take();
-}
-
-CaptureMsg CaptureMsg::decode(const std::vector<uint8_t>& bytes) {
-  Reader r(bytes);
-  CaptureMsg m;
-  m.field = r.str();
-  m.age = r.i64();
-  m.payload = r.blob();
-  require_exhausted(r, "CaptureMsg");
-  return m;
-}
-
-std::vector<uint8_t> NodeDoneMsg::encode() const {
-  Writer w;
-  w.u8(ok ? 1 : 0);
-  w.str(error);
-  return w.take();
-}
-
-NodeDoneMsg NodeDoneMsg::decode(const std::vector<uint8_t>& bytes) {
-  Reader r(bytes);
-  NodeDoneMsg m;
-  m.ok = r.u8() != 0;
-  m.error = r.str();
-  require_exhausted(r, "NodeDoneMsg");
-  return m;
-}
-
 std::vector<uint8_t> encode_frame(const NetEnvelope& envelope) {
   const std::vector<uint8_t> body = envelope.encode();
   Writer w;

@@ -39,8 +39,8 @@ struct HelloMsg {
   static HelloMsg decode(const std::vector<uint8_t>& bytes);
 };
 
-/// Supervisor -> node: kernel ownership for the whole cluster plus the
-/// fields the supervisor wants captured (complete ages shipped back as
+/// Master -> node: kernel ownership for the whole cluster plus the
+/// fields the master wants captured (complete ages shipped back as
 /// kCapture) when the run drains.
 struct AssignMsg {
   std::vector<std::pair<std::string, std::string>> kernels;  ///< name->owner
@@ -48,26 +48,6 @@ struct AssignMsg {
 
   std::vector<uint8_t> encode() const;
   static AssignMsg decode(const std::vector<uint8_t>& bytes);
-};
-
-/// Node -> supervisor: one complete age of a captured field, densely
-/// packed. The supervisor reassembles per-field output maps from these.
-struct CaptureMsg {
-  std::string field;
-  int64_t age = 0;
-  std::vector<uint8_t> payload;
-
-  std::vector<uint8_t> encode() const;
-  static CaptureMsg decode(const std::vector<uint8_t>& bytes);
-};
-
-/// Node -> supervisor: final exit status of the node process.
-struct NodeDoneMsg {
-  bool ok = false;
-  std::string error;
-
-  std::vector<uint8_t> encode() const;
-  static NodeDoneMsg decode(const std::vector<uint8_t>& bytes);
 };
 
 /// Encodes a complete frame: [u32 body-length][body].

@@ -442,21 +442,21 @@ std::vector<CodecCase> codec_corpus() {
                      net::AssignMsg::decode(b);
                    }});
 
-  net::CaptureMsg capture;
+  dist::CaptureMsg capture;
   capture.field = "out";
   capture.age = 7;
   capture.payload = {1, 2, 3, 4, 5};
   cases.push_back({"CaptureMsg", capture.encode(),
                    [](const std::vector<uint8_t>& b) {
-                     net::CaptureMsg::decode(b);
+                     dist::CaptureMsg::decode(b);
                    }});
 
-  net::NodeDoneMsg done;
+  dist::NodeDoneMsg done;
   done.ok = false;
   done.error = "kernel 'xform' threw";
   cases.push_back({"NodeDoneMsg", done.encode(),
                    [](const std::vector<uint8_t>& b) {
-                     net::NodeDoneMsg::decode(b);
+                     dist::NodeDoneMsg::decode(b);
                    }});
 
   return cases;

@@ -2,8 +2,8 @@
 // (src/net): SPSC ring semantics, arena allocation and cross-mapping
 // aliasing, the framed wire format, the socket hub/node transports (with
 // MessageBus-parity dead-letter accounting), ChaosBus decorating a real
-// socket transport, and — behind P2G_NODE_BINARY — real multi-process
-// clusters compared bit-exactly against the in-process Master.
+// socket transport, and — behind P2G_NODE_BINARY — dist::Master running
+// real node processes, compared bit-exactly against in-process nodes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -456,40 +456,89 @@ TEST(ChaosSocket, ReliableChannelRecoversDropsOverARealSocketPair) {
 
 #ifdef P2G_NODE_BINARY
 
-ClusterOptions cluster_options(const std::string& workload, int nodes,
-                               bool shm) {
-  ClusterOptions options;
-  options.workload = workload;
+dist::MasterOptions workload_options(const std::string& workload, int nodes) {
+  dist::MasterOptions options = find_workload(workload)->master_options();
   options.nodes = nodes;
-  options.shm = shm;
-  options.node_binary = P2G_NODE_BINARY;
   return options;
 }
 
-TEST(Cluster, SocketRunIsBitExactAgainstTheInProcessBus) {
-  // Three real OS processes over the socket transport must produce the
-  // same field contents, age by age and byte by byte, as the in-process
-  // MessageBus run of the same program — same partitioning, same
-  // placement, only the interconnect differs.
-  const ClusterReport cluster = run_cluster(cluster_options("mul2", 3, false));
-  ASSERT_FALSE(cluster.timed_out);
-  EXPECT_TRUE(cluster.dead_nodes.empty());
-  for (const auto& [name, ok] : cluster.node_ok) EXPECT_TRUE(ok) << name;
+/// dist::Master over real `p2gnode` processes.
+dist::DistributedRunReport run_processes(const std::string& workload,
+                                         int nodes, bool shm = false,
+                                         const std::string& crash_node = "",
+                                         int crash_after_stores = 0) {
+  ProcessLaunch launch;
+  launch.workload = workload;
+  launch.node_binary = P2G_NODE_BINARY;
+  launch.shm = shm;
+  launch.crash_node = crash_node;
+  launch.crash_after_stores = crash_after_stores;
+  ProcessLauncher launcher(launch);
+  return dist::Master(workload_options(workload, nodes)).run(launcher);
+}
 
-  workloads::Mul2Plus5 workload;
-  dist::MasterOptions in_process;
-  in_process.nodes = 3;
-  in_process.base_options.max_age = 3;  // the "mul2" WorkloadSpec schedule
-  in_process.program_factory = [&workload] { return workload.build(); };
-  in_process.capture_fields = {"m_data", "p_data"};
-  dist::Master master(in_process);
-  const dist::DistributedRunReport reference = master.run();
-  ASSERT_FALSE(reference.timed_out);
+class Cluster : public ::testing::TestWithParam<const char*> {};
 
-  EXPECT_EQ(cluster.captured, reference.captured)
-      << "socket transport changed the data";
-  EXPECT_GT(cluster.data_frames, 0)
-      << "a 3-way split of mul2 must cross the wire";
+TEST_P(Cluster, ProcessLauncherIsBitExactAgainstThreadLauncher) {
+  // One Master, same partitioning and placement, two launchers: three
+  // in-process nodes on threads and three real OS processes over sockets
+  // must produce the same field contents, age by age and byte by byte,
+  // and run every kernel the same number of times.
+  const std::string workload = GetParam();
+  const dist::DistributedRunReport threads =
+      dist::Master(workload_options(workload, 3)).run();
+  const dist::DistributedRunReport processes = run_processes(workload, 3);
+  ASSERT_FALSE(threads.timed_out);
+  ASSERT_FALSE(processes.timed_out);
+  EXPECT_TRUE(processes.ft.dead_nodes.empty());
+  EXPECT_EQ(processes.node_ok.size(), 3u);
+  for (const auto& [name, ok] : processes.node_ok) EXPECT_TRUE(ok) << name;
+
+  ASSERT_FALSE(threads.captured.empty());
+  EXPECT_EQ(processes.captured, threads.captured)
+      << "the process launcher changed the data";
+  ASSERT_EQ(processes.combined.kernels.size(),
+            threads.combined.kernels.size());
+  for (size_t k = 0; k < threads.combined.kernels.size(); ++k) {
+    const KernelStats& thread_stats = threads.combined.kernels[k];
+    const KernelStats& process_stats = processes.combined.kernels[k];
+    EXPECT_EQ(process_stats.name, thread_stats.name);
+    EXPECT_EQ(process_stats.instances, thread_stats.instances)
+        << thread_stats.name;
+  }
+  EXPECT_GT(processes.data_frames, 0)
+      << "a 3-way split must cross the wire";
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, Cluster,
+                         ::testing::Values("mul2", "kmeans", "pipeline"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(Cluster, ProcessLauncherRejectsTracingAndFaultTolerance) {
+  // Merged traces, flight dumps and FT recovery read in-process nodes'
+  // state; with node processes they must fail loudly, before any fork.
+  const auto expect_rejected = [](const dist::MasterOptions& options) {
+    ProcessLaunch launch;
+    launch.node_binary = P2G_NODE_BINARY;
+    ProcessLauncher launcher(launch);
+    try {
+      dist::Master(options).run(launcher);
+      FAIL() << "expected kInvalidArgument";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
+    }
+  };
+  dist::MasterOptions traced = workload_options("mul2", 2);
+  traced.trace_path = "unused.json";
+  expect_rejected(traced);
+  dist::MasterOptions flight = workload_options("mul2", 2);
+  flight.flight_dir = ".";
+  expect_rejected(flight);
+  dist::MasterOptions ft = workload_options("mul2", 2);
+  ft.ft.enabled = true;
+  expect_rejected(ft);
 }
 
 TEST(Cluster, ShmDataPlaneShipsFramesWithoutCopies) {
@@ -497,12 +546,12 @@ TEST(Cluster, ShmDataPlaneShipsFramesWithoutCopies) {
   // with the socket run while copying (approximately) zero payload bytes —
   // whole frames travel as arena offsets and the receiver adopts the
   // mapped pages directly.
-  const ClusterReport socket =
-      run_cluster(cluster_options("pipeline", 3, false));
-  const ClusterReport shm = run_cluster(cluster_options("pipeline", 3, true));
+  const dist::DistributedRunReport socket = run_processes("pipeline", 3);
+  const dist::DistributedRunReport shm =
+      run_processes("pipeline", 3, /*shm=*/true);
   ASSERT_FALSE(socket.timed_out);
   ASSERT_FALSE(shm.timed_out);
-  EXPECT_TRUE(shm.dead_nodes.empty());
+  EXPECT_TRUE(shm.ft.dead_nodes.empty());
 
   ASSERT_FALSE(shm.captured.empty());
   EXPECT_EQ(shm.captured, socket.captured)
@@ -524,21 +573,28 @@ TEST(Cluster, ShmDataPlaneShipsFramesWithoutCopies) {
 }
 
 TEST(Cluster, CrashedNodeIsDetectedFencedAndReported) {
-  // Kill one node process mid-run: the supervisor must detect the death
-  // (dead socket / silent heartbeats), fence the endpoint, keep the
-  // surviving processes draining, and still terminate without tripping
-  // the watchdog.
-  ClusterOptions options = cluster_options("pipeline", 2, false);
-  options.crash_node = "node1";
-  options.crash_after_ms = 5;
-  const ClusterReport report = run_cluster(options);
+  // node0 runs the pipeline's xform and pump kernels and hard-exits right
+  // after its 3rd committed store, so the crash lands mid-run however the
+  // processes are scheduled. The master must detect the death (dead
+  // socket / silent heartbeats), fence the endpoint, keep the survivor
+  // draining, and still terminate without tripping the watchdog.
+  const dist::DistributedRunReport full =
+      dist::Master(workload_options("pipeline", 2)).run();
+  int64_t victim_stores = 0;
+  for (const KernelStats& k : full.node_reports.at("node0").kernels) {
+    victim_stores += k.instances;  // one store per pipeline instance
+  }
+  ASSERT_GT(victim_stores, 3) << "the crash must land before node0's work ends";
 
+  const dist::DistributedRunReport report =
+      run_processes("pipeline", 2, false, "node0", 3);
   ASSERT_FALSE(report.timed_out)
       << "a crash must not stall termination detection";
-  ASSERT_EQ(report.dead_nodes, std::vector<std::string>{"node1"});
-  ASSERT_TRUE(report.node_ok.count("node0"));
-  EXPECT_TRUE(report.node_ok.at("node0"))
+  ASSERT_EQ(report.ft.dead_nodes, std::vector<std::string>{"node0"});
+  ASSERT_TRUE(report.node_ok.count("node1"));
+  EXPECT_TRUE(report.node_ok.at("node1"))
       << "the survivor must still shut down cleanly";
+  EXPECT_FALSE(report.node_ok.count("node0"));
   EXPECT_GT(report.bus.dead_letters, 0)
       << "traffic to the fenced node must surface as dead letters";
 }

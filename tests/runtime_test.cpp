@@ -132,29 +132,6 @@ TEST(RuntimeMul2Plus5, DeterministicAcrossWorkerCounts) {
   EXPECT_EQ(outputs[1], outputs[2]);
 }
 
-TEST(RuntimeMul2Plus5, UnbatchedAnalyzerPreservesResults) {
-  // The batched analyzer loop (pop_all + handle_batch) must be observably
-  // identical to the one-event-per-lock ablation baseline.
-  Mul2Plus5 batched;
-  {
-    RunOptions opts;
-    opts.workers = 4;
-    opts.max_age = 6;
-    Runtime rt(batched.build(), opts);
-    rt.run();
-  }
-  Mul2Plus5 unbatched;
-  {
-    RunOptions opts;
-    opts.workers = 4;
-    opts.max_age = 6;
-    opts.analyzer_batch = false;
-    Runtime rt(unbatched.build(), opts);
-    rt.run();
-  }
-  EXPECT_EQ(*batched.printed, *unbatched.printed);
-}
-
 TEST(RuntimeMul2Plus5, ChunkingPreservesResults) {
   Mul2Plus5 baseline;
   {

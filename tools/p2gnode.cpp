@@ -1,18 +1,21 @@
-// p2gnode: one process of a real P2G cluster — and the driver that
+// p2gnode: one process of a real P2G cluster — and the master that
 // launches one.
 //
-// Node mode (what the supervisor execs, one process per execution node):
+// Node mode (what the process launcher execs, one process per node):
 //   p2gnode --node NAME --connect PORT --workload W [--workers K]
-//           [--shm-arena FD:BYTES --shm-slots S
-//            --shm-peer PEER:AFD:ABYTES:TXFD:RXFD ...]
+//           [--heartbeat-ms MS] [--crash-after-stores N]
+//           [--shm-arena FD --shm-peer PEER:AFD:TXFD:RXFD ...]
 //
-// Master mode (the supervisor: forks/execs N node processes of itself):
+// Master mode (dist::Master with net::ProcessLauncher: forks/execs N node
+// processes of itself):
 //   p2gnode --master --workload W [--nodes N] [--workers K] [--shm]
 //           [--json PATH] [--node-binary PATH] [--watchdog-ms MS]
+//           [--crash NODE:STORES]
 //
 // --json writes a machine-readable run summary (frames, copied bytes,
 // bytes_copied_per_frame, captured-output checksum) consumed by
-// scripts/soak.sh and scripts/bench_report.sh.
+// scripts/soak.sh and scripts/bench_report.sh. --crash makes NODE exit
+// right after its STORES-th committed store.
 
 #include <unistd.h>
 
@@ -33,9 +36,10 @@ int usage() {
       "usage:\n"
       "  p2gnode --master --workload W [--nodes N] [--workers K] [--shm]\n"
       "          [--json PATH] [--node-binary PATH] [--watchdog-ms MS]\n"
+      "          [--crash NODE:STORES]\n"
       "  p2gnode --node NAME --connect PORT --workload W [--workers K]\n"
-      "          [--shm-arena FD:BYTES --shm-slots S\n"
-      "           --shm-peer PEER:AFD:ABYTES:TXFD:RXFD ...]\n");
+      "          [--heartbeat-ms MS] [--crash-after-stores N]\n"
+      "          [--shm-arena FD --shm-peer PEER:AFD:TXFD:RXFD ...]\n");
   return 2;
 }
 
@@ -55,9 +59,7 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 /// FNV-1a over every captured payload in deterministic (field, age)
 /// order: one number that must match between transports.
-uint64_t capture_checksum(
-    const std::map<std::string, std::map<p2g::Age, std::vector<uint8_t>>>&
-        captured) {
+uint64_t capture_checksum(const p2g::dist::FieldCaptures& captured) {
   uint64_t hash = 1469598103934665603ULL;
   const auto mix = [&hash](const void* data, size_t size) {
     const auto* p = static_cast<const uint8_t*>(data);
@@ -76,13 +78,27 @@ uint64_t capture_checksum(
   return hash;
 }
 
-int run_master(const p2g::net::ClusterOptions& options,
+int run_master(const p2g::net::ProcessLaunch& launch, int nodes, int workers,
+               std::chrono::milliseconds watchdog,
                const std::string& json_path) {
-  const p2g::net::ClusterReport report = p2g::net::run_cluster(options);
+  const p2g::net::WorkloadSpec* spec =
+      p2g::net::find_workload(launch.workload);
+  if (spec == nullptr) {
+    std::fprintf(stderr, "p2gnode: unknown workload '%s'\n",
+                 launch.workload.c_str());
+    return 2;
+  }
+  p2g::dist::MasterOptions options = spec->master_options();
+  options.nodes = nodes;
+  options.workers_per_node = workers;
+  options.watchdog = watchdog;
+  p2g::net::ProcessLauncher launcher(launch);
+  const p2g::dist::DistributedRunReport report =
+      p2g::dist::Master(std::move(options)).run(launcher);
+  const std::vector<std::string>& dead_nodes = report.ft.dead_nodes;
 
   std::printf("workload=%s nodes=%d transport=%s\n",
-              options.workload.c_str(), options.nodes,
-              options.shm ? "shm" : "socket");
+              launch.workload.c_str(), nodes, launch.shm ? "shm" : "socket");
   std::printf("frames=%lld copied_bytes=%lld bytes_copied_per_frame=%.2f\n",
               static_cast<long long>(report.data_frames),
               static_cast<long long>(report.copied_bytes),
@@ -93,7 +109,7 @@ int run_master(const p2g::net::ClusterOptions& options,
                   capture_checksum(report.captured)),
               report.wall_s);
   if (report.timed_out) std::printf("TIMED OUT\n");
-  for (const std::string& name : report.dead_nodes) {
+  for (const std::string& name : dead_nodes) {
     std::printf("dead: %s\n", name.c_str());
   }
   for (const auto& [name, err] : report.node_errors) {
@@ -111,15 +127,15 @@ int run_master(const p2g::net::ClusterOptions& options,
                   static_cast<unsigned long long>(
                       capture_checksum(report.captured)));
     os << "{\n"
-       << "  \"workload\": \"" << options.workload << "\",\n"
-       << "  \"nodes\": " << options.nodes << ",\n"
-       << "  \"transport\": \"" << (options.shm ? "shm" : "socket")
+       << "  \"workload\": \"" << launch.workload << "\",\n"
+       << "  \"nodes\": " << nodes << ",\n"
+       << "  \"transport\": \"" << (launch.shm ? "shm" : "socket")
        << "\",\n"
        << "  \"frames\": " << report.data_frames << ",\n"
        << "  \"copied_bytes\": " << report.copied_bytes << ",\n"
        << "  \"bytes_copied_per_frame\": " << report.bytes_copied_per_frame
        << ",\n"
-       << "  \"dead_nodes\": " << report.dead_nodes.size() << ",\n"
+       << "  \"dead_nodes\": " << dead_nodes.size() << ",\n"
        << "  \"timed_out\": " << (report.timed_out ? "true" : "false")
        << ",\n"
        << "  \"checksum\": \"" << checksum << "\",\n"
@@ -127,7 +143,7 @@ int run_master(const p2g::net::ClusterOptions& options,
        << "}\n";
   }
 
-  bool ok = !report.timed_out && report.dead_nodes.empty();
+  bool ok = !report.timed_out && dead_nodes.empty();
   for (const auto& [name, node_ok] : report.node_ok) ok = ok && node_ok;
   return ok ? 0 : 1;
 }
@@ -137,7 +153,9 @@ int run_master(const p2g::net::ClusterOptions& options,
 int main(int argc, char** argv) {
   bool master = false;
   std::string json_path;
-  p2g::net::ClusterOptions cluster;
+  p2g::net::ProcessLaunch launch;
+  int nodes = 2;
+  std::chrono::milliseconds watchdog{30000};
   p2g::net::NodeConfig node;
   bool have_node_name = false;
 
@@ -158,47 +176,35 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect") {
       node.port = static_cast<uint16_t>(std::stoi(value()));
     } else if (arg == "--workload") {
-      const std::string w = value();
-      cluster.workload = w;
-      node.workload = w;
+      launch.workload = node.workload = value();
     } else if (arg == "--workers") {
-      const int w = std::stoi(value());
-      cluster.workers = w;
-      node.workers = w;
+      node.workers = std::stoi(value());
     } else if (arg == "--nodes") {
-      cluster.nodes = std::stoi(value());
+      nodes = std::stoi(value());
     } else if (arg == "--shm") {
-      cluster.shm = true;
+      launch.shm = true;
     } else if (arg == "--crash") {
       const auto parts = split(value(), ':');
       if (parts.size() != 2) return usage();
-      cluster.crash_node = parts[0];
-      cluster.crash_after_ms = std::stoi(parts[1]);
-    } else if (arg == "--crash-after-ms") {
-      node.crash_after_ms = std::stoi(value());
+      launch.crash_node = parts[0];
+      launch.crash_after_stores = std::stoi(parts[1]);
+    } else if (arg == "--crash-after-stores") {
+      node.crash_after_stores = std::stoi(value());
+    } else if (arg == "--heartbeat-ms") {
+      node.heartbeat_period_ms = std::stoll(value());
     } else if (arg == "--json") {
       json_path = value();
     } else if (arg == "--node-binary") {
-      cluster.node_binary = value();
+      launch.node_binary = value();
     } else if (arg == "--watchdog-ms") {
-      cluster.watchdog = std::chrono::milliseconds(std::stoll(value()));
+      watchdog = std::chrono::milliseconds(std::stoll(value()));
     } else if (arg == "--shm-arena") {
-      const auto parts = split(value(), ':');
-      if (parts.size() != 2) return usage();
-      node.arena_fd = std::stoi(parts[0]);
-      node.arena_bytes = static_cast<size_t>(std::stoull(parts[1]));
-    } else if (arg == "--shm-slots") {
-      node.ring_slots = static_cast<uint32_t>(std::stoul(value()));
+      node.arena_fd = std::stoi(value());
     } else if (arg == "--shm-peer") {
       const auto parts = split(value(), ':');
-      if (parts.size() != 5) return usage();
-      p2g::net::PeerShmConfig peer;
-      peer.name = parts[0];
-      peer.arena_fd = std::stoi(parts[1]);
-      peer.arena_bytes = static_cast<size_t>(std::stoull(parts[2]));
-      peer.tx_ring_fd = std::stoi(parts[3]);
-      peer.rx_ring_fd = std::stoi(parts[4]);
-      node.peers.push_back(std::move(peer));
+      if (parts.size() != 4) return usage();
+      node.peers.push_back({parts[0], std::stoi(parts[1]), std::stoi(parts[2]),
+                            std::stoi(parts[3])});
     } else if (arg == "--help" || arg == "-h") {
       return usage();
     } else {
@@ -208,7 +214,7 @@ int main(int argc, char** argv) {
   }
 
   if (master) {
-    if (cluster.node_binary.empty()) {
+    if (launch.node_binary.empty()) {
       // Default: this binary doubles as the node binary.
       char self[4096];
       const ssize_t n = ::readlink("/proc/self/exe", self, sizeof(self) - 1);
@@ -217,9 +223,9 @@ int main(int argc, char** argv) {
         return 1;
       }
       self[n] = '\0';
-      cluster.node_binary = self;
+      launch.node_binary = self;
     }
-    return run_master(cluster, json_path);
+    return run_master(launch, nodes, node.workers, watchdog, json_path);
   }
   if (!have_node_name || node.port == 0 || node.workload.empty()) {
     return usage();
