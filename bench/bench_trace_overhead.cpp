@@ -2,12 +2,13 @@
 //
 // Measures what causal tracing costs on the dispatch hot path and on a
 // real workload (MJPEG encode): collect_trace on vs off, plus the
-// flight-recorder-only mode chaos runs use. Acceptance: tracing enabled
+// flight-only mode chaos runs use (flight_dir alone: a bounded collector). Acceptance: tracing enabled
 // stays within ~5% of baseline; disabled is indistinguishable (the hot
 // path is a single null check). No file I/O in any variant — collection
 // only, like the distributed master's stitching mode.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <memory>
 
 #include "core/context.h"
@@ -44,16 +45,24 @@ Program dispatch_program(int elements, int ages) {
 
 enum class Mode { kOff, kTrace, kFlight };
 
+/// Telemetry options of a mode. Flight-only sets a flight_dir, which is
+/// only written to on a fatal error.
+RunOptions mode_options(Mode mode) {
+  RunOptions opts;
+  opts.workers = 2;
+  opts.collect_trace = mode == Mode::kTrace;
+  if (mode == Mode::kFlight) {
+    opts.flight_dir = std::filesystem::temp_directory_path().string();
+  }
+  return opts;
+}
+
 void run_dispatch(benchmark::State& state, Mode mode) {
   const int elements = static_cast<int>(state.range(0));
   const int ages = 50;
   int64_t instances = 0;
   for (auto _ : state) {
-    RunOptions opts;
-    opts.workers = 2;
-    opts.collect_trace = mode == Mode::kTrace;
-    opts.flight_recorder = mode == Mode::kFlight;
-    Runtime rt(dispatch_program(elements, ages), opts);
+    Runtime rt(dispatch_program(elements, ages), mode_options(mode));
     const RunReport report = rt.run();
     instances += report.instrumentation.find("stage")->instances;
   }
@@ -91,11 +100,7 @@ void run_mjpeg(benchmark::State& state, Mode mode) {
   for (auto _ : state) {
     workloads::MjpegWorkload workload;
     workload.video = video;
-    RunOptions opts;
-    opts.workers = 2;
-    opts.collect_trace = mode == Mode::kTrace;
-    opts.flight_recorder = mode == Mode::kFlight;
-    Runtime rt(workload.build(), opts);
+    Runtime rt(workload.build(), mode_options(mode));
     const RunReport report = rt.run();
     frames += report.instrumentation.find("vlc_write")->instances - 1;
   }

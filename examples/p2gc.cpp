@@ -70,6 +70,7 @@ int cmd_dep(const std::string& path, bool json) {
 
 int cmd_run(const std::string& path, int argc, char** argv) {
   bool lint = false;
+  bool certify = true;
   RunOptions options;
   std::vector<const char*> positional;
   for (int i = 0; i < argc; ++i) {
@@ -79,7 +80,7 @@ int cmd_run(const std::string& path, int argc, char** argv) {
     } else if (arg == "--checked") {
       options.checked = true;
     } else if (arg == "--no-certs") {
-      options.use_certificates = false;
+      certify = false;
     } else {
       positional.push_back(argv[i]);
     }
@@ -97,7 +98,7 @@ int cmd_run(const std::string& path, int argc, char** argv) {
   if (positional.size() > 1) options.workers = std::atoi(positional[1]);
   // Embed independence certificates: statically proven (field, fetch)
   // independence lets the analyzer skip fine-grained region checks.
-  const size_t certificates = compiled.program.certify();
+  const size_t certificates = certify ? compiled.program.certify() : 0;
   Runtime runtime(std::move(compiled.program), options);
   const RunReport report = runtime.run();
   for (const std::string& line : compiled.printed->snapshot()) {

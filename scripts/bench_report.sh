@@ -14,8 +14,9 @@
 #   ISSUE=6 scripts/bench_report.sh    # tracing-overhead report
 #
 # ISSUE=6 records the causal-tracing overhead instead: dispatch and MJPEG
-# with collect_trace on vs off vs flight-recorder-only (the baseline is
-# tracing disabled, i.e. the pre-PR hot path plus one null check).
+# with collect_trace on vs off vs flight-only (flight_dir alone; the
+# baseline is tracing disabled, i.e. the pre-PR hot path plus one null
+# check).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -85,8 +86,10 @@ report = {
     "generated_by": "scripts/bench_report.sh",
     "context": doc.get("context", {}),
     "baseline_definition": {
-        "trace": "RunOptions::collect_trace=false, flight_recorder=false "
-                 "(hot path: one null check)",
+        "trace": "RunOptions::collect_trace=false, no flight_dir "
+                 "(hot path: one null check); flight_only sets only a "
+                 "temporary flight_dir (per-thread ring of the newest 256 "
+                 "spans)",
     },
     "acceptance": "mjpeg trace_overhead < 0.05 (real kernel work); "
                   "dispatch rows bound the worst case (empty bodies, "

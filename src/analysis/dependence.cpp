@@ -179,83 +179,6 @@ std::vector<std::string> elem_distances(const nd::SliceSpec& store,
   return out;
 }
 
-/// Static mirror of Runtime::fuse's legality checks for fusing `down` into
-/// the pipeline after `up` over `field`.
-struct FusionVerdict {
-  bool legal = false;
-  std::string blocker;
-  int64_t age_delta = 0;
-  bool elidable = false;
-};
-
-FusionVerdict fusion_verdict(const Program& program, const KernelDef& up,
-                             const KernelDef& down, FieldId field) {
-  FusionVerdict v;
-  if (down.fetches.size() != 1) {
-    v.blocker = "consumer has " + std::to_string(down.fetches.size()) +
-                " fetch statements (fusion requires exactly one)";
-    return v;
-  }
-  const FetchDecl& df = down.fetches[0];
-  if (df.field != field) {
-    v.blocker = "consumer's only fetch reads field '" +
-                program.field(df.field).name + "', not '" +
-                program.field(field).name + "'";
-    return v;
-  }
-  if (df.slice.is_whole()) {
-    v.blocker = "consumer fetch is whole-field, not elementwise";
-    return v;
-  }
-  if (!df.slice.is_elementwise()) {
-    v.blocker = "consumer fetch has all() dimensions";
-    return v;
-  }
-  if (df.age.kind != AgeExpr::Kind::kRelative) {
-    v.blocker = "consumer fetch pins a constant age";
-    return v;
-  }
-  for (size_t var = 0; var < down.index_vars.size(); ++var) {
-    if (!df.slice.dim_of_var(static_cast<int>(var)).has_value()) {
-      v.blocker = "consumer index variable '" + down.index_vars[var] +
-                  "' is not covered by the fetch";
-      return v;
-    }
-  }
-  const StoreDecl* matched = nullptr;
-  for (const StoreDecl& s : up.stores) {
-    if (s.field != field) continue;
-    if (!s.slice.is_elementwise() ||
-        s.age.kind != AgeExpr::Kind::kRelative) {
-      continue;
-    }
-    if (s.slice.dims().size() != df.slice.dims().size()) continue;
-    bool compatible = true;
-    for (size_t i = 0; i < s.slice.dims().size() && compatible; ++i) {
-      const nd::SliceDim& a = s.slice.dims()[i];
-      const nd::SliceDim& b = df.slice.dims()[i];
-      if (a.kind != b.kind) compatible = false;
-      if (a.kind == nd::SliceDim::Kind::kConst && a.value != b.value) {
-        compatible = false;
-      }
-    }
-    if (compatible) {
-      matched = &s;
-      break;
-    }
-  }
-  if (matched == nullptr) {
-    v.blocker = "producer has no elementwise relative-age store matching "
-                "the fetch slice";
-    return v;
-  }
-  v.legal = true;
-  v.age_delta = matched->age.value - df.age.value;
-  const auto& consumers = program.consumers_of(field);
-  v.elidable = consumers.size() == 1 && consumers[0].kernel == down.id;
-  return v;
-}
-
 std::vector<DependenceEdge> build_edges(const Program& program,
                                         const std::vector<Age>& first) {
   std::vector<DependenceEdge> edges;

@@ -12,7 +12,8 @@
 //     are kInfo reports emitted only through this pass.
 //  2. Independence certificates (core/program.h): statically proven
 //     (field, consumer fetch) independence facts the DependencyAnalyzer
-//     uses to skip fine-grained region checks (RunOptions::use_certificates).
+//     uses to skip fine-grained region checks once Program::certify()
+//     embeds them (an uncertified program runs every check).
 //  3. The p2gdep CLI (tools/p2gdep.cpp): text and JSON renderings.
 #pragma once
 
@@ -84,8 +85,9 @@ struct DependenceEdge {
   /// Per-dimension element distance: "0" (aligned), a signed delta, or
   /// "*" (unknown). Empty when either side is a whole-field access.
   std::vector<std::string> elem_distance;
-  /// Mirrors Runtime::fuse legality for the (producer, consumer) kernel
-  /// pair over this field; `blocker` names the first violated requirement.
+  /// fusion_verdict (core/program.h) for the (producer, consumer) kernel
+  /// pair over this field — the check Runtime fusion rules use; `blocker`
+  /// names the first violated requirement.
   bool fusible = false;
   std::string blocker;
 };

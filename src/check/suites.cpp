@@ -15,14 +15,15 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "check/sync.h"
 #include "common/blocking_queue.h"
 #include "common/mpsc_queue.h"
 #include "core/field.h"
-#include "core/flight_recorder.h"
 #include "core/ready_queue.h"
+#include "core/trace.h"
 #include "dist/bus.h"
 #include "ft/reliable.h"
 #include "net/shm.h"
@@ -211,16 +212,49 @@ void suite_reliable_stop(CheckSession& session) {
 }
 
 void suite_flight_recorder(CheckSession& session) {
-  auto recorder = std::make_shared<FlightRecorder>();
-  session.spawn("writer", [recorder] {
-    for (int i = 0; i < 4; ++i) {
-      recorder->record("event", SpanKind::kOther, i, 1, 0, TraceContext{},
-                       static_cast<uint64_t>(i + 1));
+  // A flight recorder is a bounded TraceCollector. Its writer records
+  // kSpans spans into a four-slot ring, wrapping it many times while the
+  // reader snapshots it; every snapshot must hold at most four spans,
+  // oldest first, none read from a slot the writer was overwriting (span i
+  // is recorded with start_ns i and span_id i + 1). The runs are long
+  // enough for the explorer's priority change points to land inside them.
+  // The writer also appends to an unbounded collector, whose reader-side
+  // accesses are race-checked, not racy.
+  struct Shared {
+    TraceCollector ring{4};
+    TraceCollector full;
+  };
+  auto shared = std::make_shared<Shared>();
+  const uint32_t ring_name = shared->ring.intern("event");
+  const uint32_t full_name = shared->full.intern("event");
+  constexpr int64_t kSpans = 64;
+  session.spawn("writer", [shared, ring_name, full_name] {
+    for (int64_t i = 0; i < kSpans; ++i) {
+      TraceCollector::Record r;
+      r.start_ns = i;
+      r.span_id = static_cast<uint64_t>(i) + 1;
+      r.kind = SpanKind::kOther;
+      r.name = ring_name;
+      shared->ring.record(r);
+      if (i < 3) {
+        r.name = full_name;
+        shared->full.record(r);
+      }
     }
   });
-  session.spawn("reader", [recorder] {
-    (void)recorder->snapshot();
-    (void)recorder->recorded();
+  session.spawn("reader", [shared] {
+    for (int pass = 0; pass < 16; ++pass) {
+      const std::vector<TraceCollector::Span> spans =
+          shared->ring.spans_snapshot();
+      if (spans.size() > 4) throw std::logic_error("ring over capacity");
+      for (size_t k = 0; k < spans.size(); ++k) {
+        if (spans[k].span_id != static_cast<uint64_t>(spans[k].start_ns) + 1 ||
+            (k > 0 && spans[k].start_ns <= spans[k - 1].start_ns)) {
+          throw std::logic_error("ring snapshot holds an overwritten slot");
+        }
+      }
+      (void)shared->full.spans_snapshot();
+    }
   });
 }
 
@@ -424,7 +458,8 @@ void register_builtin_suites() {
     add("reliable.stop", "ReliableChannel retransmit loop vs stop()",
         suite_reliable_stop);
     add("flight_recorder.ring",
-        "FlightRecorder single-writer ring vs racy snapshot",
+        "flight recorder (bounded TraceCollector) ring wrapped by its "
+        "writer vs snapshots; unbounded buffer publish",
         suite_flight_recorder);
     add("shm.ring_spsc",
         "shared-memory SPSC ring: wrap-around push/full window vs drain "

@@ -16,7 +16,7 @@
 //
 // The annotation API (check::read / write / acquire / release / fence /
 // racy_read) lets lock-free code describe its intended happens-before
-// edges: FieldStorage's published-age commits and the FlightRecorder rings
+// edges: FieldStorage's published-age commits and the TraceCollector buffers
 // use it so the checker can verify their publication protocols instead of
 // flagging them as races.
 //

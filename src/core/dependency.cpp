@@ -139,14 +139,11 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime, int shards)
   // per-kernel per-fetch bitmap for the try_enumerate hot path. Computed
   // once, read-only afterwards, shared by every shard.
   certified_.resize(nk);
-  if (runtime_.options_.use_certificates) {
-    for (const IndependenceCertificate& cert : program_.certificates()) {
-      auto& flags = certified_[static_cast<size_t>(cert.consumer)];
-      const size_t nfetches =
-          program_.kernel(cert.consumer).fetches.size();
-      if (flags.empty()) flags.assign(nfetches, 0);
-      if (cert.fetch < flags.size()) flags[cert.fetch] = 1;
-    }
+  for (const IndependenceCertificate& cert : program_.certificates()) {
+    auto& flags = certified_[static_cast<size_t>(cert.consumer)];
+    const size_t nfetches = program_.kernel(cert.consumer).fetches.size();
+    if (flags.empty()) flags.assign(nfetches, 0);
+    if (cert.fetch < flags.size()) flags[cert.fetch] = 1;
   }
 }
 

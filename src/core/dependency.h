@@ -74,7 +74,7 @@ class DependencyAnalyzer {
   int64_t dispatched_count() const;
 
   /// Per-candidate dependence checks skipped via independence certificates
-  /// (Program::certify + RunOptions::use_certificates).
+  /// (0 unless Program::certify() embedded any).
   int64_t certified_skip_count() const;
 
   /// Cross-shard messages sent (0 with one shard).
@@ -242,7 +242,7 @@ class DependencyAnalyzer {
                       size_t fetch_index);
 
   /// True when (consumer kernel, fetch) carries an independence
-  /// certificate and RunOptions::use_certificates is on.
+  /// certificate (embedded by Program::certify()).
   bool certified(KernelId kernel, size_t fetch) const {
     const auto& flags = certified_[static_cast<size_t>(kernel)];
     return fetch < flags.size() && flags[fetch] != 0;

@@ -361,4 +361,89 @@ Program ProgramBuilder::build() {
   return prog;
 }
 
+FusionVerdict fusion_verdict(const Program& program, const KernelDef& up,
+                             const KernelDef& down, FieldId field) {
+  FusionVerdict v;
+  if (up.id == down.id) {
+    v.blocker = "a kernel cannot be fused into itself";
+    return v;
+  }
+  if (down.serial || down.is_source() || down.is_run_once()) {
+    v.blocker = "consumer is not a plain data-parallel kernel (serial, "
+                "source or run-once)";
+    return v;
+  }
+  if (down.fetches.size() != 1) {
+    v.blocker = "consumer has " + std::to_string(down.fetches.size()) +
+                " fetch statements (fusion requires exactly one)";
+    return v;
+  }
+  const FetchDecl& df = down.fetches[0];
+  if (df.field != field) {
+    v.blocker = "consumer's only fetch reads field '" +
+                program.field(df.field).name + "', not '" +
+                program.field(field).name + "'";
+    return v;
+  }
+  if (df.slice.is_whole()) {
+    v.blocker = "consumer fetch is whole-field, not elementwise";
+    return v;
+  }
+  if (!df.slice.is_elementwise()) {
+    v.blocker = "consumer fetch has all() dimensions";
+    return v;
+  }
+  if (df.age.kind != AgeExpr::Kind::kRelative) {
+    v.blocker = "consumer fetch pins a constant age";
+    return v;
+  }
+  for (size_t var = 0; var < down.index_vars.size(); ++var) {
+    if (!df.slice.dim_of_var(static_cast<int>(var)).has_value()) {
+      v.blocker = "consumer index variable '" + down.index_vars[var] +
+                  "' is not covered by the fetch";
+      return v;
+    }
+  }
+  const StoreDecl* matched = nullptr;
+  for (size_t s = 0; s < up.stores.size() && matched == nullptr; ++s) {
+    const StoreDecl& d = up.stores[s];
+    if (d.field != field || !d.slice.is_elementwise() ||
+        d.age.kind != AgeExpr::Kind::kRelative ||
+        d.slice.dims().size() != df.slice.dims().size()) {
+      continue;
+    }
+    bool compatible = true;
+    for (size_t i = 0; i < d.slice.dims().size() && compatible; ++i) {
+      const nd::SliceDim& a = d.slice.dims()[i];
+      const nd::SliceDim& b = df.slice.dims()[i];
+      compatible = a.kind == b.kind && (a.kind != nd::SliceDim::Kind::kConst ||
+                                        a.value == b.value);
+    }
+    if (compatible) {
+      matched = &d;
+      v.store = s;
+    }
+  }
+  if (matched == nullptr) {
+    v.blocker = "producer has no elementwise relative-age store matching "
+                "the fetch slice";
+    return v;
+  }
+  v.legal = true;
+  v.age_delta = matched->age.value - df.age.value;
+  // Per-dimension variable correspondence: down's variable at dim i takes
+  // the value of up's variable at dim i.
+  v.coord_map.assign(down.index_vars.size(), 0);
+  for (size_t i = 0; i < df.slice.dims().size(); ++i) {
+    if (df.slice.dims()[i].kind == nd::SliceDim::Kind::kVar) {
+      v.coord_map[static_cast<size_t>(df.slice.dims()[i].var)] =
+          static_cast<size_t>(matched->slice.dims()[i].var);
+    }
+  }
+  const auto& consumers = program.consumers_of(field);
+  v.elidable = consumers.size() == 1 && consumers[0].kernel == down.id;
+  return v;
+}
+
+
 }  // namespace p2g

@@ -169,7 +169,9 @@ class Program {
 
   /// Runs the symbolic dependence pass (src/analysis/dependence.h) and
   /// embeds the resulting independence certificates into this program for
-  /// the runtime's analyzer fast path (RunOptions::use_certificates).
+  /// the runtime's analyzer fast path: a store event arriving through a
+  /// certified (consumer, fetch) pair skips that fetch's fine-grained
+  /// region_written check. Not calling it runs every check.
   /// Returns the number of certificates. Defined in
   /// src/analysis/dependence.cpp — callers must link p2g_analysis.
   size_t certify();
@@ -188,6 +190,26 @@ class Program {
   std::vector<std::vector<Use>> producers_;
   std::vector<IndependenceCertificate> certificates_;
 };
+
+/// Whether `down` may be fused into the pipeline after `up` over `field`
+/// (the paper's "decrease task parallelism", Fig. 4, Age=3): `down` is a
+/// plain data-parallel kernel whose only fetch reads `field` elementwise at
+/// a relative age, every index variable covered, and `up` has an
+/// elementwise relative-age store with a matching slice. The one legality
+/// check: Runtime fusion rules and the W010 report both use it.
+struct FusionVerdict {
+  bool legal = false;
+  std::string blocker;  ///< first violated requirement (when not legal)
+  size_t store = 0;     ///< up's store statement feeding the fetch
+  int64_t age_delta = 0;  ///< down's age = up's age + age_delta
+  /// down's coord[v] = up's coord[coord_map[v]]
+  std::vector<size_t> coord_map;
+  /// down is the field's only consumer: the intermediate store can go.
+  bool elidable = false;
+};
+
+FusionVerdict fusion_verdict(const Program& program, const KernelDef& up,
+                             const KernelDef& down, FieldId field);
 
 /// Builds and validates Programs.
 class ProgramBuilder {

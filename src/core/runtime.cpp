@@ -23,9 +23,15 @@ Runtime::Runtime(Program program, RunOptions options)
   kcfg_.resize(program_.kernels().size());
   if (options_.trace_path || options_.collect_trace) {
     trace_ = std::make_unique<TraceCollector>();
+  } else if (options_.flight_dir) {
+    trace_ =
+        std::make_unique<TraceCollector>(TraceCollector::kFlightCapacity);
   }
-  if (options_.flight_recorder) {
-    flight_ = std::make_unique<FlightRecorder>();
+  if (trace_) {
+    for (const KernelDef& k : program_.kernels()) {
+      kernel_span_names_.push_back(trace_->intern(k.name));
+    }
+    analyze_span_name_ = trace_->intern("analyze");
   }
   span_salt_ = mix(0x7370616E73616C74ULL,  // "spansalt"
                    hash_str(options_.trace_label.empty()
@@ -192,76 +198,18 @@ void Runtime::resolve_fusion(const FusionRule& rule) {
                          "' -> '" + rule.downstream + "'");
   const KernelDef& up = program_.kernel(up_id);
   const KernelDef& down = program_.kernel(down_id);
-
-  P2G_CHECK_ARGUMENT(!down.serial && !down.is_source() && !down.is_run_once(),
-                     "fusion downstream '" + down.name +
-                         "' must be a plain data-parallel kernel");
-  P2G_CHECK_ARGUMENT(down.fetches.size() == 1,
-                     "fusion downstream '" + down.name +
-                         "' must have exactly one fetch");
-  const FetchDecl& df = down.fetches[0];
-  P2G_CHECK_ARGUMENT(df.slice.is_elementwise() &&
-                         df.age.kind == AgeExpr::Kind::kRelative,
-                     "fusion downstream fetch must be elementwise with a "
-                     "relative age");
-
-  // Find the upstream store feeding that fetch.
-  const StoreDecl* matched = nullptr;
-  size_t matched_index = 0;
-  for (size_t s = 0; s < up.stores.size(); ++s) {
-    const StoreDecl& d = up.stores[s];
-    if (d.field != df.field) continue;
-    if (!d.slice.is_elementwise() || d.age.kind != AgeExpr::Kind::kRelative) {
-      continue;
-    }
-    if (d.slice.dims().size() != df.slice.dims().size()) continue;
-    bool compatible = true;
-    for (size_t i = 0; i < d.slice.dims().size() && compatible; ++i) {
-      const nd::SliceDim& a = d.slice.dims()[i];
-      const nd::SliceDim& b = df.slice.dims()[i];
-      if (a.kind != b.kind) compatible = false;
-      if (a.kind == nd::SliceDim::Kind::kConst && a.value != b.value) {
-        compatible = false;
-      }
-    }
-    if (compatible) {
-      matched = &d;
-      matched_index = s;
-      break;
-    }
-  }
-  P2G_CHECK_ARGUMENT(matched != nullptr,
-                     "fusion: no elementwise store of '" + up.name +
-                         "' matches the fetch of '" + down.name + "'");
-
+  const FusionVerdict v = fusion_verdict(
+      program_, up, down,
+      down.fetches.size() == 1 ? down.fetches[0].field : kInvalidField);
+  P2G_CHECK_ARGUMENT(v.legal, "cannot fuse '" + down.name + "' into '" +
+                                  up.name + "': " + v.blocker);
   ResolvedFusion fu;
   fu.upstream = up_id;
   fu.downstream = down_id;
-  fu.upstream_store_decl = matched_index;
-  fu.age_delta = matched->age.value - df.age.value;
-
-  // Per-dimension variable correspondence: downstream var at dim i takes
-  // the value of the upstream var at dim i.
-  fu.coord_map.assign(down.index_vars.size(), SIZE_MAX);
-  for (size_t i = 0; i < df.slice.dims().size(); ++i) {
-    if (df.slice.dims()[i].kind == nd::SliceDim::Kind::kVar) {
-      fu.coord_map[static_cast<size_t>(df.slice.dims()[i].var)] =
-          static_cast<size_t>(matched->slice.dims()[i].var);
-    }
-  }
-  for (size_t v = 0; v < fu.coord_map.size(); ++v) {
-    P2G_CHECK_ARGUMENT(fu.coord_map[v] != SIZE_MAX,
-                       "fusion: downstream index variable '" +
-                           down.index_vars[v] + "' is not covered by the fused "
-                           "fetch");
-  }
-
-  // The intermediate store can be elided when the fused downstream is the
-  // field's only consumer (paper: "storing to m_data could be circumvented
-  // in its entirety").
-  const auto& consumers = program_.consumers_of(df.field);
-  fu.elide = consumers.size() == 1 && consumers[0].kernel == down_id;
-
+  fu.upstream_store_decl = v.store;
+  fu.age_delta = v.age_delta;
+  fu.coord_map = v.coord_map;
+  fu.elide = v.elidable;
   fusions_.push_back(std::move(fu));
 }
 
@@ -362,12 +310,12 @@ int64_t Runtime::inject_store_view(FieldId field, Age age,
 }
 
 std::optional<std::string> Runtime::dump_flight() const {
-  if (!flight_ || !options_.flight_dir) return std::nullopt;
+  if (!trace_ || !options_.flight_dir) return std::nullopt;
   const std::string label =
       options_.trace_label.empty() ? "p2g" : options_.trace_label;
   const std::string path = *options_.flight_dir + "/flight_" + label +
                            ".json";
-  if (!flight_->dump_file(path, label)) return std::nullopt;
+  if (!trace_->dump_flight(path, label)) return std::nullopt;
   return path;
 }
 
@@ -489,9 +437,9 @@ void Runtime::analyzer_loop(int shard) {
     if (timed) {
       const int64_t end = now_ns();
       if (trace_) {
-        trace_->record(TraceCollector::Span{"analyze", start, end - start,
-                                            lane, 0, n,
-                                            SpanKind::kAnalyzer, 0, 0, 0});
+        trace_->record(TraceCollector::Record{
+            start, end - start, lane, 0, n, SpanKind::kAnalyzer,
+            analyze_span_name_});
       }
       if (metrics_) {
         m_analyzer_ns_->record(end - start);
@@ -512,7 +460,7 @@ void Runtime::worker_loop(int worker_index) {
   // One pair of timestamps per work item splits worker time into busy and
   // idle and also bounds the item's trace span, so worker spans add up to
   // busy time exactly; bookkeeping between items counts as idle.
-  const bool timed = metrics_ || trace_ || flight_;
+  const bool timed = metrics_ || trace_;
   int64_t wait_start = timed ? now_ns() : 0;
   std::optional<WorkItem> bonus;
   while (auto item = ready_.pop(bonus)) {
@@ -766,7 +714,7 @@ void Runtime::run_fused_downstream(const KernelContext& up_ctx,
 
 int64_t Runtime::execute(const WorkItem& item, int worker_index,
                          int64_t start_ns) {
-  const bool tracing = trace_ != nullptr || flight_ != nullptr;
+  const bool tracing = trace_ != nullptr;
   const KernelDef& def = program_.kernel(item.kernel);
   const ResolvedFusion* fusion = kcfg_[static_cast<size_t>(def.id)].fusion;
 
@@ -776,7 +724,7 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   if (tracing) {
     span_ctx.trace_id = item.cause.trace_id;
     span_ctx.span_id = next_span_id();
-    if (trace_ && item.cause.valid()) {
+    if (item.cause.valid()) {
       // Flow finish: the arrow's head, at the top of this span.
       trace_->record_flow_finish(item.cause, start_ns, worker_index);
     }
@@ -833,17 +781,10 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   // worker first.
   const int64_t end_ns = tracing || metrics_ ? now_ns() : 0;
   if (tracing) {
-    const int64_t duration = end_ns - start_ns;
-    if (trace_) {
-      trace_->record(TraceCollector::Span{
-          def.name, start_ns, duration, worker_index, item.age, bodies,
-          SpanKind::kWorker, span_ctx.trace_id, span_ctx.span_id,
-          item.cause.span_id});
-    }
-    if (flight_) {
-      flight_->record(def.name, SpanKind::kWorker, start_ns, duration,
-                      worker_index, item.cause, span_ctx.span_id, item.age);
-    }
+    trace_->record(TraceCollector::Record{
+        start_ns, end_ns - start_ns, worker_index, item.age, bodies,
+        SpanKind::kWorker, kernel_span_names_[static_cast<size_t>(def.id)],
+        span_ctx.trace_id, span_ctx.span_id, item.cause.span_id});
   }
   return end_ns;
 }

@@ -26,7 +26,6 @@
 #include "common/mpsc_queue.h"
 #include "common/rng.h"
 #include "core/events.h"
-#include "core/flight_recorder.h"
 #include "core/field.h"
 #include "core/instrumentation.h"
 #include "core/program.h"
@@ -42,9 +41,9 @@ class DependencyAnalyzer;
 class KernelContext;
 
 /// Requests fusing a downstream kernel into its upstream producer — the
-/// paper's "decrease task parallelism" (Fig. 4, Age=3). The downstream
-/// kernel must have exactly one fetch, elementwise on a field the upstream
-/// stores elementwise with a matching slice.
+/// paper's "decrease task parallelism" (Fig. 4, Age=3). Accepted when
+/// fusion_verdict (core/program.h) finds the pair legal; the Runtime
+/// constructor throws kInvalidArgument with its blocker otherwise.
 struct FusionRule {
   std::string upstream;
   std::string downstream;
@@ -83,12 +82,6 @@ struct RunOptions {
   /// (core/dependency.h). 1 (the default) is exactly the paper's single
   /// analyzer thread; any value dispatches a bit-identical instance set.
   int analyzer_shards = 1;
-  /// Consume independence certificates embedded by Program::certify(): a
-  /// store event arriving through a certified (consumer, fetch) pair skips
-  /// that fetch's fine-grained region_written tracking for every candidate
-  /// the event's region admits. No effect when the program carries no
-  /// certificates. false = ablation baseline (PR 3 batched dispatch path).
-  bool use_certificates = true;
   /// Checked mode: record writer provenance per (field, age, region) so a
   /// write-once violation reports *both* offending kernel instances and
   /// their slices instead of just the second one. Costs one small record
@@ -128,11 +121,10 @@ struct RunOptions {
   /// Process-lane label in traces and span-id salt (the execution node
   /// sets its node name); empty = "p2g".
   std::string trace_label;
-  /// Keep a bounded per-thread ring of recent events (core/flight_recorder.h)
-  /// even when full tracing is off, dumped on crash/fatal error.
-  bool flight_recorder = false;
-  /// Directory for flight-recorder dump artifacts written on fatal errors
-  /// (and by ExecutionNode::crash()); file name is flight_<label>.json.
+  /// Flight recording: each thread's newest spans are kept (the last
+  /// TraceCollector::kFlightCapacity; all of them when tracing is on) and
+  /// dumped into this directory as flight_<label>.json on the first fatal
+  /// error and by ExecutionNode::crash().
   std::optional<std::string> flight_dir;
 
   /// Telemetry (src/obs): latency histograms, counters, and a sampler
@@ -209,7 +201,7 @@ class Runtime {
   InstrumentationReport instrumentation() const;
 
   /// Number of per-candidate dependence checks the analyzer skipped via
-  /// independence certificates (0 without certify()/use_certificates).
+  /// independence certificates (0 unless the program was certified).
   int64_t certified_skips() const;
 
   /// The dependency analyzer (tests/bench: shard counters, memory stats).
@@ -227,16 +219,15 @@ class Runtime {
     return best;
   }
 
-  /// The execution trace (nullptr unless RunOptions::trace_path or
-  /// collect_trace was set).
+  /// The span recorder (nullptr unless RunOptions::trace_path,
+  /// collect_trace or flight_dir was set). Unbounded with trace_path or
+  /// collect_trace; with flight_dir alone, a flight recorder keeping each
+  /// thread's newest TraceCollector::kFlightCapacity spans.
   const TraceCollector* trace() const { return trace_.get(); }
 
   /// Mutable collector handle for embedding layers (the execution node
   /// records wire/remote-store/recovery spans into the node's timeline).
   TraceCollector* mutable_trace() { return trace_.get(); }
-
-  /// The flight recorder (nullptr unless RunOptions::flight_recorder).
-  FlightRecorder* flight() { return flight_.get(); }
 
   /// Fresh, node-unique span id (never 0). Cheap: one atomic increment
   /// plus a stateless hash salted with the node label.
@@ -246,8 +237,9 @@ class Runtime {
     return id != 0 ? id : 1;
   }
 
-  /// Writes the flight-recorder dump artifact into RunOptions::flight_dir
-  /// (no-op without recorder or dir). Returns the path when written.
+  /// Writes the flight dump (each thread's newest spans) into
+  /// RunOptions::flight_dir (no-op without it). Returns the path when
+  /// written.
   std::optional<std::string> dump_flight() const;
 
   /// The metrics registry (nullptr unless RunOptions::metrics.enabled).
@@ -389,7 +381,9 @@ class Runtime {
   Instrumentation instr_;
   TimerSet timers_;
   std::unique_ptr<TraceCollector> trace_;
-  std::unique_ptr<FlightRecorder> flight_;
+  /// Interned span names: kernel names by kernel id, and "analyze".
+  std::vector<uint32_t> kernel_span_names_;
+  uint32_t analyze_span_name_ = 0;
   std::unique_ptr<DependencyAnalyzer> analyzer_;
   std::atomic<uint64_t> span_seq_{1};
   uint64_t span_salt_ = 0;

@@ -14,12 +14,14 @@
 // lanes, and the span DAG feeds the critical-path analyzer (obs/causal.h).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,16 +58,21 @@ enum class SpanKind : uint8_t {
 
 const char* to_string(SpanKind kind);
 
-/// Thread-safe collector of trace spans, counter samples and flow events.
-/// Spans and flows go to a buffer owned by the recording thread (registered
-/// on its first record), so workers and the analyzer never contend on one
-/// lock or one growing vector; readers merge the buffers.
-/// Enabled via RunOptions::trace_path (write a file after the run) or
-/// RunOptions::collect_trace (collect only; the distributed master stitches
-/// per-node collectors into one merged file). Workers record one span per
-/// executed work item and the analyzer one span per processed event batch.
-/// With metrics enabled, sampled gauges become Perfetto counter tracks
-/// (ph:"C") rendered alongside the span lanes.
+/// The one span recorder: spans, counter samples and flow events of a run.
+///
+/// Every recording thread owns a buffer of fixed-size POD records (span
+/// names interned up front, see intern()) and publishes each record with a
+/// release store: no lock and, once a block exists, no allocation per
+/// record. Readers walk the buffers without a lock, so the SIGABRT dump
+/// can read them from signal context.
+///
+/// Capacity 0 keeps every record (RunOptions::trace_path / collect_trace:
+/// the full trace; the distributed master stitches per-node collectors
+/// into one merged file). A bounded collector is a flight recorder: each
+/// thread keeps only its newest `capacity` spans in a ring, flows and
+/// counters are dropped, and a crash or fatal error dumps the ring as a
+/// "p2g.flight" trace (RunOptions::flight_dir). With metrics enabled,
+/// sampled gauges become Perfetto counter tracks (ph:"C").
 class TraceCollector {
  public:
   struct Span {
@@ -80,6 +87,21 @@ class TraceCollector {
     uint64_t trace_id = 0;     ///< frame this span belongs to
     uint64_t span_id = 0;      ///< this span's identity
     uint64_t parent_span = 0;  ///< causal parent span (0 = root)
+  };
+
+  /// A span as it is stored: Span with its name replaced by an id from
+  /// intern(). Recording one takes no lock and allocates nothing.
+  struct Record {
+    int64_t start_ns = 0;
+    int64_t duration_ns = 0;
+    int64_t thread_id = 0;
+    Age age = 0;
+    int64_t bodies = 0;
+    SpanKind kind = SpanKind::kWorker;
+    uint32_t name = 0;
+    uint64_t trace_id = 0;
+    uint64_t span_id = 0;
+    uint64_t parent_span = 0;
   };
 
   /// One point of a counter track (a sampled gauge).
@@ -99,9 +121,25 @@ class TraceCollector {
     bool finish;  ///< false = ph:"s", true = ph:"f"
   };
 
-  TraceCollector();
+  /// Spans per thread a flight recorder keeps, and the tail a flight dump
+  /// writes from any collector.
+  static constexpr size_t kFlightCapacity = 256;
 
-  void record(Span span);
+  /// `capacity` 0 = unbounded; otherwise the per-thread ring size (rounded
+  /// up to a power of two).
+  explicit TraceCollector(size_t capacity = 0);
+  ~TraceCollector();
+
+  TraceCollector(const TraceCollector&) = delete;
+  TraceCollector& operator=(const TraceCollector&) = delete;
+
+  /// Id of `name` for Record::name; the same name always yields the same
+  /// id. Takes a lock: call it once per name, off the hot path.
+  uint32_t intern(std::string_view name);
+
+  void record(const Record& record);
+  /// Interns span.name, then records it (for cold paths).
+  void record(const Span& span);
   void record_counter(CounterSample sample);
   void record_flow(FlowEvent flow);
 
@@ -133,6 +171,23 @@ class TraceCollector {
                    const std::string& process_name, int64_t epoch_ns,
                    bool& first) const;
 
+  /// Like emit_events, but only each thread's newest kFlightCapacity
+  /// spans, as "cat":"p2g.flight" events: a crashed node's last moments.
+  void emit_flight_events(std::ostream& os, int pid,
+                          const std::string& process_name, int64_t epoch_ns,
+                          bool& first) const;
+
+  /// Writes the flight tail as a standalone trace file (best effort: logs
+  /// and returns false on I/O failure instead of throwing — dump paths run
+  /// during crash handling).
+  bool dump_flight(const std::string& path,
+                   const std::string& process_name) const;
+
+  /// Installs a process-wide SIGABRT handler that appends every live
+  /// collector's flight tail to `path` (JSON lines, via write(2) only)
+  /// before re-raising. Idempotent; the first path wins.
+  static void install_abort_dump(const std::string& path);
+
   /// Earliest event timestamp (monotonic ns); 0 when empty. The merged
   /// trace uses the minimum across collectors as the shared epoch.
   int64_t earliest_ns() const;
@@ -145,31 +200,40 @@ class TraceCollector {
   size_t flow_event_count() const;
 
  private:
-  /// Events of one recording thread. Its lock is only contended while a
-  /// reader merges the buffers.
-  struct ThreadBuffer {
-    std::mutex mutex;
-    std::vector<Span> spans;
-    std::vector<FlowEvent> flows;
-  };
+  struct ThreadBuffer;
+  struct Entry;
 
   /// The calling thread's buffer, registered on first use.
   ThreadBuffer& local_buffer();
 
-  /// Calls fn(buffer) for every thread buffer in registration order, each
-  /// under its own lock. The caller holds mutex_.
+  /// Calls fn(entry) for every stored entry, oldest first within each
+  /// thread's buffer; at most the newest `tail` entries per thread.
+  /// Lock-free and allocation-free.
   template <typename Fn>
-  void for_each_buffer(Fn&& fn) const {
-    for (const auto& buffer : buffers_) {
-      std::scoped_lock lock(buffer->mutex);
-      fn(static_cast<const ThreadBuffer&>(*buffer));
-    }
-  }
+  void visit(size_t tail, Fn&& fn) const;
+
+  /// Interned name of `id` ("" if unknown). Lock-free.
+  const char* name_of(uint32_t id) const;
+
+  void emit(std::ostream& os, int pid, const std::string& process_name,
+            int64_t epoch_ns, bool& first, bool flight) const;
+
+  /// SIGABRT handler: walks the registered collectors (no lock, no heap).
+  static void abort_handler(int signum);
+
+  static constexpr size_t kMaxNames = 4096;
 
   const uint64_t id_;  ///< process-unique, keys the per-thread cache
-  mutable std::mutex mutex_;  ///< buffer registry, counters, thread names
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  const size_t capacity_;  ///< 0 = unbounded
+  /// Thread buffers as a list readers walk without a lock; pushed to
+  /// under mutex_.
+  std::atomic<ThreadBuffer*> buffers_{nullptr};
+  /// Interned names by id, published with release stores, so ids resolve
+  /// without a lock. The strings live in name_ids_' (never moved) keys.
+  const std::unique_ptr<std::atomic<const char*>[]> names_;
+  mutable std::mutex mutex_;  ///< registration, names, counters, labels
   std::map<std::thread::id, ThreadBuffer*> buffer_of_;
+  std::map<std::string, uint32_t, std::less<>> name_ids_;
   std::vector<CounterSample> counters_;
   std::map<int64_t, std::string> thread_names_;
 };

@@ -22,6 +22,15 @@ std::vector<uint8_t> packed(const nd::AnyBuffer& data) {
                          nd::element_size(data.type())};
 }
 
+/// Interned "<prefix><peer>" span name: prebuilt for every kernel owner,
+/// interned on the spot for a peer that owned no kernel at start.
+uint32_t peer_span_name(TraceCollector& trace,
+                        const std::map<std::string, uint32_t>& names,
+                        const char* prefix, const std::string& peer) {
+  const auto it = names.find(peer);
+  return it != names.end() ? it->second : trace.intern(prefix + peer);
+}
+
 }  // namespace
 
 ExecutionNode::ExecutionNode(
@@ -79,14 +88,21 @@ ExecutionNode::ExecutionNode(
                                                      ft_.channel);
     channel_->set_trace(runtime_->mutable_trace());
   }
+  // Net-lane span names, interned once per peer and field.
+  if (TraceCollector* trace = runtime_->mutable_trace()) {
+    for (const auto& [kernel, peer] : kernel_owner) {
+      wire_span_names_.emplace(peer, trace->intern("wire->" + peer));
+      reassign_span_names_.emplace(peer, trace->intern("reassign:" + peer));
+    }
+    for (const FieldDecl& f : runtime_->program().fields()) {
+      recv_span_names_.push_back(trace->intern("recv:" + f.name));
+    }
+  }
 }
 
 TraceContext ExecutionNode::begin_wire_span(const StoreEvent& event,
                                             int64_t* t0) {
-  if (!event.ctx.valid() ||
-      (runtime_->trace() == nullptr && runtime_->flight() == nullptr)) {
-    return {};
-  }
+  if (!event.ctx.valid() || runtime_->trace() == nullptr) return {};
   *t0 = now_ns();
   return TraceContext{event.ctx.trace_id, runtime_->next_span_id()};
 }
@@ -96,28 +112,15 @@ void ExecutionNode::end_wire_span(const StoreEvent& event,
                                   const std::string& target, int64_t t0) {
   if (!wire.valid()) return;
   const int64_t t1 = now_ns();
-  if (TraceCollector* trace = runtime_->mutable_trace()) {
-    // The producer's flow arrow lands on the wire span, and a new arrow
-    // leaves it toward the receiving node's remote-store span.
-    trace->record_flow_finish(event.ctx, t0, kNetLane);
-    TraceCollector::Span span;
-    span.name = "wire->" + target;
-    span.start_ns = t0;
-    span.duration_ns = t1 - t0;
-    span.thread_id = kNetLane;
-    span.age = event.age;
-    span.bodies = 1;
-    span.kind = SpanKind::kWire;
-    span.trace_id = wire.trace_id;
-    span.span_id = wire.span_id;
-    span.parent_span = event.ctx.span_id;
-    trace->record(std::move(span));
-    trace->record_flow_start(wire, t1, kNetLane);
-  }
-  if (FlightRecorder* flight = runtime_->flight()) {
-    flight->record("wire", SpanKind::kWire, t0, t1 - t0, kNetLane,
-                   event.ctx, wire.span_id, event.age);
-  }
+  TraceCollector& trace = *runtime_->mutable_trace();
+  // The producer's flow arrow lands on the wire span, and a new arrow
+  // leaves it toward the receiving node's remote-store span.
+  trace.record_flow_finish(event.ctx, t0, kNetLane);
+  trace.record(TraceCollector::Record{
+      t0, t1 - t0, kNetLane, event.age, 1, SpanKind::kWire,
+      peer_span_name(trace, wire_span_names_, "wire->", target),
+      wire.trace_id, wire.span_id, event.ctx.span_id});
+  trace.record_flow_start(wire, t1, kNetLane);
 }
 
 void ExecutionNode::announce(const std::string& master_endpoint) {
@@ -205,8 +208,7 @@ void ExecutionNode::apply_remote_store(const Message& message) {
   // becomes a remote-store span parented on that wire span, and whatever
   // work the injected event triggers is parented on the apply.
   const bool traced =
-      message.trace.valid() &&
-      (runtime_->trace() != nullptr || runtime_->flight() != nullptr);
+      message.trace.valid() && runtime_->trace() != nullptr;
   const int64_t t0 = traced ? now_ns() : 0;
   const RemoteStore remote = RemoteStore::decode(message.payload);
   const Program& prog = runtime_->program();
@@ -234,28 +236,15 @@ void ExecutionNode::apply_remote_store(const Message& message) {
   stores_received_.fetch_add(1);
   if (!traced) return;
   const int64_t t1 = now_ns();
-  if (TraceCollector* trace = runtime_->mutable_trace()) {
-    trace->record_flow_finish(message.trace, t0, kNetLane);
-    TraceCollector::Span span;
-    span.name = "recv:" + prog.field(remote.field).name;
-    span.start_ns = t0;
-    span.duration_ns = t1 - t0;
-    span.thread_id = kNetLane;
-    span.age = remote.age;
-    span.bodies = 1;
-    span.kind = SpanKind::kRemoteStore;
-    span.trace_id = recv.trace_id;
-    span.span_id = recv.span_id;
-    span.parent_span = message.trace.span_id;
-    trace->record(std::move(span));
-    // Duplicate fill applies push no event, so nothing downstream will
-    // ever pick this flow up — skip the dangling arrow.
-    if (fresh > 0) trace->record_flow_start(recv, t1, kNetLane);
-  }
-  if (FlightRecorder* flight = runtime_->flight()) {
-    flight->record("recv", SpanKind::kRemoteStore, t0, t1 - t0, kNetLane,
-                   message.trace, recv.span_id, remote.age);
-  }
+  TraceCollector& trace = *runtime_->mutable_trace();
+  trace.record_flow_finish(message.trace, t0, kNetLane);
+  trace.record(TraceCollector::Record{
+      t0, t1 - t0, kNetLane, remote.age, 1, SpanKind::kRemoteStore,
+      recv_span_names_[static_cast<size_t>(remote.field)], recv.trace_id,
+      recv.span_id, message.trace.span_id});
+  // Duplicate fill applies push no event, so nothing downstream will
+  // ever pick this flow up — skip the dangling arrow.
+  if (fresh > 0) trace.record_flow_start(recv, t1, kNetLane);
 }
 
 void ExecutionNode::set_store_forwarder(StoreForwarder* forwarder) {
@@ -298,8 +287,7 @@ void ExecutionNode::apply_reassign(const ReassignMsg& reassign) {
   // Recovery span: the window in which this node rebuilds forwarding
   // state and replays its store log. Gap time overlapping it on this
   // node is attributed to the "recovery" critical-path bucket.
-  const bool traced =
-      runtime_->trace() != nullptr || runtime_->flight() != nullptr;
+  const bool traced = runtime_->trace() != nullptr;
   const int64_t t0 = traced ? now_ns() : 0;
   std::vector<std::string> newly_owned;
   {
@@ -345,23 +333,17 @@ void ExecutionNode::apply_reassign(const ReassignMsg& reassign) {
   }
   if (!traced) return;
   const int64_t t1 = now_ns();
-  const uint64_t span_id = runtime_->next_span_id();
-  if (TraceCollector* trace = runtime_->mutable_trace()) {
-    TraceCollector::Span span;
-    span.name = "reassign:" + reassign.dead;
-    span.start_ns = t0;
-    span.duration_ns = t1 - t0;
-    span.thread_id = kNetLane;
-    span.age = 0;
-    span.bodies = static_cast<int64_t>(reassign.kernels.size());
-    span.kind = SpanKind::kRecovery;
-    span.span_id = span_id;
-    trace->record(std::move(span));
-  }
-  if (FlightRecorder* flight = runtime_->flight()) {
-    flight->record("reassign", SpanKind::kRecovery, t0, t1 - t0, kNetLane,
-                   TraceContext{}, span_id);
-  }
+  TraceCollector& trace = *runtime_->mutable_trace();
+  TraceCollector::Record span;
+  span.start_ns = t0;
+  span.duration_ns = t1 - t0;
+  span.thread_id = kNetLane;
+  span.bodies = static_cast<int64_t>(reassign.kernels.size());
+  span.kind = SpanKind::kRecovery;
+  span.name =
+      peer_span_name(trace, reassign_span_names_, "reassign:", reassign.dead);
+  span.span_id = runtime_->next_span_id();
+  trace.record(span);
 }
 
 void ExecutionNode::start() {
@@ -544,7 +526,7 @@ void ExecutionNode::crash() {
   // fires (the periodic ship_metrics may not have run yet). A send to the
   // master, not a join: safe on the crashing node's own send path.
   ship_metrics();
-  // Postmortem: the flight recorder's rings hold the node's last spans;
+  // Postmortem: the span recorder holds the node's last spans per thread;
   // the dump is the artifact the master stitches into the merged trace.
   // Best-effort file I/O, no thread joins.
   flight_dump_path_ = runtime_->dump_flight();

@@ -133,8 +133,8 @@ class ExecutionNode {
                          KernelId producer, uint32_t store_decl, bool whole,
                          const nd::ConstView& view, bool* adopted);
 
-  /// The flight-recorder dump artifact written by crash() (set only when
-  /// the node crashed with a flight recorder and flight_dir configured).
+  /// The flight dump written by crash() (set only when the node crashed
+  /// with flight_dir configured).
   const std::optional<std::string>& flight_dump() const {
     return flight_dump_path_;
   }
@@ -180,6 +180,12 @@ class ExecutionNode {
   std::map<std::string, std::string> kernel_owner_;
   /// Every forwarded payload, for replay to targets added by failover.
   std::vector<std::pair<FieldId, std::vector<uint8_t>>> store_log_;
+
+  /// Interned net-lane span names (empty unless the runtime records
+  /// spans): per peer node and per field id.
+  std::map<std::string, uint32_t> wire_span_names_;
+  std::map<std::string, uint32_t> reassign_span_names_;
+  std::vector<uint32_t> recv_span_names_;
 
   /// (field, age) checkpoints already shipped (heartbeat thread only).
   std::set<std::pair<FieldId, Age>> checkpointed_;

@@ -185,10 +185,7 @@ DistributedRunReport Master::run(Launcher& launcher) {
   const bool tracing =
       options_.trace_path.has_value() || base.collect_trace;
   if (tracing) base.collect_trace = true;
-  if (options_.flight_dir) {
-    base.flight_recorder = true;
-    base.flight_dir = options_.flight_dir;
-  }
+  if (options_.flight_dir) base.flight_dir = options_.flight_dir;
   if (supervised) plan.ft.heartbeat_period_ms = options_.ft.heartbeat_period_ms;
   if (ft_on) {
     plan.ft.enabled = true;
@@ -522,7 +519,7 @@ DistributedRunReport Master::run(Launcher& launcher) {
   // Causal tracing: harvest every lane's spans into one node-qualified
   // DAG, compute per-frame critical paths, and stitch the merged trace
   // file (one pid lane per node, the master control lane, and crashed
-  // nodes' flight-recorder lanes rendering their final moments).
+  // nodes' flight lanes rendering their final moments).
   for (ExecutionNode* node : nodes) {
     if (node->flight_dump()) {
       result.flight_dumps.push_back(*node->flight_dump());
@@ -574,11 +571,9 @@ DistributedRunReport Master::run(Launcher& launcher) {
                              nodes[i]->name(), epoch, first);
         }
       }
-      for (size_t i = 0; i < nodes.size(); ++i) {
+      for (size_t i = 0; i < nodes.size() && options_.flight_dir; ++i) {
         if (!nodes[i]->crashed()) continue;
-        const FlightRecorder* flight = nodes[i]->runtime().flight();
-        if (flight == nullptr) continue;
-        flight->emit_events(
+        nodes[i]->runtime().trace()->emit_flight_events(
             os, static_cast<int>(nodes.size() + 1 + i),
             nodes[i]->name() + ".flight", epoch, first);
       }

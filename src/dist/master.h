@@ -91,11 +91,11 @@ struct MasterOptions {
 
   /// Write one merged Chrome trace of the whole cluster here: a process
   /// lane per node plus the master control lane (recovery spans) and, for
-  /// crashed nodes, their flight-recorder lanes; cross-node dependency
+  /// crashed nodes, their flight lanes; cross-node dependency
   /// arrows as flow events. Implies collect_trace on every node.
   std::optional<std::string> trace_path;
-  /// Enable per-node flight recorders; crashed nodes dump their rings as
-  /// flight_<node>.json artifacts into this directory.
+  /// Enable per-node flight recording; crashed nodes dump each thread's
+  /// newest spans as flight_<node>.json artifacts into this directory.
   std::optional<std::string> flight_dir;
 };
 

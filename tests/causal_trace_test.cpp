@@ -1,15 +1,18 @@
 // Distributed causal tracing (ISSUE 6): critical-path analysis over
-// hand-built span DAGs, the flight recorder, the trace-JSON reader, and
+// hand-built span DAGs, flight recording (bounded collectors), the
+// trace-JSON reader, and
 // an end-to-end distributed run producing a merged trace with cross-node
 // flow arrows and non-empty critical paths.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
-#include "core/flight_recorder.h"
 #include "core/trace.h"
 #include "dist/master.h"
 #include "obs/causal.h"
@@ -180,68 +183,100 @@ TEST(CriticalPath, EmptyInputYieldsEmptyReport) {
 
 // ------------------------------------------------------- flight recorder
 
-TEST(FlightRecorder, RecordsEntriesWithTruncatedNames) {
-  FlightRecorder recorder;
-  recorder.record("short", SpanKind::kWorker, 100, 10, 0,
-                  TraceContext{7, 8}, 9, 3);
-  recorder.record("a-rather-long-span-name-that-will-truncate",
-                  SpanKind::kWire, 200, 20, 0, TraceContext{}, 10);
-  const std::vector<FlightRecorder::Entry> entries = recorder.snapshot();
+/// A flight recorder: a collector keeping each thread's newest spans.
+TraceCollector::Record flight_record(uint32_t name, SpanKind kind,
+                                     int64_t t_ns, int64_t thread_id,
+                                     uint64_t span_id) {
+  TraceCollector::Record r;
+  r.start_ns = t_ns;
+  r.duration_ns = 1;
+  r.thread_id = thread_id;
+  r.kind = kind;
+  r.name = name;
+  r.span_id = span_id;
+  return r;
+}
+
+TEST(FlightTrace, RecordsEntriesWithExactNames) {
+  TraceCollector recorder(TraceCollector::kFlightCapacity);
+  const std::string long_name = "a-rather-long-span-name-kept-whole-now";
+  TraceCollector::Record first =
+      flight_record(recorder.intern("short"), SpanKind::kWorker, 100, 0, 9);
+  first.duration_ns = 10;
+  first.trace_id = 7;
+  first.parent_span = 8;
+  first.age = 3;
+  recorder.record(first);
+  recorder.record(flight_record(recorder.intern(long_name), SpanKind::kWire,
+                                200, 0, 10));
+  const std::vector<TraceCollector::Span> entries = recorder.spans_snapshot();
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_STREQ(entries[0].name, "short");
-  EXPECT_EQ(entries[0].t_ns, 100);
+  EXPECT_EQ(entries[0].name, "short");
+  EXPECT_EQ(entries[0].start_ns, 100);
   EXPECT_EQ(entries[0].trace_id, 7u);
-  EXPECT_EQ(entries[0].parent_span, 8u);  // ctx.span_id = causal parent
+  EXPECT_EQ(entries[0].parent_span, 8u);
   EXPECT_EQ(entries[0].span_id, 9u);
   EXPECT_EQ(entries[0].age, 3);
   EXPECT_EQ(entries[0].kind, SpanKind::kWorker);
-  // Truncated into the inline buffer, still NUL-terminated.
-  EXPECT_EQ(std::string(entries[1].name),
-            std::string("a-rather-long-span-name-that-will-truncate")
-                .substr(0, sizeof(entries[1].name) - 1));
+  EXPECT_EQ(entries[1].name, long_name);
 }
 
-TEST(FlightRecorder, RingWrapsKeepingTheMostRecentEntries) {
-  FlightRecorder recorder;
-  const int total = static_cast<int>(FlightRecorder::kRingSize) + 32;
+TEST(FlightTrace, RingWrapsKeepingTheMostRecentEntries) {
+  TraceCollector recorder(TraceCollector::kFlightCapacity);
+  const uint32_t name = recorder.intern("e");
+  const int total = static_cast<int>(TraceCollector::kFlightCapacity) + 32;
   for (int i = 0; i < total; ++i) {
-    recorder.record("e", SpanKind::kWorker, i, 1, 0, TraceContext{}, 1);
+    recorder.record(flight_record(name, SpanKind::kWorker, i, 0, 1));
   }
-  EXPECT_EQ(recorder.recorded(), static_cast<uint64_t>(total));
-  const std::vector<FlightRecorder::Entry> entries = recorder.snapshot();
-  ASSERT_EQ(entries.size(), FlightRecorder::kRingSize);
-  // Oldest surviving entry is #32; order is oldest -> newest.
-  EXPECT_EQ(entries.front().t_ns, 32);
-  EXPECT_EQ(entries.back().t_ns, total - 1);
+  const std::vector<TraceCollector::Span> entries = recorder.spans_snapshot();
+  ASSERT_EQ(entries.size(), TraceCollector::kFlightCapacity);
+  // The newest 256 survive, oldest -> newest: #32 .. #total-1.
+  for (size_t k = 0; k < entries.size(); ++k) {
+    EXPECT_EQ(entries[k].start_ns, static_cast<int64_t>(k) + 32);
+  }
 }
 
-TEST(FlightRecorder, ThreadsRecordIntoIndependentRings) {
-  FlightRecorder recorder;
+TEST(FlightTrace, ThreadsRecordIntoIndependentRings) {
+  TraceCollector recorder(TraceCollector::kFlightCapacity);
+  const uint32_t name = recorder.intern("t");
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 16;
+  // Each thread wraps its own ring; no thread evicts another's spans.
+  constexpr int kPerThread =
+      static_cast<int>(TraceCollector::kFlightCapacity) + 16;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
+    threads.emplace_back([&recorder, name, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        recorder.record("t", SpanKind::kWorker, t * 1000 + i, 1, t,
-                        TraceContext{}, 1);
+        recorder.record(
+            flight_record(name, SpanKind::kWorker, t * 1000 + i, t, 1));
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(recorder.recorded(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-  EXPECT_EQ(recorder.snapshot().size(),
-            static_cast<size_t>(kThreads * kPerThread));
+  std::map<int64_t, std::vector<int64_t>> by_thread;
+  for (const TraceCollector::Span& span : recorder.spans_snapshot()) {
+    by_thread[span.thread_id].push_back(span.start_ns);
+  }
+  ASSERT_EQ(by_thread.size(), static_cast<size_t>(kThreads));
+  for (const auto& [t, starts] : by_thread) {
+    ASSERT_EQ(starts.size(), TraceCollector::kFlightCapacity);
+    EXPECT_EQ(starts.front(), t * 1000 + 16);
+    EXPECT_EQ(starts.back(), t * 1000 + kPerThread - 1);
+  }
 }
 
-TEST(FlightRecorder, DumpFileIsParseableFlightTrace) {
-  FlightRecorder recorder;
-  recorder.record("postmortem", SpanKind::kWorker, 1000, 50, 0,
-                  TraceContext{3, 4}, 5, 1);
+TEST(FlightTrace, DumpFileIsParseableFlightTrace) {
+  TraceCollector recorder(TraceCollector::kFlightCapacity);
+  TraceCollector::Record r = flight_record(recorder.intern("postmortem"),
+                                           SpanKind::kWorker, 1000, 0, 5);
+  r.duration_ns = 50;
+  r.trace_id = 3;
+  r.parent_span = 4;
+  r.age = 1;
+  recorder.record(r);
   const std::string path =
       std::string(::testing::TempDir()) + "p2g_flight_dump.json";
-  ASSERT_TRUE(recorder.dump_file(path, "crashed-node"));
+  ASSERT_TRUE(recorder.dump_flight(path, "crashed-node"));
   const obs::TraceDocument doc = obs::read_trace_file(path);
   EXPECT_EQ(doc.malformed_lines, 0u);
   EXPECT_EQ(doc.flight_spans, 1u);
@@ -252,6 +287,72 @@ TEST(FlightRecorder, DumpFileIsParseableFlightTrace) {
   EXPECT_EQ(doc.spans[0].span_id, 5u);
   EXPECT_EQ(doc.spans[0].parent_span, 4u);
   std::remove(path.c_str());
+}
+
+// Readers take no lock: snapshots racing writers (wrapping their rings,
+// or growing unbounded buffers) must still see each thread's spans in
+// order and never a torn or overwritten one (span i carries start_ns i
+// and span_id i + 1).
+TEST(FlightTrace, SnapshotsRacingWritersSeeOrderedUntornSpans) {
+  for (const size_t capacity : {size_t{0}, TraceCollector::kFlightCapacity}) {
+    TraceCollector recorder(capacity);
+    const uint32_t name = recorder.intern("w");
+    constexpr int kWriters = 2;
+    constexpr int64_t kSpans = 20000;
+    std::atomic<int> done{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&recorder, &done, name, t] {
+        for (int64_t i = 0; i < kSpans; ++i) {
+          recorder.record(flight_record(name, SpanKind::kWorker, i, t,
+                                        static_cast<uint64_t>(i) + 1));
+        }
+        done.fetch_add(1);
+      });
+    }
+    size_t snapshots = 0;
+    while (done.load() < kWriters || snapshots == 0) {
+      std::map<int64_t, int64_t> last;
+      std::map<int64_t, size_t> count;
+      for (const TraceCollector::Span& span : recorder.spans_snapshot()) {
+        ASSERT_EQ(span.span_id, static_cast<uint64_t>(span.start_ns) + 1);
+        const auto it = last.find(span.thread_id);
+        if (it != last.end()) {
+          ASSERT_GT(span.start_ns, it->second);
+        }
+        last[span.thread_id] = span.start_ns;
+        ++count[span.thread_id];
+      }
+      for (const auto& [t, n] : count) {
+        ASSERT_LE(n, capacity != 0 ? capacity : size_t{kSpans});
+      }
+      ++snapshots;
+    }
+    for (std::thread& w : writers) w.join();
+    EXPECT_EQ(recorder.span_count(),
+              capacity != 0 ? kWriters * capacity : kWriters * kSpans);
+  }
+}
+
+// A collector built where a destroyed one lived must not inherit its
+// buffers: the per-thread buffer cache is keyed by a never-reused id, not
+// by address.
+TEST(FlightTrace, CollectorRebuiltAtTheSameAddressSeesOnlyItsOwnRecords) {
+  for (const size_t capacity : {size_t{0}, TraceCollector::kFlightCapacity}) {
+    std::optional<TraceCollector> slot;
+    slot.emplace(capacity);
+    const TraceCollector* address = &*slot;
+    slot->record(TraceCollector::Span{"first", 1, 1, 0, 0, 1});
+    slot->record(TraceCollector::Span{"first", 2, 1, 0, 0, 1});
+    slot.emplace(capacity);
+    ASSERT_EQ(&*slot, address);
+    EXPECT_EQ(slot->span_count(), 0u);
+    slot->record(TraceCollector::Span{"second", 3, 1, 0, 0, 1});
+    const std::vector<TraceCollector::Span> spans = slot->spans_snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].name, "second");
+    EXPECT_EQ(spans[0].start_ns, 3);
+  }
 }
 
 // ----------------------------------------------------------- trace reader

@@ -18,7 +18,7 @@
 #include "check/session.h"
 #include "check/sync.h"
 #include "check/vector_clock.h"
-#include "core/flight_recorder.h"
+#include "core/trace.h"
 
 namespace p2g::check {
 namespace {
@@ -435,10 +435,16 @@ TEST(FlightRecorderAbortDump, DumpsRingsFromSignalContext) {
   const std::string path =
       ::testing::TempDir() + "/p2g_check_abort_dump.jsonl";
   std::remove(path.c_str());
-  FlightRecorder recorder;
-  recorder.record("fatal-step", SpanKind::kOther, 1234, 56, 3,
-                  TraceContext{}, 0xabcdef);
-  FlightRecorder::install_abort_dump(path);
+  TraceCollector recorder(TraceCollector::kFlightCapacity);
+  TraceCollector::Record r;
+  r.start_ns = 1234;
+  r.duration_ns = 56;
+  r.thread_id = 3;
+  r.kind = SpanKind::kOther;
+  r.name = recorder.intern("fatal-step");
+  r.span_id = 0xabcdef;
+  recorder.record(r);
+  TraceCollector::install_abort_dump(path);
   // The death-test child inherits the handler, the registry, and the open
   // fd; abort() runs the handler in true signal context before dying.
   EXPECT_DEATH(std::abort(), "");

@@ -3,9 +3,13 @@
 // interval normalization, the conservative may_overlap / contains
 // predicates over symbolic extents, access-pattern classification,
 // dependence edges, the W008/W009 lint checks, independence-certificate
-// derivation, and the certified fast path in the runtime.
+// derivation, the certified fast path in the runtime, and the one fusion
+// legality check the runtime and W010 share.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +18,13 @@
 #include "analysis/lang_lint.h"
 #include "core/program.h"
 #include "core/runtime.h"
+#include "lang/driver.h"
+#include "media/yuv.h"
+#include "workloads/kmeans.h"
+#include "workloads/mjpeg_workload.h"
+#include "workloads/motion.h"
 #include "workloads/mul2plus5.h"
+#include "workloads/pipeline.h"
 
 namespace p2g::analysis {
 namespace {
@@ -363,18 +373,73 @@ TEST(Certificates, CertifiedRunMatchesUncertifiedRun) {
   EXPECT_GT(rt_on.certified_skips(), 0);
 
   workloads::Mul2Plus5 plain;
-  Program without = plain.build();
-  EXPECT_GT(without.certify(), 0u);  // embedded but disabled below
+  Program without = plain.build();  // never certified
+  EXPECT_TRUE(without.certificates().empty());
   RunOptions off;
   off.max_age = 4;
   off.workers = 2;
-  off.use_certificates = false;
   Runtime rt_off(std::move(without), off);
   EXPECT_FALSE(rt_off.run().timed_out);
   EXPECT_EQ(rt_off.certified_skips(), 0);
 
   // The fast path must not change a single produced value.
   EXPECT_EQ(*certified.printed, *plain.printed);
+}
+
+// ------------------------------------------------ fusion legality, once
+
+// Every kernel pair W010 reports on, turned into a Runtime fusion rule:
+// the runtime accepts exactly the pairs W010 calls legal.
+TEST(FusionLegality, RuntimeAcceptsExactlyThePairsW010CallsLegal) {
+  const auto video = std::make_shared<media::YuvVideo>(
+      media::generate_synthetic_video(32, 32, 2));
+  std::vector<std::pair<std::string, std::function<Program()>>> programs = {
+      {"mul2plus5", [] { return workloads::Mul2Plus5{}.build(); }},
+      {"kmeans", [] { return workloads::KmeansWorkload{}.build(); }},
+      {"pipeline", [] { return workloads::PipelineWorkload{}.build(); }},
+      {"mjpeg",
+       [video] {
+         workloads::MjpegWorkload w;
+         w.video = video;
+         return w.build();
+       }},
+      {"motion",
+       [video] {
+         workloads::MotionWorkload w;
+         w.video = video;
+         return w.build();
+       }},
+  };
+  for (const char* dir : {"/examples/programs", "/examples/lint"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::string(P2G_SOURCE_DIR) + dir)) {
+      const std::string path = entry.path().string();
+      if (entry.path().extension() != ".p2g") continue;
+      programs.emplace_back(
+          path, [path] { return lang::compile_file(path).program; });
+    }
+  }
+  size_t legal = 0;
+  size_t illegal = 0;
+  for (const auto& [label, build] : programs) {
+    const DependenceReport report = analyze_dependences(build());
+    for (const Diagnostic& d : report.diagnostics.diagnostics) {
+      if (d.code != std::string(kFusionLegality)) continue;
+      RunOptions options;
+      options.fusions.push_back(FusionRule{d.secondary.name, d.primary.name});
+      if (d.message.find(" is legal ") != std::string::npos) {
+        ++legal;
+        EXPECT_NO_THROW({ Runtime runtime(build(), options); })
+            << label << ": " << d.message;
+      } else {
+        ++illegal;
+        EXPECT_THROW({ Runtime runtime(build(), options); }, Error)
+            << label << ": " << d.message;
+      }
+    }
+  }
+  EXPECT_GT(legal, 0u);
+  EXPECT_GT(illegal, 0u);
 }
 
 }  // namespace
