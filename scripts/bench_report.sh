@@ -6,7 +6,8 @@
 # Baseline and new numbers land in the SAME file. The fetch baseline is
 # the pre-PR code path, reconstructed via an ablation compiled into the
 # current binaries (deep-copy fetch_whole/fetch vs zero-copy views); the
-# dispatch rows record the batched analyzer path alone.
+# dispatch rows record wall time per instance through the whole runtime
+# (BM_DispatchPerInstance runs with UseRealTime).
 #
 # Usage:
 #   scripts/bench_report.sh            # writes BENCH_4.json from build/
@@ -251,85 +252,6 @@ PY
   exit 0
 fi
 
-# ISSUE=9: sharded dependency analyzer. Baseline is analyzer_shards=1 (the
-# pre-PR single analyzer thread, bit-identical dispatch). The metric is the
-# maximum per-shard analyzer-thread CPU — the sharded analyzer's critical
-# path, which becomes wall time once each shard has its own core; on the
-# single-vCPU runners wall time and process CPU cannot show the split.
-if [ "$issue" = 9 ]; then
-  cmake --build "$build_dir" -j"$(nproc)" --target bench_dispatch_overhead
-
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-
-  # Random interleaving: on small VMs sequential A/B runs inherit
-  # allocator/thermal state from whoever ran first; interleaved repetition
-  # order removes that bias from the medians.
-  "$build_dir/bench/bench_dispatch_overhead" \
-    --benchmark_out="$tmp/dispatch.json" --benchmark_out_format=json \
-    --benchmark_min_time="${P2G_BENCH_MIN_TIME:-0.2}" \
-    --benchmark_repetitions="${P2G_BENCH_REPS:-5}" \
-    --benchmark_enable_random_interleaving=true \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_filter='BM_DispatchShardedPerInstance/'
-
-  python3 - "$tmp/dispatch.json" "$out" <<'PY'
-import json, sys
-
-dispatch_path, out_path = sys.argv[1:3]
-doc = json.load(open(dispatch_path))
-by_name = {b["name"]: b for b in doc["benchmarks"]}
-
-
-def median(name):
-    return by_name[f"{name}_median"]
-
-
-sharded = {}
-for width in (4, 8):
-    row = {}
-    base = None
-    for shards in (1, 2, 4):
-        m = median(f"BM_DispatchShardedPerInstance/{width}/{shards}"
-                   "/manual_time")
-        ns = m["cpu_per_instance"] * 1e9
-        if shards == 1:
-            base = ns
-        row[str(shards)] = {
-            "max_shard_cpu_per_instance": ns,
-            "speedup_vs_1_shard": round(base / ns, 3) if ns else None,
-            "region_checks_skipped_per_instance": round(
-                m["skips_per_instance"], 3
-            ),
-        }
-    row["unit"] = "max-analyzer-shard-cpu-ns/instance"
-    sharded[f"width_{width}"] = row
-
-report = {
-    "issue": 9,
-    "generated_by": "scripts/bench_report.sh",
-    "context": doc.get("context", {}),
-    "baseline_definition": {
-        "dispatch": "analyzer_shards=1 — the pre-PR single analyzer "
-                    "thread (same binary; shards=1 takes the identical "
-                    "code path and dispatches a bit-identical instance "
-                    "set, see analyzer_shards_test)",
-    },
-    "acceptance": "max_shard_cpu_per_instance improves monotonically "
-                  "1 -> 2 -> 4 shards at each width (the critical-path "
-                  "CPU a multi-core host turns into wall time); "
-                  "skips_per_instance ~1.0 at every shard count proves "
-                  "the certified fast path survives sharding",
-    "sharded_dispatch_per_instance_ns": sharded,
-}
-with open(out_path, "w") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-print(f"wrote {out_path}")
-PY
-  exit 0
-fi
-
 cmake --build "$build_dir" -j"$(nproc)" \
   --target bench_field_ops bench_dispatch_overhead
 
@@ -381,7 +303,9 @@ fetch_row = pair(
 
 dispatch_per_instance = {
     str(width): round(
-        d[f"BM_DispatchPerInstance/{width}"]["sec_per_instance"] * 1e9, 2
+        d[f"BM_DispatchPerInstance/{width}/real_time"]["sec_per_instance"]
+        * 1e9,
+        2,
     )
     for width in (16, 256, 1024)
 }
@@ -398,7 +322,7 @@ report = {
     "strided_column_view_ns": round(
         f["BM_FetchColumnStridedView"]["real_time"], 2
     ),
-    "dispatch_per_instance_ns": dispatch_per_instance,
+    "dispatch_wall_ns_per_instance": dispatch_per_instance,
 }
 with open(out_path, "w") as fh:
     json.dump(report, fh, indent=2)

@@ -72,8 +72,8 @@ void suite_ready_queue(CheckSession& session) {
 }
 
 void suite_mpsc_queue(CheckSession& session) {
-  // The analyzer shards' event queue: lock-free multi-producer push racing
-  // a parked pop_all consumer and shutdown. Verifies the Vyukov publish
+  // The workers-to-analyzer event queue: lock-free multi-producer push
+  // racing a parked pop_all consumer and shutdown. Verifies the Vyukov publish
   // protocol (release before exchange, acquire before reading payloads)
   // and the seq_cst sleeping_ Dekker against lost wakeups.
   auto queue = std::make_shared<MpscQueue<int>>();
@@ -88,37 +88,6 @@ void suite_mpsc_queue(CheckSession& session) {
     }
   });
   session.spawn("closer", [queue] { queue->close(); });
-}
-
-void suite_shard_cross_handoff(CheckSession& session) {
-  // The N=2 analyzer-shard topology: each shard consumes its own queue and
-  // produces into the peer's. Shard 0 announces a seal (ScanConsumersEvent
-  // analogue); shard 1 reacts with a request back to shard 0
-  // (SealCheckEvent analogue) — the exact message pattern the sharded
-  // dependency analyzer uses instead of shared locks.
-  struct Shared {
-    MpscQueue<int> q0;
-    MpscQueue<int> q1;
-  };
-  auto shared = std::make_shared<Shared>();
-  session.spawn("shard-0", [shared] {
-    shared->q1.push(7);  // cross-shard notify
-    std::deque<int> batch;
-    while (shared->q0.pop_all(batch)) {
-    }
-  });
-  session.spawn("shard-1", [shared] {
-    std::deque<int> batch;
-    if (shared->q1.pop_all(batch)) {
-      shared->q0.push(batch.front() + 1);  // cross-shard reply
-    }
-    while (shared->q1.pop_all(batch)) {
-    }
-  });
-  session.spawn("closer", [shared] {
-    shared->q0.close();
-    shared->q1.close();
-  });
 }
 
 void suite_field_seal_publish(CheckSession& session) {
@@ -310,11 +279,11 @@ void suite_known_race(CheckSession& session) {
 }
 
 void suite_broken_mpsc(CheckSession& session) {
-  // Bug under test: a deliberately broken cross-shard handoff that
-  // publishes the out-of-band payload *after* the queue push, so the
-  // consumer can read it before (or concurrently with) the write — the
-  // mistake the real protocol avoids by completing every payload write
-  // before the publishing exchange.
+  // Bug under test: a deliberately broken handoff through the workers-to-
+  // analyzer event queue that publishes the out-of-band payload *after*
+  // the queue push, so the consumer can read it before (or concurrently
+  // with) the write — the mistake the real protocol avoids by completing
+  // every payload write before the publishing exchange.
   struct Shared {
     MpscQueue<int> queue;
     int64_t payload = 0;
@@ -444,10 +413,6 @@ void register_builtin_suites() {
     add("mpsc.pop_all_shutdown",
         "MpscQueue lock-free multi-producer push / parked pop_all / close",
         suite_mpsc_queue);
-    add("shard.cross_handoff",
-        "analyzer-shard cross-shard seal/scan message ping over two "
-        "MpscQueues",
-        suite_shard_cross_handoff);
     add("field.seal_publish",
         "FieldStorage store-after-seal (lock-free claim/copy/commit vs "
         "region_written/is_complete readers) and store-then-seal "

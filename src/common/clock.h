@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <ctime>
 
 namespace p2g {
 
@@ -15,17 +14,6 @@ inline int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              SteadyClock::now().time_since_epoch())
       .count();
-}
-
-/// CPU time consumed by the calling thread, in nanoseconds. Unlike wall
-/// time this is stable on oversubscribed machines: it sums exactly the
-/// work the thread did, regardless of how the scheduler sliced it. Used to
-/// attribute per-shard analyzer cost (bench_dispatch_overhead).
-inline int64_t thread_cpu_ns() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 +
-         static_cast<int64_t>(ts.tv_nsec);
 }
 
 inline double ns_to_us(int64_t ns) { return static_cast<double>(ns) / 1e3; }

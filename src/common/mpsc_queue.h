@@ -1,4 +1,5 @@
-// Lock-free multi-producer single-consumer event queue (analyzer shards).
+// Lock-free multi-producer single-consumer queue: the workers-to-analyzer
+// event queue.
 //
 // Vyukov-style intrusive MPSC list with a stub node: producers publish with
 // one atomic exchange plus one release store (wait-free, no lock), the
@@ -79,7 +80,7 @@ class MpscQueue {
   }
 
   /// Blocks until at least one item is available, then drains everything
-  /// pending into `out` (cleared first) — the shard analyzer's batched
+  /// pending into `out` (cleared first) — the analyzer's batched
   /// consume. Single consumer only. Returns false only after close() with
   /// an empty queue.
   bool pop_all(std::deque<T>& out) {

@@ -78,50 +78,9 @@ std::vector<Age> DependencyAnalyzer::first_feasible_ages(
   return kernel_first;
 }
 
-DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime, int shards)
+DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime)
     : runtime_(runtime), program_(runtime.program()) {
-  const size_t n =
-      static_cast<size_t>(std::clamp(shards, 1, 64));
-  shards_.resize(n);
-  for (size_t i = 0; i < n; ++i) shards_[i].index = i;
-
-  const size_t nf = program_.fields().size();
   const size_t nk = program_.kernels().size();
-
-  field_shard_.resize(nf);
-  for (size_t f = 0; f < nf; ++f) field_shard_[f] = f % n;
-
-  // A kernel lives where its first fetched field lives (the shard that
-  // sees most of the events that can unblock it); fetchless kernels follow
-  // their first stored field so a single-chain program stays one-shard.
-  kernel_shard_.assign(nk, 0);
-  for (const KernelDef& k : program_.kernels()) {
-    size_t owner = 0;
-    if (!k.fetches.empty()) {
-      owner = field_shard(k.fetches[0].field);
-    } else if (!k.stores.empty()) {
-      owner = field_shard(k.stores[0].field);
-    }
-    kernel_shard_[static_cast<size_t>(k.id)] = owner;
-  }
-  // A fused downstream's twin marks come from the upstream's enumeration,
-  // so the pair must share a shard (dispatched-set dedup stays
-  // single-threaded per kernel).
-  for (const auto& fu : runtime_.fusions_) {
-    kernel_shard_[static_cast<size_t>(fu.downstream)] =
-        kernel_shard_[static_cast<size_t>(fu.upstream)];
-  }
-
-  field_consumer_shards_.assign(nf, 0);
-  for (size_t f = 0; f < nf; ++f) {
-    uint64_t mask = 0;
-    for (const Program::Use& use :
-         program_.consumers_of(static_cast<FieldId>(f))) {
-      mask |= uint64_t{1} << kernel_shard_[static_cast<size_t>(use.kernel)];
-    }
-    field_consumer_shards_[f] = mask;
-  }
-
   first_feasible_ = first_feasible_ages(program_);
   dispatch_.resize(nk);
   serial_.resize(nk);
@@ -137,7 +96,7 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime, int shards)
 
   // Resolve embedded independence certificates (Program::certify) into a
   // per-kernel per-fetch bitmap for the try_enumerate hot path. Computed
-  // once, read-only afterwards, shared by every shard.
+  // once, read-only afterwards.
   certified_.resize(nk);
   for (const IndependenceCertificate& cert : program_.certificates()) {
     auto& flags = certified_[static_cast<size_t>(cert.consumer)];
@@ -147,32 +106,13 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime, int shards)
   }
 }
 
-size_t DependencyAnalyzer::shard_of(const Event& event) const {
-  if (const auto* store = std::get_if<StoreEvent>(&event)) {
-    return field_shard(store->field);
-  }
-  if (const auto* done = std::get_if<InstanceDoneEvent>(&event)) {
-    return kernel_shard(done->kernel);
-  }
-  if (const auto* rescan = std::get_if<RescanEvent>(&event)) {
-    return kernel_shard(rescan->kernel);
-  }
-  if (const auto* seal = std::get_if<SealCheckEvent>(&event)) {
-    return field_shard(seal->field);
-  }
-  // ScanConsumersEvents are addressed explicitly by their sender
-  // (push_shard_event); routing one generically targets the field owner.
-  return field_shard(std::get<ScanConsumersEvent>(event).field);
-}
-
 void DependencyAnalyzer::bootstrap() {
   for (const KernelDef& def : program_.kernels()) {
     if (!runtime_.kernel_enabled(def.id)) continue;
-    Shard& s = shards_[kernel_shard(def.id)];
     if (def.is_run_once() && def.fetches.empty()) {
-      create_instance(s, def, 0, {});
+      create_instance(def, 0, {});
     } else if (def.is_source()) {
-      mark_dispatched(s, def.id, 0, {});
+      mark_dispatched(def.id, 0, {});
       WorkItem item;
       item.kernel = def.id;
       item.age = 0;
@@ -180,65 +120,37 @@ void DependencyAnalyzer::bootstrap() {
       runtime_.submit(std::move(item));
     }
   }
-  for (Shard& s : shards_) flush_chunks(s);
+  flush_chunks();
 }
 
-void DependencyAnalyzer::handle_one(Shard& s, const Event& event) {
-  s.current_cause = TraceContext{};  // done/rescan-created work is untraced
+void DependencyAnalyzer::handle_one(const Event& event) {
+  current_cause_ = TraceContext{};  // done/rescan-created work is untraced
   if (const auto* store = std::get_if<StoreEvent>(&event)) {
-    handle_store(s, *store);
+    handle_store(*store);
   } else if (const auto* done = std::get_if<InstanceDoneEvent>(&event)) {
-    handle_done(s, *done);
-  } else if (const auto* rescan = std::get_if<RescanEvent>(&event)) {
-    handle_rescan(s, *rescan);
-  } else if (const auto* seal = std::get_if<SealCheckEvent>(&event)) {
-    check_seal(s, seal->field, seal->age);
-    drain_seal_worklist(s);
-  } else if (const auto* scan = std::get_if<ScanConsumersEvent>(&event)) {
-    handle_scan(s, *scan);
+    handle_done(*done);
+  } else {
+    handle_rescan(std::get<RescanEvent>(event));
   }
 }
 
-void DependencyAnalyzer::handle_batch(size_t shard,
-                                      const std::deque<Event>& events) {
-  Shard& s = shards_[shard];
-  for (const Event& event : events) handle_one(s, event);
-  flush_chunks(s);
+void DependencyAnalyzer::handle_batch(const std::deque<Event>& events) {
+  for (const Event& event : events) handle_one(event);
+  flush_chunks();
   // Periodically (every ~1024 events, crossed at batch granularity)
-  // revisit the data-granularity decisions (paper §V-A). Shard 0 owns the
-  // adaptation so KernelRunCfg::chunk has one writer.
-  const int64_t before = s.events_handled;
-  s.events_handled += static_cast<int64_t>(events.size());
-  if (shard == 0 && (before >> 10) != (s.events_handled >> 10)) {
+  // revisit the data-granularity decisions (paper §V-A).
+  const int64_t before = events_handled_;
+  events_handled_ += static_cast<int64_t>(events.size());
+  if ((before >> 10) != (events_handled_ >> 10)) {
     runtime_.adapt_granularity();
   }
 }
 
-int64_t DependencyAnalyzer::dispatched_count() const {
-  int64_t total = 0;
-  for (const Shard& s : shards_) total += s.dispatched_total;
-  return total;
-}
-
-int64_t DependencyAnalyzer::certified_skip_count() const {
-  int64_t total = 0;
-  for (const Shard& s : shards_) total += s.certified_skips;
-  return total;
-}
-
-int64_t DependencyAnalyzer::cross_shard_messages() const {
-  int64_t total = 0;
-  for (const Shard& s : shards_) total += s.xshard_sent;
-  return total;
-}
-
 DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
   MemoryStats stats;
-  for (const Shard& s : shards_) {
-    stats.fa_states += s.fa_states.size();
-    for (const auto& [key, entries] : s.retry) {
-      stats.retry_entries += entries.size();
-    }
+  stats.fa_states = fa_states_.size();
+  for (const auto& [key, entries] : retry_) {
+    stats.retry_entries += entries.size();
   }
   for (const KernelDispatch& kd : dispatch_) {
     stats.open_ages += kd.open.size();
@@ -249,22 +161,17 @@ DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
   return stats;
 }
 
-void DependencyAnalyzer::send_shard(Shard& s, size_t target, Event event) {
-  ++s.xshard_sent;
-  runtime_.push_shard_event(target, std::move(event));
-}
-
-void DependencyAnalyzer::handle_store(Shard& s, const StoreEvent& event) {
+void DependencyAnalyzer::handle_store(const StoreEvent& event) {
   // Everything this store makes runnable — directly or through the seal
   // cascade — is causally downstream of it.
-  s.current_cause = event.ctx;
+  current_cause_ = event.ctx;
 
   // Seal bookkeeping only accumulates while the age is unsealed; late
   // elementwise stores into an already-sealed age (the extents were known
   // before all data arrived) must not resurrect a retired entry.
   if (event.producer != kInvalidKernel &&
       !storage(event.field).is_sealed(event.age)) {
-    FieldAgeState& state = s.fa_states[{event.field, event.age}];
+    FieldAgeState& state = fa_states_[{event.field, event.age}];
     const ProducerKey key{event.producer, event.store_decl};
     if (event.whole) {
       state.satisfied.emplace(key, event.region.required_extents());
@@ -286,13 +193,12 @@ void DependencyAnalyzer::handle_store(Shard& s, const StoreEvent& event) {
     }
   }
 
-  check_seal(s, event.field, event.age);
-  drain_seal_worklist(s);
-  announce_scan(s, event.field, event.age, &event.region);
+  check_seal(event.field, event.age);
+  drain_seal_worklist();
+  scan_local(event.field, event.age, &event.region);
 }
 
-void DependencyAnalyzer::handle_done(Shard& s,
-                                     const InstanceDoneEvent& event) {
+void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
   const KernelDef& def = program_.kernel(event.kernel);
 
   if (def.serial) {
@@ -312,7 +218,7 @@ void DependencyAnalyzer::handle_done(Shard& s,
     if (event.continue_next_age) {
       const Age next = event.age + 1;
       if (next <= runtime_.cap_of(def.id) &&
-          mark_dispatched(s, def.id, next, {})) {
+          mark_dispatched(def.id, next, {})) {
         WorkItem item;
         item.kernel = def.id;
         item.age = next;
@@ -322,22 +228,21 @@ void DependencyAnalyzer::handle_done(Shard& s,
     }
     // The completed age will never be re-created (a same-node rescan of a
     // dispatched source age was always a no-op); retire its entry.
-    close_age(s, def.id, event.age);
+    close_age(def.id, event.age);
   }
 }
 
-void DependencyAnalyzer::handle_rescan(Shard& s, const RescanEvent& event) {
+void DependencyAnalyzer::handle_rescan(const RescanEvent& event) {
   const KernelDef& def = program_.kernel(event.kernel);
-  // `enabled` is only ever read on the kernel's owner shard
-  // (try_enumerate) or before threads start (bootstrap), so the flip needs
-  // no synchronization.
+  // `enabled` is only ever read on the analyzer thread (try_enumerate) or
+  // before threads start (bootstrap), so the flip needs no synchronization.
   runtime_.kcfg_[static_cast<size_t>(def.id)].enabled = true;
 
   if (def.is_source()) {
     // Re-drive the source chain from age 0. Instances whose output already
     // arrived re-store idempotently and their continue flags rebuild the
     // chain up to the first genuinely lost age.
-    if (mark_dispatched(s, def.id, 0, {})) {
+    if (mark_dispatched(def.id, 0, {})) {
       WorkItem item;
       item.kernel = def.id;
       item.age = 0;
@@ -361,20 +266,13 @@ void DependencyAnalyzer::handle_rescan(Shard& s, const RescanEvent& event) {
     }
   }
   for (const Age a : ages) {
-    try_enumerate(s, def, a, std::nullopt, nullptr);
+    try_enumerate(def, a, std::nullopt, nullptr);
   }
 }
 
-void DependencyAnalyzer::handle_scan(Shard& s,
-                                     const ScanConsumersEvent& event) {
-  s.current_cause = event.ctx;
-  scan_local(s, event.field, event.age,
-             event.constrained ? &event.region : nullptr);
-}
-
-void DependencyAnalyzer::check_seal(Shard& s, FieldId field, Age age) {
+void DependencyAnalyzer::check_seal(FieldId field, Age age) {
   // The storage seal index is the authoritative (and thread-safe) sealed
-  // bit; the shard-local FieldAgeState only holds pre-seal bookkeeping.
+  // bit; FieldAgeState only holds pre-seal bookkeeping.
   if (storage(field).is_sealed(age)) return;
 
   // Enumerate the producers of this (field, age).
@@ -403,9 +301,9 @@ void DependencyAnalyzer::check_seal(Shard& s, FieldId field, Age age) {
   if (producers.empty()) return;  // nothing will ever define this age
 
   static const FieldAgeState kNoState;
-  const auto state_it = s.fa_states.find({field, age});
+  const auto state_it = fa_states_.find({field, age});
   const FieldAgeState& state =
-      state_it != s.fa_states.end() ? state_it->second : kNoState;
+      state_it != fa_states_.end() ? state_it->second : kNoState;
 
   nd::Extents extents;
   bool first = true;
@@ -457,25 +355,23 @@ void DependencyAnalyzer::check_seal(Shard& s, FieldId field, Age age) {
   storage(field).seal(age, extents);
   // Sealed ages never consult their pre-seal bookkeeping again; retiring
   // the entry here is what keeps analyzer memory flat on streaming runs.
-  if (state_it != s.fa_states.end()) s.fa_states.erase(state_it);
+  if (state_it != fa_states_.end()) fa_states_.erase(state_it);
   P2G_DEBUG << "sealed field '" << program_.field(field).name << "' age "
             << age << " at " << extents.to_string();
-  on_sealed(s, field, age);
+  on_sealed(field, age);
 }
 
-void DependencyAnalyzer::drain_seal_worklist(Shard& s) {
-  while (!s.seal_worklist.empty()) {
-    const auto [field, age] = s.seal_worklist.front();
-    s.seal_worklist.pop_front();
-    check_seal(s, field, age);
+void DependencyAnalyzer::drain_seal_worklist() {
+  while (!seal_worklist_.empty()) {
+    const auto [field, age] = seal_worklist_.front();
+    seal_worklist_.pop_front();
+    check_seal(field, age);
   }
 }
 
-void DependencyAnalyzer::on_sealed(Shard& s, FieldId field, Age age) {
+void DependencyAnalyzer::on_sealed(FieldId field, Age age) {
   // Extent propagation: consumers whose index domains may now be known can
-  // seal the extents of the fields they store to. The targets are derived
-  // from static structure alone, so this shard can compute them for every
-  // consumer — but the seal *check* must run on the target field's owner.
+  // seal the extents of the fields they store to.
   for (const Program::Use& use : program_.consumers_of(field)) {
     const KernelDef& k = program_.kernel(use.kernel);
     const FetchDecl& f = k.fetches[use.statement];
@@ -493,51 +389,25 @@ void DependencyAnalyzer::on_sealed(Shard& s, FieldId field, Age age) {
     for (size_t st = 0; st < k.stores.size(); ++st) {
       const Age target = k.stores[st].age.resolve(instance_age);
       if (target < 0) continue;
-      const FieldId tf = k.stores[st].field;
-      if (field_shard(tf) == s.index) {
-        s.seal_worklist.emplace_back(tf, target);
-      } else {
-        SealCheckEvent request;
-        request.field = tf;
-        request.age = target;
-        send_shard(s, field_shard(tf), request);
-      }
+      seal_worklist_.emplace_back(k.stores[st].field, target);
     }
   }
 
   // Newly sealed extents can complete whole-field fetches and make domains
   // enumerable; rescan consumers unconstrained.
-  announce_scan(s, field, age, nullptr);
+  scan_local(field, age, nullptr);
 }
 
-void DependencyAnalyzer::announce_scan(Shard& s, FieldId field, Age age,
-                                       const nd::Region* written) {
-  scan_local(s, field, age, written);
-  uint64_t mask = field_consumer_shards_[static_cast<size_t>(field)] &
-                  ~(uint64_t{1} << s.index);
-  for (size_t target = 0; mask != 0; ++target, mask >>= 1) {
-    if ((mask & 1) == 0) continue;
-    ScanConsumersEvent notify;
-    notify.field = field;
-    notify.age = age;
-    notify.constrained = written != nullptr;
-    if (written != nullptr) notify.region = *written;
-    notify.ctx = s.current_cause;
-    send_shard(s, target, notify);
-  }
-}
-
-void DependencyAnalyzer::scan_local(Shard& s, FieldId field, Age age,
+void DependencyAnalyzer::scan_local(FieldId field, Age age,
                                     const nd::Region* written) {
   for (const Program::Use& use : program_.consumers_of(field)) {
-    if (kernel_shard(use.kernel) != s.index) continue;
     const KernelDef& k = program_.kernel(use.kernel);
     const FetchDecl& f = k.fetches[use.statement];
 
     if (f.age.kind == AgeExpr::Kind::kRelative) {
       // Exactly one instance age is influenced through this fetch.
       const Age a = age - f.age.value;
-      if (a >= 0) try_enumerate(s, k, a, use.statement, written);
+      if (a >= 0) try_enumerate(k, a, use.statement, written);
       continue;
     }
 
@@ -546,27 +416,27 @@ void DependencyAnalyzer::scan_local(Shard& s, FieldId field, Age age,
     // fetched by every assign age) are re-driven precisely through the
     // (field, age)-keyed retry index fired below.
     if (f.age.value != age) continue;
-    if (k.is_run_once()) try_enumerate(s, k, 0, use.statement, written);
+    if (k.is_run_once()) try_enumerate(k, 0, use.statement, written);
   }
 
-  fire_retries(s, field, age);
+  fire_retries(field, age);
 }
 
-void DependencyAnalyzer::fire_retries(Shard& s, FieldId field, Age age) {
-  const auto it = s.retry.find({field, age});
-  if (it == s.retry.end()) return;
+void DependencyAnalyzer::fire_retries(FieldId field, Age age) {
+  const auto it = retry_.find({field, age});
+  if (it == retry_.end()) return;
   // Entries re-register themselves (possibly under a different blocking
   // field) when they are still blocked; detach first so the re-inserts do
   // not grow the set being walked.
   const std::set<std::pair<KernelId, Age>> entries = std::move(it->second);
-  s.retry.erase(it);
+  retry_.erase(it);
   for (const auto& [kernel, a] : entries) {
-    try_enumerate(s, program_.kernel(kernel), a, std::nullopt, nullptr);
+    try_enumerate(program_.kernel(kernel), a, std::nullopt, nullptr);
   }
 }
 
-void DependencyAnalyzer::register_retry(Shard& s, const KernelDef& def,
-                                        Age age, size_t fetch_index) {
+void DependencyAnalyzer::register_retry(const KernelDef& def, Age age,
+                                        size_t fetch_index) {
   const FetchDecl& f = def.fetches[fetch_index];
   const Age ga = f.age.resolve(age);
   if (ga < 0) return;
@@ -577,11 +447,10 @@ void DependencyAnalyzer::register_retry(Shard& s, const KernelDef& def,
   // turning per-store work quadratic. Only constant-age fetches of aged
   // kernels escape the direct scans and need the index.
   if (f.age.kind == AgeExpr::Kind::kRelative || def.is_run_once()) return;
-  s.retry[{f.field, ga}].insert({def.id, age});
+  retry_[{f.field, ga}].insert({def.id, age});
 }
 
-void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
-                                       Age age,
+void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
                                        std::optional<size_t> constrain_fetch,
                                        const nd::Region* written) {
   if (age < 0 || age > runtime_.cap_of(def.id)) return;
@@ -609,12 +478,12 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
     if (cert_skip && fi == *constrain_fetch) continue;
     if (f.slice.is_whole()) {
       if (!storage(f.field).is_complete(ga)) {
-        register_retry(s, def, age, fi);
+        register_retry(def, age, fi);
         return;
       }
     } else if (has_all_dim(f.slice)) {
       if (!storage(f.field).is_sealed(ga)) {
-        register_retry(s, def, age, fi);
+        register_retry(def, age, fi);
         return;
       }
     }
@@ -649,7 +518,7 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
     AgeDispatch& ad = kd.open[age];
     ad.total = total;
     if (static_cast<int64_t>(ad.coords.size()) >= total) {
-      close_age(s, def.id, age);
+      close_age(def.id, age);
       return;
     }
   }
@@ -663,7 +532,7 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
     if (ranges[v].end >= kHuge) {
       // Unbounded variable: cannot enumerate yet; retry when the binding
       // field age seals.
-      register_retry(s, def, age,
+      register_retry(def, age,
                      def.binding_of_var(static_cast<int>(v))->fetch_index);
       return;
     }
@@ -677,9 +546,9 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
   while (true) {
     if (!is_dispatched(def.id, age, coord)) {
       size_t blocking = SIZE_MAX;
-      if (satisfied(s, def, age, coord,
+      if (satisfied(def, age, coord,
                     cert_skip ? constrain_fetch : std::nullopt, &blocking)) {
-        create_instance(s, def, age, coord);
+        create_instance(def, age, coord);
         if (age_closed(kd, age)) break;  // auto-closed: nothing left
       } else if (blocking != SIZE_MAX && blocking < 64) {
         blocked_fetches |= uint64_t{1} << blocking;
@@ -702,11 +571,11 @@ void DependencyAnalyzer::try_enumerate(Shard& s, const KernelDef& def,
   // Register each distinct blocking field age: unsatisfied candidates are
   // revisited only when data that can actually unblock them arrives.
   for (size_t fi = 0; blocked_fetches != 0; ++fi, blocked_fetches >>= 1) {
-    if (blocked_fetches & 1) register_retry(s, def, age, fi);
+    if (blocked_fetches & 1) register_retry(def, age, fi);
   }
 }
 
-bool DependencyAnalyzer::satisfied(Shard& s, const KernelDef& def, Age age,
+bool DependencyAnalyzer::satisfied(const KernelDef& def, Age age,
                                    const nd::Coord& coord,
                                    std::optional<size_t> skip_fetch,
                                    size_t* blocking_fetch) {
@@ -715,7 +584,7 @@ bool DependencyAnalyzer::satisfied(Shard& s, const KernelDef& def, Age age,
     const Age ga = f.age.resolve(age);
     if (ga < 0) return false;
     if (skip_fetch && fi == *skip_fetch) {
-      ++s.certified_skips;
+      ++certified_skips_;
       continue;
     }
     FieldStorage& fs = storage(f.field);
@@ -747,20 +616,20 @@ bool DependencyAnalyzer::is_dispatched(KernelId kernel, Age age,
   return it != kd.open.end() && it->second.coords.count(coord) != 0;
 }
 
-bool DependencyAnalyzer::mark_dispatched(Shard& s, KernelId kernel, Age age,
+bool DependencyAnalyzer::mark_dispatched(KernelId kernel, Age age,
                                          nd::Coord coord) {
   KernelDispatch& kd = dispatch_[static_cast<size_t>(kernel)];
   if (age_closed(kd, age)) return false;
   AgeDispatch& ad = kd.open[age];
   if (!ad.coords.insert(std::move(coord)).second) return false;
-  ++s.dispatched_total;
+  ++dispatched_total_;
   if (ad.total >= 0 && static_cast<int64_t>(ad.coords.size()) >= ad.total) {
-    close_age(s, kernel, age);
+    close_age(kernel, age);
   }
   return true;
 }
 
-void DependencyAnalyzer::close_age(Shard& s, KernelId kernel, Age age) {
+void DependencyAnalyzer::close_age(KernelId kernel, Age age) {
   KernelDispatch& kd = dispatch_[static_cast<size_t>(kernel)];
   if (age_closed(kd, age)) return;
   kd.open.erase(age);
@@ -781,19 +650,19 @@ void DependencyAnalyzer::close_age(Shard& s, KernelId kernel, Age age) {
   const auto& cfg = runtime_.kcfg_[static_cast<size_t>(kernel)];
   if (cfg.fusion != nullptr) {
     const Age down_age = age + cfg.fusion->age_delta;
-    if (down_age >= 0) close_age(s, cfg.fusion->downstream, down_age);
+    if (down_age >= 0) close_age(cfg.fusion->downstream, down_age);
   }
 }
 
-void DependencyAnalyzer::create_instance(Shard& s, const KernelDef& def,
-                                         Age age, nd::Coord coord) {
-  ChunkBuffer& buffer = s.chunk_buffers[{def.id, age}];
-  if (!buffer.cause.valid()) buffer.cause = s.current_cause;
+void DependencyAnalyzer::create_instance(const KernelDef& def, Age age,
+                                         nd::Coord coord) {
+  ChunkBuffer& buffer = chunk_buffers_[{def.id, age}];
+  if (!buffer.cause.valid()) buffer.cause = current_cause_;
   buffer.coords.push_back(coord);
 
   // A fused downstream twin runs inside the upstream's work item; mark it
   // dispatched *now* (before any event can be observed) so no scan can
-  // double-run it. Fusion forces both kernels onto this shard.
+  // double-run it.
   const auto& cfg = runtime_.kcfg_[static_cast<size_t>(def.id)];
   if (cfg.fusion != nullptr) {
     const auto& fu = *cfg.fusion;
@@ -801,22 +670,21 @@ void DependencyAnalyzer::create_instance(Shard& s, const KernelDef& def,
     for (size_t v = 0; v < fu.coord_map.size(); ++v) {
       down_coord[v] = coord[fu.coord_map[v]];
     }
-    mark_dispatched(s, fu.downstream, age + fu.age_delta,
+    mark_dispatched(fu.downstream, age + fu.age_delta,
                     std::move(down_coord));
   }
 
-  mark_dispatched(s, def.id, age, std::move(coord));
+  mark_dispatched(def.id, age, std::move(coord));
 }
 
-void DependencyAnalyzer::flush_chunks(Shard& s) {
-  if (s.chunk_buffers.empty()) return;
+void DependencyAnalyzer::flush_chunks() {
+  if (chunk_buffers_.empty()) return;
   std::vector<WorkItem> batch;
-  for (auto& [key, buffer] : s.chunk_buffers) {
+  for (auto& [key, buffer] : chunk_buffers_) {
     std::vector<nd::Coord>& coords = buffer.coords;
     const auto [kernel, age] = key;
     const int64_t chunk = std::max<int64_t>(
-        1, runtime_.kcfg_[static_cast<size_t>(kernel)].chunk.load(
-               std::memory_order_relaxed));
+        1, runtime_.kcfg_[static_cast<size_t>(kernel)].chunk);
     const bool serial = program_.kernel(kernel).serial;
     const size_t total = coords.size();
     size_t begin = 0;
@@ -835,20 +703,19 @@ void DependencyAnalyzer::flush_chunks(Shard& s) {
                   std::back_inserter(item.coords));
       }
       if (serial) {
-        submit_or_park(s, std::move(item));
+        submit_or_park(std::move(item));
       } else {
         batch.push_back(std::move(item));
       }
       begin = end;
     }
   }
-  s.chunk_buffers.clear();
-  // One ready-queue lock and at most one worker wakeup for the whole flush;
-  // push_batch is safe to call from every shard concurrently.
+  chunk_buffers_.clear();
+  // One ready-queue lock and at most one worker wakeup for the whole flush.
   runtime_.submit_batch(std::move(batch));
 }
 
-void DependencyAnalyzer::submit_or_park(Shard& s, WorkItem item) {
+void DependencyAnalyzer::submit_or_park(WorkItem item) {
   const KernelDef& def = program_.kernel(item.kernel);
   if (!def.serial) {
     runtime_.submit(std::move(item));

@@ -1,18 +1,10 @@
-// The dependency analyzer (paper §VI-B), sharded.
+// The dependency analyzer (paper §VI-B).
 //
-// Dependency tracking is partitioned across N analyzer shards, each running
-// in its own thread and owning a disjoint set of fields (field % N) — and
-// therefore those fields' seal bookkeeping — plus a disjoint set of kernels
-// (the shard of a kernel's first fetched field), and therefore those
-// kernels' candidate enumeration, dispatched-set dedup, serial gating and
-// chunk buffers. Events are routed by FieldId / KernelId into per-shard
-// lock-free MPSC queues (common/mpsc_queue.h); cross-shard effects — a seal
-// that unblocks another shard's kernel, an extent-propagation cascade
-// reaching another shard's field — travel as explicit SealCheckEvent /
-// ScanConsumersEvent messages instead of shared locks. Ready WorkItems flow
-// into the ReadyQueue from every shard concurrently through the existing
-// push_batch path. With RunOptions::analyzer_shards = 1 (the default) this
-// is exactly the single-analyzer-thread design the paper describes.
+// Each execution node runs one analyzer thread. Workers (and remote-store
+// injection) push store, done and rescan events onto one lock-free MPSC
+// queue (common/mpsc_queue.h); the analyzer drains the whole backlog at
+// once, discovers newly runnable kernel instances and dispatches each
+// exactly once into the ReadyQueue.
 //
 // Sealing: an age of a field is *sealed* when every producer's contribution
 // is known — a whole-field store arrives, or an elementwise producer's
@@ -20,14 +12,6 @@
 // fields binding its index variables to be sealed). Sealing is what makes
 // "all elements written" (completeness) meaningful for whole-field fetches
 // and what the paper calls implicit-resize extent propagation.
-//
-// Why the sharded fixpoint dispatches the same instance set: dispatch
-// conditions are monotone (write-once data only accumulates, seals are
-// final), each kernel is enumerated by exactly one shard (so the
-// exactly-once check is single-threaded per kernel), and every state
-// change is announced to every shard owning an interested kernel. At
-// quiescence the dispatched set is the least fixpoint of the same monotone
-// conditions a single analyzer evaluates — identical for any shard count.
 #pragma once
 
 #include <cstdint>
@@ -49,38 +33,27 @@ namespace p2g {
 
 class DependencyAnalyzer {
  public:
-  /// `shards` is clamped to [1, 64].
-  DependencyAnalyzer(Runtime& runtime, int shards);
+  explicit DependencyAnalyzer(Runtime& runtime);
 
   /// Creates the initial instances: run-once kernels without fetches and
   /// the first age of every source kernel. Single-threaded (pre-run).
   void bootstrap();
 
-  size_t shard_count() const { return shards_.size(); }
+  /// Processes a drained event backlog in order (analyzer thread only),
+  /// flushing chunk buffers and revisiting granularity once per batch
+  /// instead of once per event: a batch often fills a chunk that single
+  /// events would have split.
+  void handle_batch(const std::deque<Event>& events);
 
-  /// The shard whose state `event` touches (queue routing). Cross-shard
-  /// messages are addressed explicitly by their sender and never take this
-  /// path.
-  size_t shard_of(const Event& event) const;
-
-  /// Processes a drained event backlog in order (called from shard
-  /// `shard`'s thread only), flushing chunk buffers and revisiting
-  /// granularity once per batch instead of once per event: a batch often
-  /// fills a chunk that single events would have split.
-  void handle_batch(size_t shard, const std::deque<Event>& events);
-
-  /// Instances dispatched so far, summed over shards (tests/diagnostics;
-  /// exact only at quiescence).
-  int64_t dispatched_count() const;
+  /// Instances dispatched so far (tests/diagnostics; exact only at
+  /// quiescence).
+  int64_t dispatched_count() const { return dispatched_total_; }
 
   /// Per-candidate dependence checks skipped via independence certificates
   /// (0 unless Program::certify() embedded any).
-  int64_t certified_skip_count() const;
+  int64_t certified_skip_count() const { return certified_skips_; }
 
-  /// Cross-shard messages sent (0 with one shard).
-  int64_t cross_shard_messages() const;
-
-  /// Analyzer-state footprint, summed over shards. Streaming runs retire
+  /// Analyzer-state footprint. Streaming runs retire
   /// seal bookkeeping on seal and dispatched-coord sets once an age closes,
   /// so these stay bounded by the in-flight age window instead of growing
   /// with the run length. Quiescent use only (tests).
@@ -146,13 +119,12 @@ class DependencyAnalyzer {
     int64_t total = -1;
   };
 
-  /// Exactly-once dispatch bookkeeping of one kernel (touched only by the
-  /// kernel's owner shard). A *closed* age had every instance dispatched
-  /// (or can never dispatch again: completed source ages); membership
-  /// checks treat closed ages as fully dispatched, which is what lets the
-  /// per-coord sets retire. `closed_below` starts at the kernel's first
-  /// feasible age so structurally skipped leading ages cannot wedge the
-  /// watermark.
+  /// Exactly-once dispatch bookkeeping of one kernel. A *closed* age had
+  /// every instance dispatched (or can never dispatch again: completed
+  /// source ages); membership checks treat closed ages as fully dispatched,
+  /// which is what lets the per-coord sets retire. `closed_below` starts at
+  /// the kernel's first feasible age so structurally skipped leading ages
+  /// cannot wedge the watermark.
   struct KernelDispatch {
     Age closed_below = 0;
     std::set<Age> closed_sparse;
@@ -167,60 +139,28 @@ class DependencyAnalyzer {
     TraceContext cause;
   };
 
-  /// All mutable per-shard state. Each instance is touched only by its own
-  /// shard thread (single-threaded before run() starts).
-  struct Shard {
-    size_t index = 0;
-    /// Unsealed (field, age) entries of fields this shard owns.
-    std::map<std::pair<FieldId, Age>, FieldAgeState> fa_states;
-    std::deque<std::pair<FieldId, Age>> seal_worklist;
-    /// Blocked candidates, indexed by the exact (field, age) whose change
-    /// can unblock them: (consumer kernel, instance age) entries fire only
-    /// when an event touches that field age, replacing the old whole-
-    /// kernel-age-set rescan.
-    std::map<std::pair<FieldId, Age>, std::set<std::pair<KernelId, Age>>>
-        retry;
-    std::map<std::pair<KernelId, Age>, ChunkBuffer> chunk_buffers;
-    /// Context of the store event currently being handled; stamps instances
-    /// it (transitively) makes runnable.
-    TraceContext current_cause;
-    int64_t events_handled = 0;
-    int64_t certified_skips = 0;
-    int64_t dispatched_total = 0;
-    int64_t xshard_sent = 0;
-  };
+  /// Event dispatch without the per-batch flush/adapt epilogue.
+  void handle_one(const Event& event);
 
-  /// Event dispatch without the per-call flush/adapt epilogue.
-  void handle_one(Shard& s, const Event& event);
-
-  void handle_store(Shard& s, const StoreEvent& event);
-  void handle_done(Shard& s, const InstanceDoneEvent& event);
-  void handle_rescan(Shard& s, const RescanEvent& event);
-  void handle_scan(Shard& s, const ScanConsumersEvent& event);
+  void handle_store(const StoreEvent& event);
+  void handle_done(const InstanceDoneEvent& event);
+  void handle_rescan(const RescanEvent& event);
 
   /// Attempts to seal (field, age); queues cascaded checks on success.
-  /// Only ever called on the field's owner shard.
-  void check_seal(Shard& s, FieldId field, Age age);
-  void drain_seal_worklist(Shard& s);
-  void on_sealed(Shard& s, FieldId field, Age age);
+  void check_seal(FieldId field, Age age);
+  void drain_seal_worklist();
+  void on_sealed(FieldId field, Age age);
 
-  /// Announces a (field, age) change: scans this shard's consumers and
-  /// sends ScanConsumersEvents to every other shard owning one. Called on
-  /// the field's owner shard (stores and seals land there).
-  void announce_scan(Shard& s, FieldId field, Age age,
-                     const nd::Region* written);
-
-  /// Enumerates candidate instances of the consumers of (field, age) that
-  /// this shard owns, either constrained by a freshly written region or
-  /// unconstrained, then fires retry registrations keyed on (field, age).
-  void scan_local(Shard& s, FieldId field, Age age,
-                  const nd::Region* written);
-  void fire_retries(Shard& s, FieldId field, Age age);
+  /// Enumerates candidate instances of the consumers of (field, age),
+  /// either constrained by a freshly written region or unconstrained, then
+  /// fires retry registrations keyed on (field, age).
+  void scan_local(FieldId field, Age age, const nd::Region* written);
+  void fire_retries(FieldId field, Age age);
 
   /// Enumerates candidates of one kernel at one age. When `constrain_fetch`
   /// is set, variable ranges are narrowed by the written region through
-  /// that fetch's slice. The kernel must be owned by `s`.
-  void try_enumerate(Shard& s, const KernelDef& def, Age age,
+  /// that fetch's slice.
+  void try_enumerate(const KernelDef& def, Age age,
                      std::optional<size_t> constrain_fetch,
                      const nd::Region* written);
 
@@ -231,15 +171,13 @@ class DependencyAnalyzer {
   /// fine-grained region check is skipped. On failure `*blocking_fetch`
   /// (when non-null) names the first unsatisfied fetch, for precise retry
   /// registration.
-  bool satisfied(Shard& s, const KernelDef& def, Age age,
-                 const nd::Coord& coord,
+  bool satisfied(const KernelDef& def, Age age, const nd::Coord& coord,
                  std::optional<size_t> skip_fetch = std::nullopt,
                  size_t* blocking_fetch = nullptr);
 
   /// Registers (def, age) for retry when the field age behind `fetch_index`
   /// next changes.
-  void register_retry(Shard& s, const KernelDef& def, Age age,
-                      size_t fetch_index);
+  void register_retry(const KernelDef& def, Age age, size_t fetch_index);
 
   /// True when (consumer kernel, fetch) carries an independence
   /// certificate (embedded by Program::certify()).
@@ -255,54 +193,50 @@ class DependencyAnalyzer {
   bool is_dispatched(KernelId kernel, Age age, const nd::Coord& coord) const;
   /// Marks (kernel, age, coord) dispatched; false when it already was (or
   /// the age is closed). Auto-closes the age when `total` is reached.
-  bool mark_dispatched(Shard& s, KernelId kernel, Age age, nd::Coord coord);
+  bool mark_dispatched(KernelId kernel, Age age, nd::Coord coord);
   /// Retires an age's coord set: every instance is known dispatched (or
   /// can never dispatch again). Cascades to a fused downstream twin, whose
   /// coords are exactly the mapped upstream coords.
-  void close_age(Shard& s, KernelId kernel, Age age);
+  void close_age(KernelId kernel, Age age);
 
   /// Marks dispatched (including a fused downstream twin) and buffers the
   /// instance for chunked dispatch.
-  void create_instance(Shard& s, const KernelDef& def, Age age,
-                       nd::Coord coord);
+  void create_instance(const KernelDef& def, Age age, nd::Coord coord);
 
   /// Flushes chunk buffers into work items (serial kernels are gated).
-  void flush_chunks(Shard& s);
-  void submit_or_park(Shard& s, WorkItem item);
+  void flush_chunks();
+  void submit_or_park(WorkItem item);
 
   /// Index-variable domain lengths of a kernel at an age, or nullopt while
   /// some binding field extent is not sealed yet.
   std::optional<std::vector<int64_t>> domain_of(const KernelDef& def,
                                                 Age age) const;
 
-  /// Sends a cross-shard message. The unit of outstanding work is added
-  /// before this shard's own event unit is released, so the quiescence
-  /// count never undershoots.
-  void send_shard(Shard& s, size_t target, Event event);
-
   FieldStorage& storage(FieldId field) const {
     return *runtime_.storages_[static_cast<size_t>(field)];
-  }
-
-  size_t field_shard(FieldId field) const {
-    return field_shard_[static_cast<size_t>(field)];
-  }
-  size_t kernel_shard(KernelId kernel) const {
-    return kernel_shard_[static_cast<size_t>(kernel)];
   }
 
   Runtime& runtime_;
   const Program& program_;
 
-  std::vector<Shard> shards_;
-  // --- ownership maps, computed once, read-only afterwards ------------------
-  std::vector<size_t> field_shard_;
-  std::vector<size_t> kernel_shard_;
-  /// Per field: bitmask of shards owning at least one consumer kernel.
-  std::vector<uint64_t> field_consumer_shards_;
-  std::vector<Age> first_feasible_;
+  /// Unsealed (field, age) seal entries.
+  std::map<std::pair<FieldId, Age>, FieldAgeState> fa_states_;
+  std::deque<std::pair<FieldId, Age>> seal_worklist_;
+  /// Blocked candidates, indexed by the exact (field, age) whose change
+  /// can unblock them: (consumer kernel, instance age) entries fire only
+  /// when an event touches that field age, replacing the old whole-
+  /// kernel-age-set rescan.
+  std::map<std::pair<FieldId, Age>, std::set<std::pair<KernelId, Age>>>
+      retry_;
+  std::map<std::pair<KernelId, Age>, ChunkBuffer> chunk_buffers_;
+  /// Context of the store event currently being handled; stamps instances
+  /// it (transitively) makes runnable.
+  TraceContext current_cause_;
+  int64_t events_handled_ = 0;
+  int64_t certified_skips_ = 0;
+  int64_t dispatched_total_ = 0;
 
-  // --- per-kernel state, touched only by the kernel's owner shard -----------
+  std::vector<Age> first_feasible_;
   std::vector<KernelDispatch> dispatch_;
   std::vector<SerialState> serial_;
 

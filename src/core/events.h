@@ -42,30 +42,6 @@ struct RescanEvent {
   KernelId kernel = kInvalidKernel;
 };
 
-/// Cross-shard seal request (analyzer sharding): another shard's extent-
-/// propagation cascade reached `field`, whose seal bookkeeping lives on the
-/// field's owner shard. The owner re-runs check_seal; redundant requests
-/// are idempotent (check_seal early-outs on already-sealed ages).
-struct SealCheckEvent {
-  FieldId field = kInvalidField;
-  Age age = 0;
-};
-
-/// Cross-shard consumer notification (analyzer sharding): (field, age)
-/// gained data or sealed on its owner shard. Receivers enumerate only the
-/// consumer kernels *they* own — kernel enumeration and dispatched-set
-/// dedup stay single-threaded per kernel. `region` constrains the scan
-/// when `constrained` (a store), otherwise the scan is a full post-seal
-/// rescan. `ctx` threads the originating store's causal identity.
-struct ScanConsumersEvent {
-  FieldId field = kInvalidField;
-  Age age = 0;
-  bool constrained = false;
-  nd::Region region;
-  TraceContext ctx;
-};
-
-using Event = std::variant<StoreEvent, InstanceDoneEvent, RescanEvent,
-                           SealCheckEvent, ScanConsumersEvent>;
+using Event = std::variant<StoreEvent, InstanceDoneEvent, RescanEvent>;
 
 }  // namespace p2g

@@ -10,6 +10,13 @@
 
 namespace p2g {
 
+namespace {
+
+/// Gauge-sampling cadence of the telemetry sampler thread.
+constexpr std::chrono::milliseconds kSamplePeriod{5};
+
+}  // namespace
+
 Runtime::Runtime(Program program, RunOptions options)
     : program_(std::move(program)),
       options_(std::move(options)),
@@ -39,14 +46,7 @@ Runtime::Runtime(Program program, RunOptions options)
                                 : std::string_view(options_.trace_label)));
   if (options_.metrics.enabled) setup_metrics();
   resolve_options();
-  analyzer_ =
-      std::make_unique<DependencyAnalyzer>(*this, options_.analyzer_shards);
-  const size_t nshards = analyzer_->shard_count();
-  event_queues_.reserve(nshards);
-  for (size_t i = 0; i < nshards; ++i) {
-    event_queues_.push_back(std::make_unique<MpscQueue<Event>>());
-  }
-  analyzer_cpu_ns_.assign(nshards, 0);
+  analyzer_ = std::make_unique<DependencyAnalyzer>(*this);
 }
 
 Runtime::~Runtime() = default;
@@ -61,39 +61,16 @@ void Runtime::setup_metrics() {
   m_busy_ns_ = &metrics_->counter("worker_busy_ns_total");
   m_idle_ns_ = &metrics_->counter("worker_idle_ns_total");
   m_events_ = &metrics_->counter("analyzer_events_total");
-  // Per-shard analyzer counters (setup_metrics runs before the analyzer is
-  // constructed, so clamp the shard count from the options directly).
-  const int nshards = std::clamp(options_.analyzer_shards, 1, 64);
-  m_shard_events_.reserve(static_cast<size_t>(nshards));
-  m_shard_xshard_.reserve(static_cast<size_t>(nshards));
-  for (int i = 0; i < nshards; ++i) {
-    const std::string suffix = ":shard" + std::to_string(i);
-    m_shard_events_.push_back(
-        &metrics_->counter("analyzer_events_total" + suffix));
-    m_shard_xshard_.push_back(
-        &metrics_->counter("analyzer_xshard_msgs_total" + suffix));
-  }
 }
 
 void Runtime::start_sampler() {
-  sampler_ = std::make_unique<obs::Sampler>(
-      std::chrono::milliseconds(options_.metrics.sample_period_ms));
+  sampler_ = std::make_unique<obs::Sampler>(kSamplePeriod);
   sampler_->add_source("ready_queue_depth", [this] {
     return static_cast<int64_t>(ready_.size());
   });
   sampler_->add_source("analyzer_backlog", [this] {
-    int64_t total = 0;
-    for (const auto& q : event_queues_) {
-      total += static_cast<int64_t>(q->size());
-    }
-    return total;
+    return static_cast<int64_t>(events_.size());
   });
-  for (size_t i = 0; i < event_queues_.size(); ++i) {
-    sampler_->add_source("analyzer_backlog:shard" + std::to_string(i),
-                         [raw = event_queues_[i].get()] {
-                           return static_cast<int64_t>(raw->size());
-                         });
-  }
   sampler_->add_source("field_memory_bytes", [this] {
     int64_t total = 0;
     for (const auto& fs : storages_) {
@@ -341,16 +318,7 @@ void Runtime::submit_batch(std::vector<WorkItem> items) {
 
 void Runtime::push_event(Event event) {
   add_outstanding(1);
-  const size_t shard = analyzer_->shard_of(event);
-  event_queues_[shard]->push(std::move(event));
-}
-
-void Runtime::push_shard_event(size_t shard, Event event) {
-  // The outstanding unit is added before the sending shard releases its own
-  // event's unit, so the quiescence count never undershoots.
-  add_outstanding(1);
-  if (!m_shard_xshard_.empty()) m_shard_xshard_[shard]->add(1);
-  event_queues_[shard]->push(std::move(event));
+  events_.push(std::move(event));
 }
 
 void Runtime::adapt_granularity() {
@@ -359,17 +327,15 @@ void Runtime::adapt_granularity() {
   const InstrumentationReport report = instr_.snapshot(program_);
   for (const KernelDef& k : program_.kernels()) {
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(k.id)];
-    const int64_t chunk = cfg.chunk.load(std::memory_order_relaxed);
-    if (cfg.chunk_explicit || chunk >= kMaxChunk) continue;
+    if (cfg.chunk_explicit || cfg.chunk >= kMaxChunk) continue;
     if (k.serial || k.is_source() || k.is_run_once()) continue;
     const KernelStats* stats = report.find(k.name);
     if (stats == nullptr || stats->dispatches < 64) continue;
     // Dispatch-bound kernels get coarser slices (Fig. 4, Age=2).
     if (stats->avg_dispatch_us() > stats->avg_kernel_us()) {
-      const int64_t grown = std::min<int64_t>(chunk * 2, kMaxChunk);
-      cfg.chunk.store(grown, std::memory_order_relaxed);
+      cfg.chunk = std::min<int64_t>(cfg.chunk * 2, kMaxChunk);
       P2G_DEBUGC("runtime") << "adaptive LLS: kernel '" << k.name
-                            << "' chunk -> " << grown;
+                            << "' chunk -> " << cfg.chunk;
     }
   }
 }
@@ -380,7 +346,7 @@ void Runtime::begin_shutdown() {
     check::write(done_, "Runtime.done");
     done_ = true;
   }
-  for (const auto& q : event_queues_) q->close();
+  events_.close();
   ready_.close();
   done_cv_.notify_all();
 }
@@ -407,30 +373,22 @@ void Runtime::fail(std::exception_ptr error) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
-void Runtime::analyzer_loop(int shard) {
+void Runtime::analyzer_loop() {
   // now_ns() only when somebody consumes the timestamps: two clock reads
   // per event were measurable overhead on event-dense runs.
   const bool timed = trace_ != nullptr || metrics_ != nullptr;
-  MpscQueue<Event>& queue = *event_queues_[static_cast<size_t>(shard)];
-  // Trace lane: shard 0 keeps the classic "analyzer" lane (-1); further
-  // shards get lanes below the service threads (-2 net, -3 retry).
-  const int lane = shard == 0 ? -1 : -10 - shard;
-  obs::Counter* shard_events =
-      m_shard_events_.empty() ? nullptr
-                              : m_shard_events_[static_cast<size_t>(shard)];
-  const int64_t cpu_start = thread_cpu_ns();
 
-  // Drain the whole backlog at once, handle it, then settle
-  // accounting once. The outstanding units are released only after the
-  // batch is fully handled — and any cross-shard messages it produced
-  // added their units first — so the count never undershoots the real
-  // amount of pending work (quiescence stays sound).
+  // Drain the whole backlog at once, handle it, then settle accounting
+  // once. The outstanding units are released only after the batch is fully
+  // handled — and the work it created added its units first — so the count
+  // never undershoots the real amount of pending work (quiescence stays
+  // sound).
   std::deque<Event> batch;
-  while (queue.pop_all(batch)) {
+  while (events_.pop_all(batch)) {
     const int64_t start = timed ? now_ns() : 0;
     const auto n = static_cast<int64_t>(batch.size());
     try {
-      analyzer_->handle_batch(static_cast<size_t>(shard), batch);
+      analyzer_->handle_batch(batch);
     } catch (...) {
       fail(std::current_exception());
     }
@@ -438,19 +396,16 @@ void Runtime::analyzer_loop(int shard) {
       const int64_t end = now_ns();
       if (trace_) {
         trace_->record(TraceCollector::Record{
-            start, end - start, lane, 0, n, SpanKind::kAnalyzer,
+            start, end - start, -1, 0, n, SpanKind::kAnalyzer,
             analyze_span_name_});
       }
       if (metrics_) {
         m_analyzer_ns_->record(end - start);
         m_events_->add(n);
-        if (shard_events != nullptr) shard_events->add(n);
       }
     }
     complete_outstanding(n);
   }
-
-  analyzer_cpu_ns_[static_cast<size_t>(shard)] = thread_cpu_ns() - cpu_start;
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -812,13 +767,7 @@ RunReport Runtime::run() {
   }
 
   if (metrics_) start_sampler();
-  const size_t nshards = analyzer_->shard_count();
-  std::vector<std::thread> analyzer_threads;
-  analyzer_threads.reserve(nshards);
-  for (size_t i = 0; i < nshards; ++i) {
-    analyzer_threads.emplace_back(
-        [this, i] { analyzer_loop(static_cast<int>(i)); });
-  }
+  std::thread analyzer_thread([this] { analyzer_loop(); });
   std::vector<std::thread> worker_threads;
   worker_threads.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
@@ -839,7 +788,7 @@ RunReport Runtime::run() {
   }
   if (report.timed_out) begin_shutdown();
 
-  for (std::thread& t : analyzer_threads) t.join();
+  analyzer_thread.join();
   for (std::thread& t : worker_threads) t.join();
 
   // Flush all telemetry *before* propagating a worker error or returning

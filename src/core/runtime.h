@@ -1,15 +1,14 @@
 // Runtime: a P2G execution node for multi-core machines (paper §VI-B).
 //
-// The runtime owns field storage, one or more dependency-analyzer shard
-// threads (RunOptions::analyzer_shards), an age-ordered ready queue and a
-// pool of worker threads. Kernel instances run on workers and emit store
-// events; the analyzer shards consume events routed by field/kernel
-// ownership, discover newly runnable instances and dispatch each instance
-// exactly once (write-once semantics make this sound). The run terminates
-// at quiescence: no pending events, no ready or running instances.
+// The runtime owns field storage, one dependency-analyzer thread fed by one
+// lock-free event queue, an age-ordered ready queue and a pool of worker
+// threads. Kernel instances run on workers and emit store events; the
+// analyzer consumes them, discovers newly runnable instances and dispatches
+// each instance exactly once (write-once semantics make this sound). The
+// run terminates at quiescence: no pending events, no ready or running
+// instances.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -75,13 +74,6 @@ struct RunOptions {
   std::optional<std::chrono::milliseconds> watchdog;
   /// Oldest-first dispatch (paper §VI-B). false = plain FIFO (ablation).
   bool age_priority = true;
-  /// Analyzer shards (clamped to [1, 64]): dependency tracking is
-  /// partitioned across this many analyzer threads, each owning a disjoint
-  /// set of fields and kernels, fed by per-shard lock-free MPSC queues and
-  /// exchanging cross-shard effects as explicit messages
-  /// (core/dependency.h). 1 (the default) is exactly the paper's single
-  /// analyzer thread; any value dispatches a bit-identical instance set.
-  int analyzer_shards = 1;
   /// Checked mode: record writer provenance per (field, age, region) so a
   /// write-once violation reports *both* offending kernel instances and
   /// their slices instead of just the second one. Costs one small record
@@ -204,20 +196,8 @@ class Runtime {
   /// independence certificates (0 unless the program was certified).
   int64_t certified_skips() const;
 
-  /// The dependency analyzer (tests/bench: shard counters, memory stats).
+  /// The dependency analyzer (tests: memory stats, dispatch count).
   DependencyAnalyzer& analyzer() { return *analyzer_; }
-
-  /// CPU time the busiest analyzer shard thread consumed during run(),
-  /// in nanoseconds. On oversubscribed machines (or a single-core box,
-  /// where N shard threads time-share one core) wall clock cannot show the
-  /// per-shard load split; the max shard CPU is the quantity that
-  /// parallelism across cores would put on the critical path. Valid after
-  /// run() returns; 0 before.
-  int64_t max_analyzer_cpu_ns() const {
-    int64_t best = 0;
-    for (const int64_t ns : analyzer_cpu_ns_) best = std::max(best, ns);
-    return best;
-  }
 
   /// The span recorder (nullptr unless RunOptions::trace_path,
   /// collect_trace or flight_dir was set). Unbounded with trace_path or
@@ -269,27 +249,14 @@ class Runtime {
     bool elide = false;
   };
 
-  /// Per-kernel resolved schedule. `chunk` is adapted only from analyzer
-  /// shard 0 (adapt_granularity) but read by every shard's flush path, so
-  /// it is a relaxed atomic: any shard using a slightly stale chunk size
-  /// only changes work-item grouping, never correctness.
+  /// Per-kernel resolved schedule. `chunk` is written and read only by
+  /// the analyzer thread (adapt_granularity, flush_chunks).
   struct KernelRunCfg {
-    std::atomic<int64_t> chunk{1};
+    int64_t chunk = 1;
     bool chunk_explicit = false;  ///< user-set; adaptive control skips it
     Age cap = std::numeric_limits<Age>::max();
     const ResolvedFusion* fusion = nullptr;  ///< as upstream
     bool enabled = true;  ///< false: kernel runs on another node
-
-    // The atomic deletes the implicit copy/move; vector::resize needs
-    // MoveInsertable even when growing from empty. Only ever invoked
-    // before any thread starts.
-    KernelRunCfg() = default;
-    KernelRunCfg(KernelRunCfg&& other) noexcept
-        : chunk(other.chunk.load(std::memory_order_relaxed)),
-          chunk_explicit(other.chunk_explicit),
-          cap(other.cap),
-          fusion(other.fusion),
-          enabled(other.enabled) {}
   };
 
   /// Analyzer-thread hook: revisits chunk sizes from instrumentation.
@@ -316,17 +283,14 @@ class Runtime {
   /// Enqueues a batch of work items under one ready-queue lock.
   void submit_batch(std::vector<WorkItem> items);
 
-  /// Routes an event to the analyzer shard owning its state.
+  /// Enqueues an event for the analyzer thread.
   void push_event(Event event);
-  /// Enqueues onto a specific shard's queue (cross-shard analyzer
-  /// messages, which are addressed explicitly by their sender).
-  void push_shard_event(size_t shard, Event event);
 
   void begin_shutdown();
   void fail(std::exception_ptr error);
 
   void worker_loop(int worker_index);
-  void analyzer_loop(int shard);
+  void analyzer_loop();
 
   /// Runs all bodies of a work item: fetch prep, body, store commit, fused
   /// downstream execution, instrumentation, done-event emission. Under
@@ -372,12 +336,9 @@ class Runtime {
   std::vector<ResolvedFusion> fusions_;
 
   ReadyQueue ready_;
-  /// One lock-free MPSC event queue per analyzer shard (producers: workers
-  /// and other shards; consumer: the shard's thread).
-  std::vector<std::unique_ptr<MpscQueue<Event>>> event_queues_;
-  /// Per-shard thread CPU time, written by each shard thread on exit and
-  /// read after join (bench: critical-path analyzer cost).
-  std::vector<int64_t> analyzer_cpu_ns_;
+  /// The lock-free MPSC event queue (producers: workers and remote-store
+  /// injection; consumer: the analyzer thread).
+  MpscQueue<Event> events_;
   Instrumentation instr_;
   TimerSet timers_;
   std::unique_ptr<TraceCollector> trace_;
@@ -400,10 +361,6 @@ class Runtime {
   obs::Counter* m_busy_ns_ = nullptr;
   obs::Counter* m_idle_ns_ = nullptr;
   obs::Counter* m_events_ = nullptr;
-  /// Per-shard analyzer counters (events handled / cross-shard messages
-  /// received), indexed by shard; empty when metrics are off.
-  std::vector<obs::Counter*> m_shard_events_;
-  std::vector<obs::Counter*> m_shard_xshard_;
 
   std::atomic<int64_t> outstanding_{0};
   sync::Mutex done_mutex_{"Runtime.done_mutex"};

@@ -410,9 +410,6 @@ void TraceCollector::emit(std::ostream& os, int pid,
       label = "net";
     } else if (tid == -3) {
       label = "retry";
-    } else if (tid <= -10) {
-      // Analyzer shards >= 1 (shard 0 stays on the classic -1 lane).
-      label = "analyzer " + std::to_string(-10 - tid);
     } else {
       label = "thread " + std::to_string(tid);
     }

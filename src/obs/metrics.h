@@ -34,8 +34,6 @@ size_t shard_index();
 /// Enables telemetry on a run (RunOptions::metrics).
 struct MetricsOptions {
   bool enabled = false;
-  /// Gauge-sampling cadence of the low-frequency sampler thread.
-  int sample_period_ms = 5;
 };
 
 /// Monotonic counter (events, bytes, nanoseconds of busy time, ...).

@@ -50,15 +50,17 @@ void Sampler::sample_once() {
 }
 
 void Sampler::loop() {
+  // A first and a closing sample, so even a run stopped before the thread
+  // got going has two points.
+  sample_once();
   std::unique_lock lock(mutex_);
-  while (!stopping_) {
+  while (!cv_.wait_for(lock, period_, [&] { return stopping_; })) {
     lock.unlock();
     sample_once();
     lock.lock();
-    cv_.wait_for(lock, period_, [&] { return stopping_; });
   }
   lock.unlock();
-  sample_once();  // closing sample so short runs still get two points
+  sample_once();
 }
 
 }  // namespace p2g::obs

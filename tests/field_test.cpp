@@ -353,11 +353,16 @@ TEST(FieldStorageStress, ConcurrentViewsAcrossRelease) {
 
   std::atomic<int64_t> mismatches{0};
   std::atomic<int64_t> views_read{0};
+  // Readers that have finished their first iteration. The releaser waits
+  // for all of them, so a loaded machine cannot let it release every age
+  // before any reader runs.
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&fs, &mismatches, &views_read, t] {
+    readers.emplace_back([&fs, &mismatches, &views_read, &started, t] {
       for (int iter = 0; iter < 4000; ++iter) {
+        if (iter == 1) started.fetch_add(1);
         const Age a = (iter * 13 + t * 7) % kAges;
         const auto view = fs.try_fetch_view_whole(a);
         if (!view) continue;  // already released: allowed
@@ -371,7 +376,8 @@ TEST(FieldStorageStress, ConcurrentViewsAcrossRelease) {
       }
     });
   }
-  std::thread releaser([&fs] {
+  std::thread releaser([&fs, &started] {
+    while (started.load() < kReaders) std::this_thread::yield();
     for (Age a = 0; a < kAges; ++a) fs.release_age(a);
   });
   for (std::thread& r : readers) r.join();

@@ -284,7 +284,6 @@ TEST(RuntimeMetrics, RunProducesSnapshotAndSeries) {
   options.workers = 2;
   options.max_age = 20;
   options.metrics.enabled = true;
-  options.metrics.sample_period_ms = 1;
   Runtime runtime(workload.build(), options);
   const RunReport report = runtime.run();
 
@@ -334,7 +333,6 @@ TEST(RuntimeMetrics, TraceGainsCounterTracks) {
   options.max_age = 10;
   options.trace_path = path;
   options.metrics.enabled = true;
-  options.metrics.sample_period_ms = 1;
   Runtime runtime(workload.build(), options);
   runtime.run();
 
