@@ -195,9 +195,11 @@ if [ "$issue" = 10 ]; then
   trap 'rm -rf "$tmp"' EXIT
 
   nodes="${P2G_BENCH_NODES:-3}"
-  "$build_dir/tools/p2gnode" --master --workload pipeline \
+  cd "$repo"  # the report names the program by its repo-relative path
+  pipeline="examples/programs/pipeline.p2g"
+  "$build_dir/tools/p2gnode" --master --program "$pipeline" --max-age 8 \
     --nodes "$nodes" --json "$tmp/socket.json" > /dev/null
-  "$build_dir/tools/p2gnode" --master --workload pipeline \
+  "$build_dir/tools/p2gnode" --master --program "$pipeline" --max-age 8 \
     --nodes "$nodes" --shm --json "$tmp/shm.json" > /dev/null
 
   python3 - "$tmp/socket.json" "$tmp/shm.json" "$out" <<'PY'
@@ -215,7 +217,7 @@ assert socket["checksum"] == shm["checksum"], (
 report = {
     "issue": 10,
     "generated_by": "scripts/bench_report.sh",
-    "workload": socket["workload"],
+    "program": socket["program"],
     "nodes": socket["nodes"],
     "baseline_definition": {
         "socket": "real multi-process run over the TCP socket transport: "
@@ -223,7 +225,7 @@ report = {
                   "length-prefixed frame (the pre-shm data plane)",
     },
     "acceptance": "bytes_copied_per_frame ~0 on the shm data plane for "
-                  "the whole-frame pipeline workload (frames ship as "
+                  "the whole-frame pipeline program (frames ship as "
                   "arena offsets, receivers adopt mapped pages); "
                   "checksums bit-exact across transports",
     "checksum": socket["checksum"],

@@ -102,7 +102,9 @@ fi
 # path (fork/exec, hub routing, termination detection) on the gate;
 # scripts/soak.sh runs the longer transport sweeps.
 if [ "$rc" -eq 0 ]; then
-  "$build_dir/tools/p2gnode" --master --workload mul2 --nodes 3 || rc=$?
+  "$build_dir/tools/p2gnode" --master \
+    --program "$repo/examples/programs/mul2plus5.p2g" --max-age 3 \
+    --nodes 3 || rc=$?
   if [ "$rc" -ne 0 ]; then
     echo "tier1: p2gnode multi-process smoke failed with exit code $rc" >&2
   fi

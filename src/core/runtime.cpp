@@ -750,6 +750,7 @@ RunReport Runtime::run() {
 
   Stopwatch stopwatch;
   analyzer_->bootstrap();
+  bootstrapped_.store(true);
 
   RunReport report;
   if (outstanding_.load() == 0 && !options_.keep_alive) {

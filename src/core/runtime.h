@@ -181,8 +181,13 @@ class Runtime {
   /// Ends a keep-alive run (or aborts a normal one). Thread-safe.
   void stop() { begin_shutdown(); }
 
-  /// True when no events, ready instances or running instances exist.
-  bool idle() const { return outstanding_.load() == 0; }
+  /// True when run() has created the initial instances and no events,
+  /// ready instances or running instances exist. A runtime whose run()
+  /// has not bootstrapped yet is not idle: the distributed termination
+  /// probe must not mistake a node that has not started for a drained one.
+  bool idle() const {
+    return bootstrapped_.load() && outstanding_.load() == 0;
+  }
 
   const Program& program() const { return program_; }
   FieldStorage& storage(FieldId field);
@@ -363,6 +368,7 @@ class Runtime {
   obs::Counter* m_events_ = nullptr;
 
   std::atomic<int64_t> outstanding_{0};
+  std::atomic<bool> bootstrapped_{false};
   sync::Mutex done_mutex_{"Runtime.done_mutex"};
   sync::CondVar done_cv_{"Runtime.done_cv"};
   bool done_ = false;

@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "common/error.h"
 #include "common/logging.h"
+#include "graph/static_graph.h"
 
 namespace p2g::dist {
 
@@ -59,14 +60,14 @@ ExecutionNode::ExecutionNode(
     }
   }
 
-  // Forwarding map: for every field, the remote nodes hosting consumers.
+  // Forwarding map: for every field, the remote nodes hosting readers.
+  const std::vector<std::set<KernelId>> readers = graph::field_readers(program);
   forward_targets_.resize(program.fields().size());
   for (const FieldDecl& f : program.fields()) {
     std::vector<std::string>& targets =
         forward_targets_[static_cast<size_t>(f.id)];
-    for (const Program::Use& use : program.consumers_of(f.id)) {
-      const std::string& owner =
-          kernel_owner.at(program.kernel(use.kernel).name);
+    for (const KernelId reader : readers[static_cast<size_t>(f.id)]) {
+      const std::string& owner = kernel_owner.at(program.kernel(reader).name);
       if (owner != name_ &&
           std::find(targets.begin(), targets.end(), owner) ==
               targets.end()) {
@@ -300,14 +301,15 @@ void ExecutionNode::apply_reassign(const ReassignMsg& reassign) {
     // store log to every target that just appeared, and stop forwarding
     // into the dead node's closed mailbox.
     const Program& prog = runtime_->program();
+    const std::vector<std::set<KernelId>> readers = graph::field_readers(prog);
     for (const FieldDecl& f : prog.fields()) {
       std::vector<std::string>& targets =
           forward_targets_[static_cast<size_t>(f.id)];
       targets.erase(
           std::remove(targets.begin(), targets.end(), reassign.dead),
           targets.end());
-      for (const Program::Use& use : prog.consumers_of(f.id)) {
-        const auto it = kernel_owner_.find(prog.kernel(use.kernel).name);
+      for (const KernelId reader : readers[static_cast<size_t>(f.id)]) {
+        const auto it = kernel_owner_.find(prog.kernel(reader).name);
         if (it == kernel_owner_.end()) continue;
         const std::string& owner = it->second;
         if (owner == name_ || owner == reassign.dead) continue;

@@ -11,9 +11,10 @@
 // Where the nodes live is the Launcher's business, and the only thing that
 // differs between runs: Master::run() starts in-process ExecutionNodes on
 // threads over a MessageBus; Master::run(launcher) hands the same
-// ownership map to another launcher — net::ProcessLauncher fork/execs one
-// `p2gnode` process per node over sockets. Partitioning, termination,
-// failure detection and fencing, and the report exist once, here.
+// ownership map and node options to another launcher — net::ProcessLauncher
+// fork/execs one `p2gnode` process per node over sockets and ships them the
+// program's kernel-language source. Partitioning, termination, failure
+// detection and fencing, and the report exist once, here.
 //
 // With MasterFtOptions::enabled (in-process nodes only) the run goes
 // through the src/ft subsystem: the bus becomes a seeded ChaosBus, nodes
@@ -71,8 +72,9 @@ struct MasterOptions {
   /// Enable telemetry on every node and aggregate the shipped snapshots
   /// into DistributedRunReport (node_metrics / combined_metrics).
   bool collect_node_metrics = true;
-  /// Extra runtime options applied to every in-process node (schedules,
-  /// caps, ...). Process nodes take theirs from their workload spec.
+  /// Extra runtime options applied to every node (schedules, caps, ...).
+  /// Process nodes get max_age and metrics.enabled in their kAssign
+  /// message, like the program itself; the rest apply to in-process nodes.
   RunOptions base_options;
   /// Abort if the cluster does not terminate in time.
   std::chrono::milliseconds watchdog{30000};

@@ -169,4 +169,31 @@ std::string FinalGraph::to_dot() const {
   return os.str();
 }
 
+std::vector<std::set<KernelId>> field_readers(const Program& program) {
+  std::vector<std::set<KernelId>> readers(program.fields().size());
+  for (const FieldDecl& f : program.fields()) {
+    for (const Program::Use& use : program.consumers_of(f.id)) {
+      readers[static_cast<size_t>(f.id)].insert(use.kernel);
+    }
+  }
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const KernelDef& producer : program.kernels()) {
+      for (const StoreDecl& store : producer.stores) {
+        if (store.slice.is_whole()) continue;
+        for (size_t v = 0; v < producer.index_vars.size(); ++v) {
+          const auto binding = producer.binding_of_var(static_cast<int>(v));
+          if (!binding) continue;
+          const FieldId bound = producer.fetches[binding->fetch_index].field;
+          for (const KernelId reader :
+               readers[static_cast<size_t>(store.field)]) {
+            grew |= readers[static_cast<size_t>(bound)].insert(reader).second;
+          }
+        }
+      }
+    }
+  }
+  return readers;
+}
+
 }  // namespace p2g::graph

@@ -8,6 +8,7 @@
 // weights the final graph for repartitioning.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -77,5 +78,13 @@ struct FinalGraph {
 
   std::string to_dot() const;
 };
+
+/// For every field (indexed by FieldId), the kernels that need its stores
+/// wherever they run: its consumers and, transitively, the readers of
+/// every field with an elementwise producer binding an index variable
+/// through it — sealing an age of that field takes the producer's index
+/// domain, i.e. the binding field's sealed extents (core/dependency.h). A
+/// distributed execution node forwards each field to its readers' nodes.
+std::vector<std::set<KernelId>> field_readers(const Program& program);
 
 }  // namespace p2g::graph

@@ -11,11 +11,9 @@
 
 #include "common/clock.h"
 #include "common/error.h"
+#include "lang/driver.h"
 #include "net/shm.h"
 #include "net/wire.h"
-#include "workloads/kmeans.h"
-#include "workloads/mul2plus5.h"
-#include "workloads/pipeline.h"
 
 namespace p2g::net {
 namespace {
@@ -27,64 +25,6 @@ using dist::MessageType;
 constexpr size_t kArenaBytes = 16u << 20;
 constexpr uint32_t kRingSlots = ShmDataPlane::kDefaultRingSlots;
 
-workloads::KmeansWorkload make_kmeans() {
-  workloads::KmeansWorkload w;
-  w.config.n = 24;
-  w.config.k = 3;
-  w.config.dim = 2;
-  w.config.iterations = 3;
-  w.config.seed = 7;
-  return w;
-}
-
-}  // namespace
-
-dist::MasterOptions WorkloadSpec::master_options() const {
-  dist::MasterOptions options;
-  options.program_factory = build;
-  schedule(options.base_options);
-  options.capture_fields = capture;
-  return options;
-}
-
-const WorkloadSpec* find_workload(const std::string& name) {
-  static const std::map<std::string, WorkloadSpec> registry = [] {
-    std::map<std::string, WorkloadSpec> reg;
-    {
-      WorkloadSpec spec;
-      spec.build = [] { return workloads::Mul2Plus5{}.build(); };
-      spec.schedule = [](RunOptions& options) { options.max_age = 3; };
-      spec.capture = {"m_data", "p_data"};
-      reg.emplace("mul2", std::move(spec));
-    }
-    {
-      WorkloadSpec spec;
-      spec.build = [] { return make_kmeans().build(); };
-      spec.schedule = [](RunOptions& options) {
-        make_kmeans().apply_schedule(options);
-      };
-      spec.capture = {"centroids"};
-      reg.emplace("kmeans", std::move(spec));
-    }
-    {
-      WorkloadSpec spec;
-      spec.build = [] { return workloads::PipelineWorkload{}.build(); };
-      spec.schedule = [](RunOptions& options) {
-        workloads::PipelineWorkload{}.apply_schedule(options);
-      };
-      spec.capture = {"out"};
-      reg.emplace("pipeline", std::move(spec));
-    }
-    return reg;
-  }();
-  const auto it = registry.find(name);
-  return it != registry.end() ? &it->second : nullptr;
-}
-
-// --- launcher ---------------------------------------------------------------
-
-namespace {
-
 int make_ring_memfd() {
   const int fd = static_cast<int>(::memfd_create("p2g-ring", 0));
   P2G_CHECK_INTERNAL(fd >= 0, "memfd_create for ring failed");
@@ -95,12 +35,13 @@ int make_ring_memfd() {
 
 }  // namespace
 
+// --- launcher ---------------------------------------------------------------
+
 ProcessLauncher::ProcessLauncher(ProcessLaunch launch)
     : launch_(std::move(launch)) {
-  P2G_CHECK_ARGUMENT(find_workload(launch_.workload) != nullptr,
-                     "unknown workload '" + launch_.workload + "'");
   P2G_CHECK_ARGUMENT(!launch_.node_binary.empty(),
                      "ProcessLaunch::node_binary is required");
+  lang::compile_source(launch_.source);  // a bad program throws here
 }
 
 ProcessLauncher::~ProcessLauncher() { reap(0); }
@@ -129,7 +70,6 @@ bool ProcessLauncher::start(const dist::NodePlan& plan, Transport&) {
         launch_.node_binary,
         "--node", plan.names[i],
         "--connect", std::to_string(hub_.port()),
-        "--workload", launch_.workload,
         "--workers", std::to_string(plan.options.workers),
         "--heartbeat-ms", std::to_string(plan.ft.heartbeat_period_ms)};
     if (launch_.crash_after_stores > 0 && launch_.crash_node == plan.names[i]) {
@@ -169,8 +109,12 @@ bool ProcessLauncher::start(const dist::NodePlan& plan, Transport&) {
   if (!hub_.wait_for_nodes(n, std::chrono::milliseconds(15000))) {
     return false;
   }
-  // Ship the kernel ownership map (and what to capture) to every node.
+  // Ship the program, the kernel ownership map, what to capture and the
+  // run options to every node.
   AssignMsg assign;
+  assign.source = launch_.source;
+  assign.max_age = plan.options.max_age;
+  assign.metrics = plan.options.metrics.enabled;
   assign.kernels.assign(plan.kernel_owner.begin(), plan.kernel_owner.end());
   assign.capture_fields = plan.capture_fields;
   Message message;
@@ -220,18 +164,13 @@ void ProcessLauncher::reap(int64_t deadline_ns) {
 // --- node process -----------------------------------------------------------
 
 int run_node(const NodeConfig& config) {
-  const WorkloadSpec* spec = find_workload(config.workload);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "p2gnode: unknown workload '%s'\n",
-                 config.workload.c_str());
-    return 2;
-  }
   try {
     SocketNodeTransport bus("127.0.0.1", config.port, config.name);
     auto mailbox = bus.register_endpoint(config.name);
 
-    // The assignment must arrive before the node can be built (kernel
-    // ownership decides forwarding maps and enabled kernels).
+    // The assignment must arrive before the node can be built (it carries
+    // the program, and kernel ownership decides forwarding maps and
+    // enabled kernels).
     AssignMsg assign;
     while (true) {
       auto message = mailbox->pop();
@@ -246,8 +185,8 @@ int run_node(const NodeConfig& config) {
 
     RunOptions options;
     options.workers = config.workers;
-    options.metrics.enabled = true;
-    spec->schedule(options);
+    options.max_age = assign.max_age;
+    options.metrics.enabled = assign.metrics;
     if (config.crash_after_stores > 0) {
       // Simulated hard crash right after the Nth committed store: no
       // shutdown, no flush. Causal, so it always lands mid-run.
@@ -259,8 +198,9 @@ int run_node(const NodeConfig& config) {
     }
     dist::NodeFtOptions supervision;
     supervision.heartbeat_period_ms = config.heartbeat_period_ms;
-    dist::ExecutionNode node(config.name, spec->build(), kernel_owner, bus,
-                             options, supervision);
+    dist::ExecutionNode node(config.name,
+                             lang::compile_source(assign.source).program,
+                             kernel_owner, bus, options, supervision);
     bus.set_metrics(node.runtime().mutable_metrics());
 
     std::unique_ptr<ShmDataPlane> plane;

@@ -4,10 +4,11 @@
 // its own OS process: it fork+execs one `p2gnode` per node, wires them
 // through a SocketHub (control + data frames) and optionally a
 // shared-memory data plane (memfd arenas + SPSC rings inherited across
-// exec by fd number), and ships each node the master's kernel ownership
-// map. dist::Master drives it like the in-process launcher — partitioning,
-// termination detection, fencing and the report are the master's — except
-// that idle reports and results travel as messages.
+// exec by fd number), and ships each node the program's kernel-language
+// source, the master's kernel ownership map and the node's run options in
+// one kAssign message. dist::Master drives it like the in-process launcher
+// — partitioning, termination detection, fencing and the report are the
+// master's — except that idle reports and results travel as messages.
 //
 // run_node() is the other side: what a `p2gnode` process does between
 // exec and exit.
@@ -15,40 +16,22 @@
 
 #include <sys/types.h>
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/program.h"
-#include "core/runtime.h"
 #include "dist/master.h"
 #include "net/socket.h"
 
 namespace p2g::net {
 
-/// A named, self-contained workload both the master and the node binary
-/// can instantiate by name (the program must be identical in every
-/// process — kernel bodies are code, not wire data).
-struct WorkloadSpec {
-  std::function<Program()> build;
-  std::function<void(RunOptions&)> schedule;  ///< age caps etc.
-  std::vector<std::string> capture;           ///< fields gathered at the end
-
-  /// Master options running this workload: program factory, schedule and
-  /// capture fields (the rest at their defaults).
-  dist::MasterOptions master_options() const;
-};
-
-/// Built-in workloads: "mul2", "kmeans", "pipeline". Returns nullptr for
-/// unknown names.
-const WorkloadSpec* find_workload(const std::string& name);
-
 /// How ProcessLauncher starts the node processes.
 struct ProcessLaunch {
-  /// find_workload() name every node process instantiates.
-  std::string workload = "mul2";
+  /// Kernel-language (.p2g) source of the program every node process
+  /// compiles. Kernel bodies are code, so the program must be the one the
+  /// master partitioned (MasterOptions::program_factory).
+  std::string source;
   /// Path of the node binary to exec (tools/p2gnode).
   std::string node_binary;
   /// Enable the same-host shared-memory data plane.
@@ -62,6 +45,8 @@ struct ProcessLaunch {
 
 class ProcessLauncher final : public dist::Launcher {
  public:
+  /// Compiles launch.source once, so a bad program fails here (kParse,
+  /// kSema) before any process is forked.
   explicit ProcessLauncher(ProcessLaunch launch);
   /// Kills and reaps node processes still running (a run that threw).
   ~ProcessLauncher() override;
@@ -97,7 +82,6 @@ struct PeerShmConfig {
 struct NodeConfig {
   std::string name;
   uint16_t port = 0;  ///< the master's hub on 127.0.0.1
-  std::string workload;
   int workers = 1;
   int64_t heartbeat_period_ms = 15;
   /// Fault injection: hard-exit after this many committed stores (0 = off).
@@ -107,8 +91,9 @@ struct NodeConfig {
   std::vector<PeerShmConfig> peers;
 };
 
-/// The node-process main loop: connect, handshake, receive the kernel
-/// assignment, run the workload, ship profile, captures and status.
+/// The node-process main loop: connect, handshake, receive the
+/// assignment, compile and run its program, ship profile, captures and
+/// status.
 /// Returns the process exit code.
 int run_node(const NodeConfig& config);
 

@@ -67,6 +67,7 @@ HelloMsg HelloMsg::decode(const std::vector<uint8_t>& bytes) {
 
 std::vector<uint8_t> AssignMsg::encode() const {
   Writer w;
+  w.str(source);
   w.u32(static_cast<uint32_t>(kernels.size()));
   for (const auto& [kernel, owner] : kernels) {
     w.str(kernel);
@@ -74,12 +75,16 @@ std::vector<uint8_t> AssignMsg::encode() const {
   }
   w.u32(static_cast<uint32_t>(capture_fields.size()));
   for (const auto& field : capture_fields) w.str(field);
+  w.u8(max_age.has_value());
+  w.i64(max_age.value_or(0));
+  w.u8(metrics);
   return w.take();
 }
 
 AssignMsg AssignMsg::decode(const std::vector<uint8_t>& bytes) {
   Reader r(bytes);
   AssignMsg m;
+  m.source = r.str();
   const uint32_t nk = r.count(8);  // two length-prefixed strings minimum
   m.kernels.reserve(nk);
   for (uint32_t i = 0; i < nk; ++i) {
@@ -90,6 +95,10 @@ AssignMsg AssignMsg::decode(const std::vector<uint8_t>& bytes) {
   const uint32_t nf = r.count(4);
   m.capture_fields.reserve(nf);
   for (uint32_t i = 0; i < nf; ++i) m.capture_fields.push_back(r.str());
+  const bool capped = r.u8() != 0;
+  const int64_t max_age = r.i64();
+  if (capped) m.max_age = max_age;
+  m.metrics = r.u8() != 0;
   require_exhausted(r, "AssignMsg");
   return m;
 }

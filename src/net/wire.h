@@ -39,12 +39,16 @@ struct HelloMsg {
   static HelloMsg decode(const std::vector<uint8_t>& bytes);
 };
 
-/// Master -> node: kernel ownership for the whole cluster plus the
-/// fields the master wants captured (complete ages shipped back as
-/// kCapture) when the run drains.
+/// Master -> node: the program to run (kernel-language source), kernel
+/// ownership for the whole cluster, the fields the master wants captured
+/// (complete ages shipped back as kCapture) when the run drains, and the
+/// node's run options.
 struct AssignMsg {
+  std::string source;
   std::vector<std::pair<std::string, std::string>> kernels;  ///< name->owner
   std::vector<std::string> capture_fields;
+  std::optional<int64_t> max_age;  ///< RunOptions::max_age
+  bool metrics = false;            ///< RunOptions::metrics.enabled
 
   std::vector<uint8_t> encode() const;
   static AssignMsg decode(const std::vector<uint8_t>& bytes);

@@ -308,6 +308,27 @@ TEST(Messages, FaultToleranceMessagesRoundTrip) {
   EXPECT_EQ(reassign_back.kernels, reassign.kernels);
 }
 
+TEST(Messages, AssignMsgRoundTripsProgramAndRunOptions) {
+  net::AssignMsg assign;
+  assign.source = "int32[] m_data age;\n";
+  assign.kernels = {{"mul2", "node0"}, {"plus5", "node1"}};
+  assign.capture_fields = {"m_data"};
+  assign.max_age = 3;
+  assign.metrics = true;
+  const net::AssignMsg back = net::AssignMsg::decode(assign.encode());
+  EXPECT_EQ(back.source, assign.source);
+  EXPECT_EQ(back.kernels, assign.kernels);
+  EXPECT_EQ(back.capture_fields, assign.capture_fields);
+  EXPECT_EQ(back.max_age, std::optional<Age>(3));
+  EXPECT_TRUE(back.metrics);
+
+  assign.max_age.reset();
+  assign.metrics = false;
+  const net::AssignMsg uncapped = net::AssignMsg::decode(assign.encode());
+  EXPECT_FALSE(uncapped.max_age.has_value());
+  EXPECT_FALSE(uncapped.metrics);
+}
+
 // --- Codec truncation corpus ------------------------------------------
 //
 // Every wire codec must reject every strict prefix of a valid encoding
@@ -435,9 +456,17 @@ std::vector<CodecCase> codec_corpus() {
                    }});
 
   net::AssignMsg assign;
+  assign.source = "uint8[4096] frame age;\nsrc:\n  local uint8[] v;\n";
   assign.kernels = {{"src", "node0"}, {"xform", "node1"}, {"pump", "node2"}};
   assign.capture_fields = {"out"};
+  assign.max_age = 8;
+  assign.metrics = true;
   cases.push_back({"AssignMsg", assign.encode(),
+                   [](const std::vector<uint8_t>& b) {
+                     net::AssignMsg::decode(b);
+                   }});
+  assign.max_age.reset();  // a program that ends by itself
+  cases.push_back({"AssignMsgUncapped", assign.encode(),
                    [](const std::vector<uint8_t>& b) {
                      net::AssignMsg::decode(b);
                    }});

@@ -3,23 +3,25 @@
 // aliasing, the framed wire format, the socket hub/node transports (with
 // MessageBus-parity dead-letter accounting), ChaosBus decorating a real
 // socket transport, and — behind P2G_NODE_BINARY — dist::Master running
-// real node processes, compared bit-exactly against in-process nodes.
+// the shipped .p2g programs on real node processes, compared bit-exactly
+// against in-process nodes.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "dist/master.h"
 #include "ft/chaos_bus.h"
 #include "ft/reliable.h"
+#include "lang/driver.h"
 #include "net/cluster.h"
 #include "net/shm.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "workloads/mul2plus5.h"
 
 namespace p2g::net {
 namespace {
@@ -456,25 +458,41 @@ TEST(ChaosSocket, ReliableChannelRecoversDropsOverARealSocketPair) {
 
 #ifdef P2G_NODE_BINARY
 
-dist::MasterOptions workload_options(const std::string& workload, int nodes) {
-  dist::MasterOptions options = find_workload(workload)->master_options();
+/// Kernel-language source of examples/programs/<program>.p2g.
+std::string program_source(const std::string& program) {
+  return lang::read_file(std::string(P2G_PROGRAM_DIR) + "/" + program +
+                         ".p2g");
+}
+
+/// Master options running examples/programs/<program>.p2g on `nodes`
+/// nodes under the age cap it is run with (`p2gc run <file> N`; none for
+/// a program that ends by itself), capturing every field.
+dist::MasterOptions program_options(const std::string& program, int nodes) {
+  static const std::map<std::string, Age> caps = {
+      {"mul2plus5", 3}, {"kmeans", 6}, {"mjpeg", 4}, {"pipeline", 8}};
+  dist::MasterOptions options;
+  options.program_factory = [source = program_source(program)] {
+    return lang::compile_source(source).program;
+  };
+  const Program reference = options.program_factory();
+  for (const FieldDecl& field : reference.fields()) {
+    options.capture_fields.push_back(field.name);
+  }
+  if (const auto cap = caps.find(program); cap != caps.end()) {
+    options.base_options.max_age = cap->second;
+  }
   options.nodes = nodes;
   return options;
 }
 
-/// dist::Master over real `p2gnode` processes.
-dist::DistributedRunReport run_processes(const std::string& workload,
-                                         int nodes, bool shm = false,
-                                         const std::string& crash_node = "",
-                                         int crash_after_stores = 0) {
-  ProcessLaunch launch;
-  launch.workload = workload;
+/// dist::Master over real `p2gnode` processes running `program`.
+dist::DistributedRunReport run_processes(const std::string& program,
+                                         dist::MasterOptions options,
+                                         ProcessLaunch launch = {}) {
+  launch.source = program_source(program);
   launch.node_binary = P2G_NODE_BINARY;
-  launch.shm = shm;
-  launch.crash_node = crash_node;
-  launch.crash_after_stores = crash_after_stores;
   ProcessLauncher launcher(launch);
-  return dist::Master(workload_options(workload, nodes)).run(launcher);
+  return dist::Master(std::move(options)).run(launcher);
 }
 
 class Cluster : public ::testing::TestWithParam<const char*> {};
@@ -484,10 +502,11 @@ TEST_P(Cluster, ProcessLauncherIsBitExactAgainstThreadLauncher) {
   // in-process nodes on threads and three real OS processes over sockets
   // must produce the same field contents, age by age and byte by byte,
   // and run every kernel the same number of times.
-  const std::string workload = GetParam();
+  const std::string program = GetParam();
   const dist::DistributedRunReport threads =
-      dist::Master(workload_options(workload, 3)).run();
-  const dist::DistributedRunReport processes = run_processes(workload, 3);
+      dist::Master(program_options(program, 3)).run();
+  const dist::DistributedRunReport processes =
+      run_processes(program, program_options(program, 3));
   ASSERT_FALSE(threads.timed_out);
   ASSERT_FALSE(processes.timed_out);
   EXPECT_TRUE(processes.ft.dead_nodes.empty());
@@ -510,8 +529,31 @@ TEST_P(Cluster, ProcessLauncherIsBitExactAgainstThreadLauncher) {
       << "a 3-way split must cross the wire";
 }
 
+TEST_P(Cluster, SplittingAcrossNodesKeepsTheOneNodeResult) {
+  // Partitioning must not change what a program computes: a field whose
+  // chain is split across nodes still seals on the node that reads it
+  // (mjpeg's vlc and smoothing's report fetch whole fields whose
+  // producers' index domains are bound on other nodes).
+  const std::string program = GetParam();
+  const dist::DistributedRunReport one =
+      dist::Master(program_options(program, 1)).run();
+  for (const int nodes : {2, 3}) {
+    const dist::DistributedRunReport split =
+        dist::Master(program_options(program, nodes)).run();
+    ASSERT_FALSE(split.timed_out) << nodes << " nodes";
+    EXPECT_EQ(split.captured, one.captured) << nodes << " nodes";
+    for (size_t k = 0; k < one.combined.kernels.size(); ++k) {
+      EXPECT_EQ(split.combined.kernels[k].instances,
+                one.combined.kernels[k].instances)
+          << one.combined.kernels[k].name << " on " << nodes << " nodes";
+    }
+  }
+}
+
+// Every examples/programs/*.p2g.
 INSTANTIATE_TEST_SUITE_P(Workloads, Cluster,
-                         ::testing::Values("mul2", "kmeans", "pipeline"),
+                         ::testing::Values("mul2plus5", "kmeans", "mjpeg",
+                                           "smoothing", "pipeline"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -520,25 +562,49 @@ TEST(Cluster, ProcessLauncherRejectsTracingAndFaultTolerance) {
   // Merged traces, flight dumps and FT recovery read in-process nodes'
   // state; with node processes they must fail loudly, before any fork.
   const auto expect_rejected = [](const dist::MasterOptions& options) {
-    ProcessLaunch launch;
-    launch.node_binary = P2G_NODE_BINARY;
-    ProcessLauncher launcher(launch);
     try {
-      dist::Master(options).run(launcher);
+      run_processes("mul2plus5", options);
       FAIL() << "expected kInvalidArgument";
     } catch (const Error& e) {
       EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument);
     }
   };
-  dist::MasterOptions traced = workload_options("mul2", 2);
+  dist::MasterOptions traced = program_options("mul2plus5", 2);
   traced.trace_path = "unused.json";
   expect_rejected(traced);
-  dist::MasterOptions flight = workload_options("mul2", 2);
+  dist::MasterOptions flight = program_options("mul2plus5", 2);
   flight.flight_dir = ".";
   expect_rejected(flight);
-  dist::MasterOptions ft = workload_options("mul2", 2);
+  dist::MasterOptions ft = program_options("mul2plus5", 2);
   ft.ft.enabled = true;
   expect_rejected(ft);
+}
+
+TEST(Cluster, ProcessLauncherRejectsABadProgramBeforeForking) {
+  ProcessLaunch launch;
+  launch.node_binary = P2G_NODE_BINARY;
+  launch.source = "int32[] values age;\nbroken: %{";
+  try {
+    ProcessLauncher launcher(launch);
+    FAIL() << "expected kParse";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kParse);
+  }
+}
+
+TEST(Cluster, NodeMetricsOffLeavesNodeMetricsEmptyUnderBothLaunchers) {
+  // collect_node_metrics is a node option like any other: process nodes
+  // get it in their assignment and keep telemetry off, as thread nodes do.
+  dist::MasterOptions options = program_options("mul2plus5", 2);
+  options.collect_node_metrics = false;
+  const dist::DistributedRunReport threads = dist::Master(options).run();
+  const dist::DistributedRunReport processes =
+      run_processes("mul2plus5", options);
+  ASSERT_FALSE(threads.timed_out);
+  ASSERT_FALSE(processes.timed_out);
+  EXPECT_TRUE(threads.node_metrics.empty());
+  EXPECT_TRUE(processes.node_metrics.empty());
+  EXPECT_EQ(processes.captured, threads.captured);
 }
 
 TEST(Cluster, ShmDataPlaneShipsFramesWithoutCopies) {
@@ -546,9 +612,12 @@ TEST(Cluster, ShmDataPlaneShipsFramesWithoutCopies) {
   // with the socket run while copying (approximately) zero payload bytes —
   // whole frames travel as arena offsets and the receiver adopts the
   // mapped pages directly.
-  const dist::DistributedRunReport socket = run_processes("pipeline", 3);
+  ProcessLaunch shm_launch;
+  shm_launch.shm = true;
+  const dist::DistributedRunReport socket =
+      run_processes("pipeline", program_options("pipeline", 3));
   const dist::DistributedRunReport shm =
-      run_processes("pipeline", 3, /*shm=*/true);
+      run_processes("pipeline", program_options("pipeline", 3), shm_launch);
   ASSERT_FALSE(socket.timed_out);
   ASSERT_FALSE(shm.timed_out);
   EXPECT_TRUE(shm.ft.dead_nodes.empty());
@@ -579,15 +648,18 @@ TEST(Cluster, CrashedNodeIsDetectedFencedAndReported) {
   // socket / silent heartbeats), fence the endpoint, keep the survivor
   // draining, and still terminate without tripping the watchdog.
   const dist::DistributedRunReport full =
-      dist::Master(workload_options("pipeline", 2)).run();
+      dist::Master(program_options("pipeline", 2)).run();
   int64_t victim_stores = 0;
   for (const KernelStats& k : full.node_reports.at("node0").kernels) {
     victim_stores += k.instances;  // one store per pipeline instance
   }
   ASSERT_GT(victim_stores, 3) << "the crash must land before node0's work ends";
 
+  ProcessLaunch crash;
+  crash.crash_node = "node0";
+  crash.crash_after_stores = 3;
   const dist::DistributedRunReport report =
-      run_processes("pipeline", 2, false, "node0", 3);
+      run_processes("pipeline", program_options("pipeline", 2), crash);
   ASSERT_FALSE(report.timed_out)
       << "a crash must not stall termination detection";
   ASSERT_EQ(report.ft.dead_nodes, std::vector<std::string>{"node0"});

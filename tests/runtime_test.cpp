@@ -363,6 +363,19 @@ TEST(Runtime, RunTwiceThrows) {
   EXPECT_THROW(rt.run(), Error);
 }
 
+TEST(Runtime, NotIdleUntilRunBootstraps) {
+  // A distributed node answers the master's termination probe with
+  // idle(): before run() has created the initial instances the node has
+  // not started, so it must not look drained.
+  Mul2Plus5 workload;
+  RunOptions options;
+  options.max_age = 1;
+  Runtime rt(workload.build(), options);
+  EXPECT_FALSE(rt.idle());
+  rt.run();
+  EXPECT_TRUE(rt.idle());
+}
+
 TEST(Runtime, EmptyProgramReturnsImmediately) {
   ProgramBuilder pb;
   pb.field("a", nd::ElementType::kInt32, 1);
