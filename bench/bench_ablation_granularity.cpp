@@ -5,8 +5,11 @@
 // dispatched unit cover a larger slice — raises the ratio of kernel time
 // to dispatch time and relieves the serial dependency analyzer. We sweep
 // the chunk size of the K-means assign kernel and report wall time plus
-// the dispatch counts that drop with coarser granularity.
+// the dispatch counts that drop with coarser granularity. The last row
+// leaves the chunk unset, so the runtime sizes it from measured body times.
 #include <cstdio>
+#include <optional>
+#include <string>
 
 #include "bench_util.h"
 #include "core/runtime.h"
@@ -26,7 +29,8 @@ int main() {
   std::printf("%7s  %10s  %12s  %12s  %14s\n", "chunk", "wall_s",
               "dispatches", "instances", "avg_disp_us");
 
-  for (int64_t chunk : {int64_t{1}, int64_t{8}, int64_t{64}, int64_t{256}}) {
+  const std::optional<int64_t> chunks[] = {1, 8, 64, 256, std::nullopt};
+  for (const std::optional<int64_t>& chunk : chunks) {
     workloads::KmeansWorkload workload;
     workload.config = config;
     RunOptions opts;
@@ -35,8 +39,9 @@ int main() {
     Runtime rt(workload.build(), opts);
     const RunReport report = rt.run();
     const auto* assign = report.instrumentation.find("assign");
-    std::printf("%7lld  %10.3f  %12lld  %12lld  %14.2f\n",
-                static_cast<long long>(chunk), report.wall_s,
+    std::printf("%7s  %10.3f  %12lld  %12lld  %14.2f\n",
+                chunk ? std::to_string(*chunk).c_str() : "auto",
+                report.wall_s,
                 static_cast<long long>(assign->dispatches),
                 static_cast<long long>(assign->instances),
                 assign->avg_dispatch_us());

@@ -5,7 +5,8 @@
 // dispatch-time columns capture, isolated from any real kernel work. The
 // BM_DispatchPerInstance* rows use wall time (UseRealTime): the main
 // thread only waits for the run, so its CPU time says nothing about the
-// cost per instance.
+// cost per instance. The per-instance rows pin chunk = 1 (one instance per
+// work item); BM_DispatchChunked shows what coarser chunks save.
 #include <benchmark/benchmark.h>
 
 #include <ctime>
@@ -47,6 +48,7 @@ void BM_DispatchPerInstance(benchmark::State& state) {
   for (auto _ : state) {
     RunOptions opts;
     opts.workers = 2;
+    opts.kernel_schedules["stage"].chunk = 1;
     Runtime rt(dispatch_program(elements, ages), opts);
     const RunReport report = rt.run();
     instances += report.instrumentation.find("stage")->instances;
@@ -69,6 +71,7 @@ void BM_DispatchPerInstanceMetrics(benchmark::State& state) {
   for (auto _ : state) {
     RunOptions opts;
     opts.workers = 2;
+    opts.kernel_schedules["stage"].chunk = 1;
     opts.metrics.enabled = true;
     Runtime rt(dispatch_program(elements, ages), opts);
     const RunReport report = rt.run();
@@ -141,6 +144,8 @@ void BM_DispatchChainedPerInstance(benchmark::State& state) {
     Program program = chained_program(elements, ages);
     RunOptions opts;
     opts.workers = 2;
+    opts.kernel_schedules["stage"].chunk = 1;
+    opts.kernel_schedules["relay"].chunk = 1;
     const double cpu0 = process_cpu_seconds();
     Runtime rt(std::move(program), opts);
     const RunReport report = rt.run();
@@ -171,6 +176,8 @@ void BM_DispatchChainedPerInstanceCertified(benchmark::State& state) {
     program.certify();
     RunOptions opts;
     opts.workers = 2;
+    opts.kernel_schedules["stage"].chunk = 1;
+    opts.kernel_schedules["relay"].chunk = 1;
     const double cpu0 = process_cpu_seconds();
     Runtime rt(std::move(program), opts);
     const RunReport report = rt.run();

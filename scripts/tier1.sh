@@ -65,13 +65,14 @@ fi
 # Opt-in flake gate: a test that passes once may still fail one run in
 # ten. Repeating the timing-sensitive ones until failure turns "passes on
 # most runs" into a measured pass rate. The timing-sensitive tests are the
-# crash/recovery chaos tests, the field/trace concurrency tests and the
-# multi-process cluster tests (thread vs process launcher, shm, crash).
+# crash/recovery chaos tests, the field/trace concurrency tests, the
+# multi-process cluster tests (thread vs process launcher, shm, crash) and
+# the granularity tests, whose probe hand-off is quiescence-sensitive.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
   flake_tests="$flake_tests|FieldStorageStress|TraceCollector.Concurrent"
-  flake_tests="$flake_tests|Cluster\\."
+  flake_tests="$flake_tests|Cluster\\.|AdaptiveChunking\\.|DeterminismSweep"
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then

@@ -1,6 +1,7 @@
 #include "core/dependency.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/error.h"
@@ -84,6 +85,7 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime)
   first_feasible_ = first_feasible_ages(program_);
   dispatch_.resize(nk);
   serial_.resize(nk);
+  probe_budget_.assign(nk, static_cast<size_t>(runtime_.workers_));
   for (const KernelDef& k : program_.kernels()) {
     const Age first = first_feasible_[static_cast<size_t>(k.id)];
     if (first < kInfeasible) {
@@ -137,13 +139,6 @@ void DependencyAnalyzer::handle_one(const Event& event) {
 void DependencyAnalyzer::handle_batch(const std::deque<Event>& events) {
   for (const Event& event : events) handle_one(event);
   flush_chunks();
-  // Periodically (every ~1024 events, crossed at batch granularity)
-  // revisit the data-granularity decisions (paper §V-A).
-  const int64_t before = events_handled_;
-  events_handled_ += static_cast<int64_t>(events.size());
-  if ((before >> 10) != (events_handled_ >> 10)) {
-    runtime_.adapt_granularity();
-  }
 }
 
 DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
@@ -199,6 +194,9 @@ void DependencyAnalyzer::handle_store(const StoreEvent& event) {
 }
 
 void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
+  // A probe's kernel is neither serial nor a source: its event only has to
+  // reach the batch-end flush_chunks, which now finds the measurement.
+  if (event.probe) return;
   const KernelDef& def = program_.kernel(event.kernel);
 
   if (def.serial) {
@@ -677,23 +675,59 @@ void DependencyAnalyzer::create_instance(const KernelDef& def, Age age,
   mark_dispatched(def.id, age, std::move(coord));
 }
 
+std::optional<int64_t> DependencyAnalyzer::chunk_size(KernelId kernel,
+                                                      size_t ready) const {
+  if (const auto& fixed = runtime_.kcfg_[static_cast<size_t>(kernel)].chunk) {
+    return *fixed;
+  }
+  const std::optional<double> body_ns =
+      runtime_.instr_.mean_kernel_ns(kernel);
+  if (!body_ns) return std::nullopt;
+  // Enough bodies to cover the target, but never fewer items than workers.
+  const int64_t workers = runtime_.workers_;
+  const int64_t cap = std::max<int64_t>(
+      1, (static_cast<int64_t>(ready) + workers - 1) / workers);
+  if (*body_ns * static_cast<double>(cap) <= kTargetItemNs) return cap;
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(kTargetItemNs / *body_ns)));
+}
+
 void DependencyAnalyzer::flush_chunks() {
   if (chunk_buffers_.empty()) return;
   std::vector<WorkItem> batch;
-  for (auto& [key, buffer] : chunk_buffers_) {
+  for (auto it = chunk_buffers_.begin(); it != chunk_buffers_.end();) {
+    const auto [kernel, age] = it->first;
+    ChunkBuffer& buffer = it->second;
     std::vector<nd::Coord>& coords = buffer.coords;
-    const auto [kernel, age] = key;
-    const int64_t chunk = std::max<int64_t>(
-        1, runtime_.kcfg_[static_cast<size_t>(kernel)].chunk);
-    const bool serial = program_.kernel(kernel).serial;
     const size_t total = coords.size();
+    size_t chunk;
+    size_t limit = total;  // instances dispatched now; the rest is held
+    bool probe = false;
+    if (const std::optional<int64_t> sized = chunk_size(kernel, total)) {
+      chunk = static_cast<size_t>(*sized);
+    } else {
+      // Unmeasured: one probe item per worker, the rest held. A probe runs
+      // a few bodies because a worker's first body runs on cold caches and
+      // alone would overstate the body time several-fold. While a buffer
+      // is held a probe is running; the flush ending the batch that
+      // handles its done event finds the measurement and releases it.
+      size_t& budget = probe_budget_[static_cast<size_t>(kernel)];
+      probe = true;
+      chunk = std::clamp<size_t>(
+          total / static_cast<size_t>(runtime_.workers_), 1, kProbeBodies);
+      const size_t items = std::min((total + chunk - 1) / chunk, budget);
+      budget -= items;
+      limit = std::min(total, items * chunk);
+    }
+    const bool serial = program_.kernel(kernel).serial;
     size_t begin = 0;
-    while (begin < total) {
-      const size_t end = std::min(total, begin + static_cast<size_t>(chunk));
+    while (begin < limit) {
+      const size_t end = std::min(limit, begin + chunk);
       WorkItem item;
       item.kernel = kernel;
       item.age = age;
       item.cause = buffer.cause;
+      item.probe = probe;
       if (begin == 0 && end == total) {
         item.coords = std::move(coords);  // whole buffer in one item
       } else {
@@ -709,8 +743,14 @@ void DependencyAnalyzer::flush_chunks() {
       }
       begin = end;
     }
+    if (limit == total) {
+      it = chunk_buffers_.erase(it);
+    } else {
+      coords.erase(coords.begin(),
+                   coords.begin() + static_cast<ptrdiff_t>(limit));
+      ++it;
+    }
   }
-  chunk_buffers_.clear();
   // One ready-queue lock and at most one worker wakeup for the whole flush.
   runtime_.submit_batch(std::move(batch));
 }

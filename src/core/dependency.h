@@ -40,9 +40,8 @@ class DependencyAnalyzer {
   void bootstrap();
 
   /// Processes a drained event backlog in order (analyzer thread only),
-  /// flushing chunk buffers and revisiting granularity once per batch
-  /// instead of once per event: a batch often fills a chunk that single
-  /// events would have split.
+  /// flushing chunk buffers once per batch instead of once per event: a
+  /// batch often fills a chunk that single events would have split.
   void handle_batch(const std::deque<Event>& events);
 
   /// Instances dispatched so far (tests/diagnostics; exact only at
@@ -73,6 +72,13 @@ class DependencyAnalyzer {
   /// park the kernel forever.
   static constexpr Age kInfeasible = std::numeric_limits<Age>::max() / 2;
   static std::vector<Age> first_feasible_ages(const Program& program);
+
+  /// Body time one work item should carry (paper §V-A, Fig. 4): about ten
+  /// times the framework cost of dispatching one item (Tables II and III),
+  /// so dispatch stays a small share of a coarsened item.
+  static constexpr double kTargetItemNs = 50'000.0;
+  /// Most bodies one probe item runs before its kernel has a measurement.
+  static constexpr size_t kProbeBodies = 8;
 
  private:
   struct ProducerKey {
@@ -139,7 +145,7 @@ class DependencyAnalyzer {
     TraceContext cause;
   };
 
-  /// Event dispatch without the per-batch flush/adapt epilogue.
+  /// Event dispatch without the per-batch flush epilogue.
   void handle_one(const Event& event);
 
   void handle_store(const StoreEvent& event);
@@ -204,7 +210,13 @@ class DependencyAnalyzer {
   void create_instance(const KernelDef& def, Age age, nd::Coord coord);
 
   /// Flushes chunk buffers into work items (serial kernels are gated).
+  /// A kernel with no measured body time sends probes and keeps the rest
+  /// of its buffers until the first probe reports back.
   void flush_chunks();
+  /// Instances per work item for `ready` buffered instances of `kernel`:
+  /// the fixed chunk if any, else sized from the measured mean body time;
+  /// nullopt while the kernel has no measurement.
+  std::optional<int64_t> chunk_size(KernelId kernel, size_t ready) const;
   void submit_or_park(WorkItem item);
 
   /// Index-variable domain lengths of a kernel at an age, or nullopt while
@@ -229,10 +241,12 @@ class DependencyAnalyzer {
   std::map<std::pair<FieldId, Age>, std::set<std::pair<KernelId, Age>>>
       retry_;
   std::map<std::pair<KernelId, Age>, ChunkBuffer> chunk_buffers_;
+  /// Probes each kernel may still send before its first measurement (one
+  /// per worker).
+  std::vector<size_t> probe_budget_;
   /// Context of the store event currently being handled; stamps instances
   /// it (transitively) makes runnable.
   TraceContext current_cause_;
-  int64_t events_handled_ = 0;
   int64_t certified_skips_ = 0;
   int64_t dispatched_total_ = 0;
 

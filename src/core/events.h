@@ -32,6 +32,10 @@ struct InstanceDoneEvent {
   KernelId kernel = kInvalidKernel;
   Age age = 0;
   bool continue_next_age = false;  ///< set by source kernels
+  /// The item was a probe of a kernel with no measured body time yet. Its
+  /// event tells the analyzer the measurement exists, so the instances
+  /// held back can be sized.
+  bool probe = false;
 };
 
 /// Re-enables a kernel on this node and re-enumerates its instances from

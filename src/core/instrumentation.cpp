@@ -38,9 +38,11 @@ void Instrumentation::record(KernelId kernel, int64_t dispatch_ns,
                      "instrumentation: kernel id out of range");
   Counters& c = counters_[static_cast<size_t>(kernel)];
   c.dispatches.fetch_add(1, std::memory_order_relaxed);
-  c.instances.fetch_add(bodies, std::memory_order_relaxed);
   c.dispatch_ns.fetch_add(dispatch_ns, std::memory_order_relaxed);
   c.kernel_ns.fetch_add(kernel_ns, std::memory_order_relaxed);
+  // Released last: whoever sees the instances sees their body time
+  // (mean_kernel_ns never divides a fresh count into a stale sum).
+  c.instances.fetch_add(bodies, std::memory_order_release);
 }
 
 InstrumentationReport Instrumentation::snapshot(

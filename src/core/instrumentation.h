@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,16 @@ class Instrumentation {
               int64_t kernel_ns);
 
   InstrumentationReport snapshot(const Program& program) const;
+
+  /// Mean body time of a kernel's executed instances; nullopt before the
+  /// first one is recorded. Two loads, no snapshot.
+  std::optional<double> mean_kernel_ns(KernelId kernel) const {
+    const Counters& c = counters_[static_cast<size_t>(kernel)];
+    const int64_t instances = c.instances.load(std::memory_order_acquire);
+    if (instances == 0) return std::nullopt;
+    return static_cast<double>(c.kernel_ns.load(std::memory_order_relaxed)) /
+           static_cast<double>(instances);
+  }
 
  private:
   struct Counters {

@@ -39,6 +39,9 @@ struct WorkItem {
   /// (first one for a chunk; zero when tracing is off). The executed
   /// span's flow arrow and parent link derive from it.
   TraceContext cause;
+  /// A probe measures a kernel's body time; it reports back with an
+  /// InstanceDoneEvent (see DependencyAnalyzer::flush_chunks).
+  bool probe = false;
 };
 
 /// Blocking, age-ordered queue feeding the worker pool.

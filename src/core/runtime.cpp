@@ -118,6 +118,11 @@ void Runtime::finalize_metrics() {
 void Runtime::resolve_options() {
   const Age global_cap = options_.max_age.value_or(
       std::numeric_limits<Age>::max());
+  workers_ = options_.workers;
+  if (workers_ <= 0) {
+    workers_ = static_cast<int>(std::thread::hardware_concurrency());
+    if (workers_ <= 0) workers_ = 2;
+  }
   for (const KernelDef& k : program_.kernels()) {
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(k.id)];
     cfg.cap = global_cap;
@@ -133,10 +138,18 @@ void Runtime::resolve_options() {
     P2G_CHECK_ARGUMENT(id != kInvalidKernel,
                        "kernel schedule for unknown kernel '" + name + "'");
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(id)];
-    P2G_CHECK_ARGUMENT(sched.chunk >= 1, "chunk must be >= 1");
+    P2G_CHECK_ARGUMENT(!sched.chunk || *sched.chunk >= 1,
+                       "chunk must be >= 1");
     cfg.chunk = sched.chunk;
-    cfg.chunk_explicit = sched.chunk != 1;
     if (sched.max_age) cfg.cap = std::min(cfg.cap, *sched.max_age);
+  }
+  // Serial kernels run one age at a time, and source and run-once kernels
+  // have one instance per age: nothing to coarsen.
+  for (const KernelDef& k : program_.kernels()) {
+    KernelRunCfg& cfg = kcfg_[static_cast<size_t>(k.id)];
+    if (!cfg.chunk && (k.serial || k.is_source() || k.is_run_once())) {
+      cfg.chunk = 1;
+    }
   }
   fusions_.reserve(options_.fusions.size());
   for (const FusionRule& rule : options_.fusions) {
@@ -319,25 +332,6 @@ void Runtime::submit_batch(std::vector<WorkItem> items) {
 void Runtime::push_event(Event event) {
   add_outstanding(1);
   events_.push(std::move(event));
-}
-
-void Runtime::adapt_granularity() {
-  if (!options_.adaptive_chunking) return;
-  constexpr int64_t kMaxChunk = 256;
-  const InstrumentationReport report = instr_.snapshot(program_);
-  for (const KernelDef& k : program_.kernels()) {
-    KernelRunCfg& cfg = kcfg_[static_cast<size_t>(k.id)];
-    if (cfg.chunk_explicit || cfg.chunk >= kMaxChunk) continue;
-    if (k.serial || k.is_source() || k.is_run_once()) continue;
-    const KernelStats* stats = report.find(k.name);
-    if (stats == nullptr || stats->dispatches < 64) continue;
-    // Dispatch-bound kernels get coarser slices (Fig. 4, Age=2).
-    if (stats->avg_dispatch_us() > stats->avg_kernel_us()) {
-      cfg.chunk = std::min<int64_t>(cfg.chunk * 2, kMaxChunk);
-      P2G_DEBUGC("runtime") << "adaptive LLS: kernel '" << k.name
-                            << "' chunk -> " << cfg.chunk;
-    }
-  }
 }
 
 void Runtime::begin_shutdown() {
@@ -722,11 +716,14 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
     m_dispatch_ns_->record(dispatch_ns);
     m_kernel_ns_->record(kernel_ns);
   }
-  if (needs_done_event(def)) {
+  if (needs_done_event(def) || item.probe) {
+    // A probe's done event follows its instr_.record() above, so the
+    // analyzer sees the measurement when it handles the event.
     InstanceDoneEvent done;
     done.kernel = def.id;
     done.age = item.age;
     done.continue_next_age = continue_flag;
+    done.probe = item.probe;
     push_event(done);
   }
   complete_outstanding();
@@ -761,17 +758,11 @@ RunReport Runtime::run() {
     return report;
   }
 
-  int workers = options_.workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) workers = 2;
-  }
-
   if (metrics_) start_sampler();
   std::thread analyzer_thread([this] { analyzer_loop(); });
   std::vector<std::thread> worker_threads;
-  worker_threads.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
+  worker_threads.reserve(static_cast<size_t>(workers_));
+  for (int i = 0; i < workers_; ++i) {
     worker_threads.emplace_back([this, i] { worker_loop(i); });
   }
 

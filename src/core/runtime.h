@@ -48,11 +48,14 @@ struct FusionRule {
   std::string downstream;
 };
 
-/// Per-kernel low-level-scheduler knobs.
+/// Per-kernel low-level-scheduler overrides.
 struct KernelSchedule {
-  /// Data-granularity control (Fig. 4, Age=2): up to `chunk` instances of
-  /// the same kernel and age are dispatched as one work item.
-  int64_t chunk = 1;
+  /// Data-granularity override (Fig. 4, Age=2): up to `chunk` instances of
+  /// the same kernel and age are dispatched as one work item. Unset, the
+  /// runtime sizes chunks itself from measured body times (see
+  /// DependencyAnalyzer::flush_chunks); set to 1, every instance is its
+  /// own work item.
+  std::optional<int64_t> chunk;
   /// Last age at which instances of this kernel may run.
   std::optional<Age> max_age;
 };
@@ -60,11 +63,6 @@ struct KernelSchedule {
 struct RunOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   int workers = 0;
-  /// Adaptive data-granularity control (paper §V-A): the analyzer watches
-  /// the instrumented dispatch/kernel-time ratio and doubles a kernel's
-  /// chunk size while dispatch overhead dominates (kernels with an
-  /// explicit chunk in kernel_schedules are left alone).
-  bool adaptive_chunking = false;
   /// Global cap on instance ages (required for cyclic programs with no
   /// natural termination, e.g. the paper's mul2/plus5 loop).
   std::optional<Age> max_age;
@@ -254,18 +252,16 @@ class Runtime {
     bool elide = false;
   };
 
-  /// Per-kernel resolved schedule. `chunk` is written and read only by
-  /// the analyzer thread (adapt_granularity, flush_chunks).
+  /// Per-kernel resolved schedule.
   struct KernelRunCfg {
-    int64_t chunk = 1;
-    bool chunk_explicit = false;  ///< user-set; adaptive control skips it
+    /// Fixed chunk size: the user's override, or 1 for serial, source and
+    /// run-once kernels. Unset, the analyzer sizes each flush from
+    /// measured body times.
+    std::optional<int64_t> chunk;
     Age cap = std::numeric_limits<Age>::max();
     const ResolvedFusion* fusion = nullptr;  ///< as upstream
     bool enabled = true;  ///< false: kernel runs on another node
   };
-
-  /// Analyzer-thread hook: revisits chunk sizes from instrumentation.
-  void adapt_granularity();
 
   void setup_metrics();
   void start_sampler();
@@ -339,6 +335,8 @@ class Runtime {
   std::vector<std::unique_ptr<FieldStorage>> storages_;
   std::vector<KernelRunCfg> kcfg_;
   std::vector<ResolvedFusion> fusions_;
+  /// Worker threads, resolved from RunOptions::workers at construction.
+  int workers_ = 1;
 
   ReadyQueue ready_;
   /// The lock-free MPSC event queue (producers: workers and remote-store

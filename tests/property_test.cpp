@@ -25,7 +25,7 @@ namespace {
 
 struct SchedulerConfig {
   int workers;
-  int64_t chunk;
+  int64_t chunk;  ///< 0: unset, the runtime sizes chunks itself
   bool age_priority;
   bool fuse;
 };
@@ -49,8 +49,10 @@ TEST_P(DeterminismSweep, Mul2Plus5OutputIsInvariant) {
   opts.workers = config.workers;
   opts.max_age = 6;
   opts.age_priority = config.age_priority;
-  opts.kernel_schedules["mul2"].chunk = config.chunk;
-  opts.kernel_schedules["plus5"].chunk = config.chunk;
+  if (config.chunk > 0) {
+    opts.kernel_schedules["mul2"].chunk = config.chunk;
+    opts.kernel_schedules["plus5"].chunk = config.chunk;
+  }
   if (config.fuse) opts.fusions.push_back(FusionRule{"mul2", "plus5"});
   Runtime rt(subject.build(), opts);
   rt.run();
@@ -68,11 +70,17 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedulerConfig{2, 1, false, false},
                       SchedulerConfig{4, 2, false, false},
                       SchedulerConfig{2, 1, true, true},
-                      SchedulerConfig{4, 4, true, true}),
+                      SchedulerConfig{4, 4, true, true},
+                      SchedulerConfig{1, 0, true, false},
+                      SchedulerConfig{2, 0, true, false},
+                      SchedulerConfig{4, 0, true, false},
+                      SchedulerConfig{4, 0, false, false},
+                      SchedulerConfig{2, 0, true, true}),
     [](const auto& info) {
       const SchedulerConfig& c = info.param;
       return "w" + std::to_string(c.workers) + "_c" +
-             std::to_string(c.chunk) + (c.age_priority ? "_prio" : "_fifo") +
+             (c.chunk > 0 ? std::to_string(c.chunk) : std::string("auto")) +
+             (c.age_priority ? "_prio" : "_fifo") +
              (c.fuse ? "_fused" : "");
     });
 
