@@ -66,13 +66,16 @@ fi
 # ten. Repeating the timing-sensitive ones until failure turns "passes on
 # most runs" into a measured pass rate. The timing-sensitive tests are the
 # crash/recovery chaos tests, the field/trace concurrency tests, the
-# multi-process cluster tests (thread vs process launcher, shm, crash) and
-# the granularity tests, whose probe hand-off is quiescence-sensitive.
+# multi-process cluster tests (thread vs process launcher, shm, crash),
+# the granularity tests, whose probe hand-off is quiescence-sensitive, and
+# the telemetry tests, whose per-thread tallies and flight rings are read
+# by the analyzer and the heartbeat thread while workers write them.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
   flake_tests="$flake_tests|FieldStorageStress|TraceCollector.Concurrent"
   flake_tests="$flake_tests|Cluster\\.|AdaptiveChunking\\.|DeterminismSweep"
+  flake_tests="$flake_tests|RuntimeMetrics\\.|FlightTrace\\.|RuntimeTally\\."
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then

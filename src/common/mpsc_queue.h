@@ -136,7 +136,7 @@ class MpscQueue {
     cv_.notify_all();
   }
 
-  /// Approximate backlog (sampler gauge; racy by design).
+  /// Approximate backlog (a sampled gauge; racy by design).
   size_t size() const {
     const int64_t n = approx_size_.load(std::memory_order_relaxed);
     return n > 0 ? static_cast<size_t>(n) : 0;

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/error.h"
 #include "common/string_util.h"
 #include "core/program.h"
 
@@ -28,37 +27,76 @@ std::string InstrumentationReport::to_table() const {
   return os.str();
 }
 
-Instrumentation::Instrumentation(size_t kernel_count)
-    : counters_(kernel_count) {}
+Instrumentation::Instrumentation(size_t kernel_count, int workers)
+    : stride_(kKernel0 + kKernelCells * kernel_count + kPadCells),
+      cells_(stride_ * (static_cast<size_t>(workers) + 1)) {}
 
-void Instrumentation::record(KernelId kernel, int64_t dispatch_ns,
-                             int64_t bodies, int64_t kernel_ns) {
-  P2G_CHECK_INTERNAL(kernel >= 0 &&
-                         static_cast<size_t>(kernel) < counters_.size(),
-                     "instrumentation: kernel id out of range");
-  Counters& c = counters_[static_cast<size_t>(kernel)];
-  c.dispatches.fetch_add(1, std::memory_order_relaxed);
-  c.dispatch_ns.fetch_add(dispatch_ns, std::memory_order_relaxed);
-  c.kernel_ns.fetch_add(kernel_ns, std::memory_order_relaxed);
-  // Released last: whoever sees the instances sees their body time
-  // (mean_kernel_ns never divides a fresh count into a stale sum).
-  c.instances.fetch_add(bodies, std::memory_order_release);
+int64_t Instrumentation::total(size_t cell, std::memory_order order) const {
+  int64_t sum = 0;
+  for (size_t s = 0; s < slot_count(); ++s) {
+    sum += slot_cells(s)[cell].load(order);
+  }
+  return sum;
 }
 
 InstrumentationReport Instrumentation::snapshot(
     const Program& program) const {
   InstrumentationReport report;
-  report.kernels.reserve(counters_.size());
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    KernelStats stats;
+  report.kernels.resize(program.kernels().size());
+  for (size_t i = 0; i < report.kernels.size(); ++i) {
+    const size_t k = kKernel0 + kKernelCells * i;
+    KernelStats& stats = report.kernels[i];
     stats.name = program.kernel(static_cast<KernelId>(i)).name;
-    stats.dispatches = counters_[i].dispatches.load();
-    stats.instances = counters_[i].instances.load();
-    stats.dispatch_ns = counters_[i].dispatch_ns.load();
-    stats.kernel_ns = counters_[i].kernel_ns.load();
-    report.kernels.push_back(std::move(stats));
+    stats.instances = total(k + kBodies, std::memory_order_acquire);
+    stats.dispatches = total(k + kItems);
+    stats.dispatch_ns = total(k + kDispatchNs);
+    stats.kernel_ns = total(k + kKernelNs);
   }
   return report;
+}
+
+std::optional<double> Instrumentation::mean_kernel_ns(KernelId kernel) const {
+  const size_t k = kKernel0 + kKernelCells * static_cast<size_t>(kernel);
+  int64_t bodies = 0;
+  int64_t kernel_ns = 0;
+  for (size_t s = 0; s < slot_count(); ++s) {
+    bodies += slot_cells(s)[k + kBodies].load(std::memory_order_acquire);
+    kernel_ns += slot_cells(s)[k + kKernelNs].load(std::memory_order_relaxed);
+  }
+  if (bodies == 0) return std::nullopt;
+  return static_cast<double>(kernel_ns) / static_cast<double>(bodies);
+}
+
+std::pair<int64_t, int64_t> Instrumentation::worker_time() const {
+  return {total(kBusyNs), total(kIdleNs)};
+}
+
+void Instrumentation::add_metrics(obs::MetricsSnapshot& into) const {
+  static constexpr const char* kDistNames[kDistCount] = {
+      "dispatch_latency_ns", "kernel_body_ns", "store_batch_events",
+      "analyzer_handle_ns"};
+  for (size_t d = 0; d < kDistCount; ++d) {
+    obs::HistogramSnapshot total;
+    total.name = kDistNames[d];
+    total.buckets.assign(obs::Histogram::kBuckets, 0);
+    for (size_t s = 0; s < slot_count(); ++s) {
+      const std::atomic<int64_t>* c = slot_cells(s) + kDist0 + kDistCells * d;
+      obs::HistogramSnapshot one;
+      one.count = c[kCount].load(std::memory_order_acquire);
+      one.sum = c[kSum].load(std::memory_order_relaxed);
+      one.min = c[kMin].load(std::memory_order_relaxed);
+      one.max = c[kMax].load(std::memory_order_relaxed);
+      for (size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+        one.buckets.push_back(c[kBucket0 + b].load(std::memory_order_relaxed));
+      }
+      total.merge(one);
+    }
+    into.histograms.push_back(std::move(total));
+  }
+  into.counters.push_back({"store_commit_bytes_total", total(kStoreBytes)});
+  into.counters.push_back({"worker_busy_ns_total", total(kBusyNs)});
+  into.counters.push_back({"worker_idle_ns_total", total(kIdleNs)});
+  into.counters.push_back({"analyzer_events_total", total(kEvents)});
 }
 
 }  // namespace p2g

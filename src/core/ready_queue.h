@@ -47,11 +47,6 @@ struct WorkItem {
 /// Blocking, age-ordered queue feeding the worker pool.
 class ReadyQueue {
  public:
-  /// `age_priority` = false degrades to plain FIFO (the ablation baseline
-  /// for the paper's oldest-first rule).
-  explicit ReadyQueue(bool age_priority = true)
-      : age_priority_(age_priority) {}
-
   void push(WorkItem item);
 
   /// Pushes a batch of items: one lock acquisition, at most one wakeup.
@@ -72,12 +67,9 @@ class ReadyQueue {
 
  private:
   struct Compare {
-    bool age_priority;
     bool operator()(const WorkItem& a, const WorkItem& b) const {
-      if (age_priority && a.age != b.age) {
-        return a.age > b.age;  // lower age first
-      }
-      return a.seq > b.seq;  // FIFO otherwise
+      if (a.age != b.age) return a.age > b.age;  // lower age first
+      return a.seq > b.seq;  // FIFO within an age
     }
   };
 
@@ -87,11 +79,9 @@ class ReadyQueue {
   /// fields, which a move leaves intact for the pop() sift-down.
   WorkItem take_top();
 
-  bool age_priority_;
   mutable sync::Mutex mutex_{"ReadyQueue.mutex"};
   sync::CondVar cv_{"ReadyQueue.cv"};
-  std::priority_queue<WorkItem, std::vector<WorkItem>, Compare> items_{
-      Compare{age_priority_}};
+  std::priority_queue<WorkItem, std::vector<WorkItem>, Compare> items_;
   uint64_t next_seq_ = 0;
   int waiters_ = 0;  ///< workers blocked in pop (guarded by mutex_)
   bool closed_ = false;

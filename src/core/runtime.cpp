@@ -12,16 +12,22 @@ namespace p2g {
 
 namespace {
 
-/// Gauge-sampling cadence of the telemetry sampler thread.
-constexpr std::chrono::milliseconds kSamplePeriod{5};
+/// Minimum spacing of the analyzer's gauge samples.
+constexpr int64_t kSamplePeriodNs = 5'000'000;
+
+int resolve_workers(int requested) {
+  if (requested > 0) return requested;
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  return hardware > 0 ? hardware : 2;
+}
 
 }  // namespace
 
 Runtime::Runtime(Program program, RunOptions options)
     : program_(std::move(program)),
       options_(std::move(options)),
-      ready_(options_.age_priority),
-      instr_(program_.kernels().size()) {
+      workers_(resolve_workers(options_.workers)),
+      instr_(program_.kernels().size(), workers_) {
   storages_.reserve(program_.fields().size());
   for (const FieldDecl& decl : program_.fields()) {
     storages_.push_back(std::make_unique<FieldStorage>(decl));
@@ -44,66 +50,47 @@ Runtime::Runtime(Program program, RunOptions options)
                    hash_str(options_.trace_label.empty()
                                 ? std::string_view("p2g")
                                 : std::string_view(options_.trace_label)));
-  if (options_.metrics.enabled) setup_metrics();
+  if (options_.metrics.enabled) {
+    metrics_ = std::make_unique<obs::MetricsRegistry>();
+    for (const char* name :
+         {"ready_queue_depth", "analyzer_backlog", "field_memory_bytes"}) {
+      series_.push_back(obs::TimeSeries{name, {}});
+    }
+    for (const auto& fs : storages_) {
+      series_.push_back(
+          obs::TimeSeries{"field_memory_bytes:" + fs->decl().name, {}});
+    }
+    series_.push_back(obs::TimeSeries{"worker_utilization_pct", {}});
+  }
   resolve_options();
   analyzer_ = std::make_unique<DependencyAnalyzer>(*this);
 }
 
 Runtime::~Runtime() = default;
 
-void Runtime::setup_metrics() {
-  metrics_ = std::make_unique<obs::MetricsRegistry>();
-  m_dispatch_ns_ = &metrics_->histogram("dispatch_latency_ns");
-  m_kernel_ns_ = &metrics_->histogram("kernel_body_ns");
-  m_analyzer_ns_ = &metrics_->histogram("analyzer_handle_ns");
-  m_store_batch_ = &metrics_->histogram("store_batch_events");
-  m_store_bytes_ = &metrics_->counter("store_commit_bytes_total");
-  m_busy_ns_ = &metrics_->counter("worker_busy_ns_total");
-  m_idle_ns_ = &metrics_->counter("worker_idle_ns_total");
-  m_events_ = &metrics_->counter("analyzer_events_total");
-}
-
-void Runtime::start_sampler() {
-  sampler_ = std::make_unique<obs::Sampler>(kSamplePeriod);
-  sampler_->add_source("ready_queue_depth", [this] {
-    return static_cast<int64_t>(ready_.size());
-  });
-  sampler_->add_source("analyzer_backlog", [this] {
-    return static_cast<int64_t>(events_.size());
-  });
-  sampler_->add_source("field_memory_bytes", [this] {
-    int64_t total = 0;
-    for (const auto& fs : storages_) {
-      total += static_cast<int64_t>(fs->memory_bytes());
-    }
-    return total;
-  });
+void Runtime::sample_gauges(int64_t t_ns) {
+  std::vector<int64_t> values{static_cast<int64_t>(ready_.size()),
+                              static_cast<int64_t>(events_.size()), 0};
   for (const auto& fs : storages_) {
-    sampler_->add_source(
-        "field_memory_bytes:" + fs->decl().name,
-        [raw = fs.get()] {
-          return static_cast<int64_t>(raw->memory_bytes());
-        });
+    values.push_back(static_cast<int64_t>(fs->memory_bytes()));
+    values[2] += values.back();
   }
-  // Utilization over the last sampling interval (sampler thread only).
-  sampler_->add_source(
-      "worker_utilization_pct",
-      [this, busy = int64_t{0}, idle = int64_t{0}]() mutable {
-        const int64_t b = m_busy_ns_->value();
-        const int64_t i = m_idle_ns_->value();
-        const int64_t db = b - busy;
-        const int64_t di = i - idle;
-        busy = b;
-        idle = i;
-        return db + di > 0 ? 100 * db / (db + di) : int64_t{0};
-      });
-  sampler_->start();
+  // Utilization over the interval since the previous sample.
+  const auto [busy, idle] = instr_.worker_time();
+  const int64_t db = busy - sampled_worker_time_.first;
+  const int64_t di = idle - sampled_worker_time_.second;
+  values.push_back(db + di > 0 ? 100 * db / (db + di) : 0);
+  sampled_worker_time_ = {busy, idle};
+  sampled_at_ns_ = t_ns;
+  for (size_t i = 0; i < series_.size(); ++i) {
+    series_[i].samples.push_back(obs::TimeSeriesSample{t_ns, values[i]});
+  }
 }
 
 void Runtime::finalize_metrics() {
-  if (!sampler_) return;
-  sampler_->stop();
-  for (obs::TimeSeries& series : sampler_->take_series()) {
+  if (series_.empty()) return;
+  sample_gauges(now_ns());
+  for (obs::TimeSeries& series : series_) {
     if (trace_) {
       for (const obs::TimeSeriesSample& sample : series.samples) {
         trace_->record_counter(TraceCollector::CounterSample{
@@ -112,17 +99,19 @@ void Runtime::finalize_metrics() {
     }
     metrics_->add_series(std::move(series));
   }
-  sampler_.reset();
+  series_.clear();
+}
+
+obs::MetricsSnapshot Runtime::metrics_snapshot() const {
+  if (!metrics_) return {};
+  obs::MetricsSnapshot snapshot = metrics_->snapshot();
+  instr_.add_metrics(snapshot);
+  return snapshot;
 }
 
 void Runtime::resolve_options() {
   const Age global_cap = options_.max_age.value_or(
       std::numeric_limits<Age>::max());
-  workers_ = options_.workers;
-  if (workers_ <= 0) {
-    workers_ = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers_ <= 0) workers_ = 2;
-  }
   for (const KernelDef& k : program_.kernels()) {
     KernelRunCfg& cfg = kcfg_[static_cast<size_t>(k.id)];
     cfg.cap = global_cap;
@@ -368,10 +357,7 @@ void Runtime::fail(std::exception_ptr error) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 void Runtime::analyzer_loop() {
-  // now_ns() only when somebody consumes the timestamps: two clock reads
-  // per event were measurable overhead on event-dense runs.
-  const bool timed = trace_ != nullptr || metrics_ != nullptr;
-
+  Instrumentation::Slot tally = instr_.analyzer();
   // Drain the whole backlog at once, handle it, then settle accounting
   // once. The outstanding units are released only after the batch is fully
   // handled — and the work it created added its units first — so the count
@@ -379,24 +365,23 @@ void Runtime::analyzer_loop() {
   // sound).
   std::deque<Event> batch;
   while (events_.pop_all(batch)) {
-    const int64_t start = timed ? now_ns() : 0;
+    const int64_t start = now_ns();
     const auto n = static_cast<int64_t>(batch.size());
     try {
       analyzer_->handle_batch(batch);
     } catch (...) {
       fail(std::current_exception());
     }
-    if (timed) {
-      const int64_t end = now_ns();
-      if (trace_) {
-        trace_->record(TraceCollector::Record{
-            start, end - start, -1, 0, n, SpanKind::kAnalyzer,
-            analyze_span_name_});
-      }
-      if (metrics_) {
-        m_analyzer_ns_->record(end - start);
-        m_events_->add(n);
-      }
+    const int64_t end = now_ns();
+    if (trace_) {
+      trace_->record(TraceCollector::Record{start, end - start, -1, 0, n,
+                                            SpanKind::kAnalyzer,
+                                            analyze_span_name_});
+    }
+    tally.record(Instrumentation::kAnalyzerHandle, end - start);
+    tally.add_events(n);
+    if (!series_.empty() && end - sampled_at_ns_ >= kSamplePeriodNs) {
+      sample_gauges(end);
     }
     complete_outstanding(n);
   }
@@ -409,26 +394,23 @@ void Runtime::worker_loop(int worker_index) {
   // One pair of timestamps per work item splits worker time into busy and
   // idle and also bounds the item's trace span, so worker spans add up to
   // busy time exactly; bookkeeping between items counts as idle.
-  const bool timed = metrics_ || trace_;
-  int64_t wait_start = timed ? now_ns() : 0;
+  Instrumentation::Slot tally = instr_.worker(worker_index);
+  int64_t wait_start = now_ns();
   std::optional<WorkItem> bonus;
   while (auto item = ready_.pop(bonus)) {
     // The queue hands over a second item when no other worker is waiting;
     // run both before going back to the lock.
     while (item) {
-      const int64_t busy_start = timed ? now_ns() : 0;
+      const int64_t busy_start = now_ns();
       int64_t busy_end = 0;
       try {
         busy_end = execute(*item, worker_index, busy_start);
       } catch (...) {
         fail(std::current_exception());
         complete_outstanding();  // the failed instance's unit
-        busy_end = timed ? now_ns() : 0;
+        busy_end = now_ns();
       }
-      if (metrics_) {
-        m_idle_ns_->add(busy_start - wait_start);
-        m_busy_ns_->add(busy_end - busy_start);
-      }
+      tally.add_worker_time(busy_end - busy_start, busy_start - wait_start);
       wait_start = busy_end;
       item = std::move(bonus);
       bonus.reset();
@@ -467,6 +449,7 @@ void Runtime::prepare_fetches(KernelContext& ctx) {
 
 void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
                             std::vector<StoreEvent>& events,
+                            Instrumentation::Slot tally,
                             TraceContext* span_ctx) {
   const KernelDef& def = ctx.def();
   for (const KernelContext::PendingStore& p : ctx.pending_stores()) {
@@ -569,17 +552,16 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
       event.ctx = *span_ctx;
     }
     if (options_.store_tap) options_.store_tap(event);
-    if (m_store_bytes_ != nullptr) {
-      m_store_bytes_->add(p.data.element_count() *
+    tally.add_store_bytes(p.data.element_count() *
                           static_cast<int64_t>(
                               nd::element_size(p.data.type())));
-    }
     events.push_back(std::move(event));
   }
 }
 
 void Runtime::push_store_events(std::vector<StoreEvent> events,
-                                int worker_index) {
+                                Instrumentation::Slot tally,
+                                int worker_index, int64_t flow_ns) {
   size_t i = 0;
   while (i < events.size()) {
     const size_t batch_start = i;
@@ -607,28 +589,28 @@ void Runtime::push_store_events(std::vector<StoreEvent> events,
     } else {
       ++i;
     }
-    if (m_store_batch_ != nullptr) {
-      // Coalesced store events per analyzer batch — how much chunking
-      // relieves the serial analyzer.
-      m_store_batch_->record(static_cast<int64_t>(i - batch_start));
-    }
+    // Coalesced store events per analyzer batch — how much chunking
+    // relieves the serial analyzer.
+    tally.record(Instrumentation::kStoreBatch,
+                 static_cast<int64_t>(i - batch_start));
     if (trace_ && merged.ctx.valid()) {
       // Flow start: the arrow's tail, inside the producing span (the span
       // is recorded after this returns, covering this timestamp). The
       // consumer emits the matching finish with the same derived id.
-      trace_->record_flow_start(merged.ctx, now_ns(), worker_index);
+      trace_->record_flow_start(merged.ctx, flow_ns, worker_index);
     }
     push_event(std::move(merged));
   }
 }
 
-void Runtime::run_fused_downstream(const KernelContext& up_ctx,
-                                   const ResolvedFusion& fusion,
-                                   std::vector<StoreEvent>& events,
-                                   TraceContext* span_ctx) {
+int64_t Runtime::run_fused_downstream(const KernelContext& up_ctx,
+                                      const ResolvedFusion& fusion,
+                                      std::vector<StoreEvent>& events,
+                                      Instrumentation::Slot tally,
+                                      TraceContext* span_ctx) {
   const KernelContext::PendingStore* feed =
       up_ctx.pending_store(fusion.upstream_store_decl);
-  if (feed == nullptr) return;  // upstream took an alternate path
+  if (feed == nullptr) return 0;  // upstream took an alternate path
 
   const KernelDef& down = program_.kernel(fusion.downstream);
   nd::Coord coord(fusion.coord_map.size());
@@ -637,33 +619,27 @@ void Runtime::run_fused_downstream(const KernelContext& up_ctx,
   }
   const Age age = up_ctx.age() + fusion.age_delta;
 
-  int64_t dispatch_ns = 0;
-  int64_t kernel_ns = 0;
   KernelContext ctx(down, age, std::move(coord), &timers_);
-  {
-    ScopedTimerNs t(dispatch_ns);
-    // Handed over in memory, no field access and no copy: the pending
-    // store outlives the fused body's context.
-    ctx.set_fetch(0, nd::ConstView(feed->data.type(), feed->data.extents(),
-                                   feed->data.raw(), nullptr));
-  }
-  {
-    ScopedTimerNs t(kernel_ns);
-    down.body(ctx);
-  }
-  {
-    ScopedTimerNs t(dispatch_ns);
-    // The fused body runs inside the upstream's span; its stores carry
-    // the same span identity.
-    commit_stores(ctx, kcfg_[static_cast<size_t>(down.id)].fusion, events,
-                  span_ctx);
-  }
-  instr_.record(down.id, dispatch_ns, 1, kernel_ns);
+  // Handed over in memory, no field access and no copy: the pending store
+  // outlives the fused body's context.
+  ctx.set_fetch(0, nd::ConstView(feed->data.type(), feed->data.extents(),
+                                 feed->data.raw(), nullptr));
+  const int64_t body_start = now_ns();
+  down.body(ctx);
+  const int64_t body_end = now_ns();
+  // The fused body runs inside the upstream's span; its stores carry the
+  // same span identity.
+  commit_stores(ctx, kcfg_[static_cast<size_t>(down.id)].fusion, events,
+                tally, span_ctx);
+  const int64_t end = now_ns();
+  tally.add_item(down.id, 1, end - body_end, body_end - body_start);
+  return end - body_start;
 }
 
 int64_t Runtime::execute(const WorkItem& item, int worker_index,
                          int64_t start_ns) {
   const bool tracing = trace_ != nullptr;
+  Instrumentation::Slot tally = instr_.worker(worker_index);
   const KernelDef& def = program_.kernel(item.kernel);
   const ResolvedFusion* fusion = kcfg_[static_cast<size_t>(def.id)].fusion;
 
@@ -679,46 +655,40 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
     }
   }
 
-  int64_t dispatch_ns = 0;
+  // Two clock reads per body bound it; everything else the item spends —
+  // fetch prep, store commit, event push — is dispatch time, derived from
+  // the item's bounds when it ends.
   int64_t kernel_ns = 0;
-  int64_t bodies = 0;
+  int64_t fused_ns = 0;  // charged to the fused downstream kernel
+  int64_t last_body_end = start_ns;
   bool continue_flag = false;
   std::vector<StoreEvent> events;
 
   for (const nd::Coord& coord : item.coords) {
     KernelContext ctx(def, item.age, coord, &timers_);
-    {
-      ScopedTimerNs t(dispatch_ns);
-      prepare_fetches(ctx);
-    }
-    {
-      ScopedTimerNs t(kernel_ns);
-      def.body(ctx);
-    }
-    ++bodies;
-    {
-      ScopedTimerNs t(dispatch_ns);
-      commit_stores(ctx, fusion, events, tracing ? &span_ctx : nullptr);
-    }
+    prepare_fetches(ctx);
+    const int64_t body_start = now_ns();
+    def.body(ctx);
+    last_body_end = now_ns();
+    kernel_ns += last_body_end - body_start;
+    commit_stores(ctx, fusion, events, tally, tracing ? &span_ctx : nullptr);
     if (fusion != nullptr) {
-      run_fused_downstream(ctx, *fusion, events,
-                           tracing ? &span_ctx : nullptr);
+      fused_ns += run_fused_downstream(ctx, *fusion, events, tally,
+                                       tracing ? &span_ctx : nullptr);
     }
     if (ctx.continue_requested()) continue_flag = true;
   }
+  push_store_events(std::move(events), tally, worker_index, last_body_end);
 
-  {
-    ScopedTimerNs t(dispatch_ns);
-    push_store_events(std::move(events), worker_index);
-  }
-  instr_.record(def.id, dispatch_ns, bodies, kernel_ns);
-  if (metrics_) {
-    m_dispatch_ns_->record(dispatch_ns);
-    m_kernel_ns_->record(kernel_ns);
-  }
+  // Recorded before the done event: a probe's measurement is visible to
+  // the analyzer when it handles that event.
+  const int64_t end_ns = now_ns();
+  const int64_t dispatch_ns = end_ns - start_ns - kernel_ns - fused_ns;
+  tally.add_item(def.id, static_cast<int64_t>(item.coords.size()),
+                 dispatch_ns, kernel_ns);
+  tally.record(Instrumentation::kDispatch, dispatch_ns);
+  tally.record(Instrumentation::kBody, kernel_ns);
   if (needs_done_event(def) || item.probe) {
-    // A probe's done event follows its instr_.record() above, so the
-    // analyzer sees the measurement when it handles the event.
     InstanceDoneEvent done;
     done.kernel = def.id;
     done.age = item.age;
@@ -728,15 +698,14 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   }
   complete_outstanding();
 
-  // The span covers the whole work item, completion accounting included.
   // Recording after complete_outstanding() is safe: shutdown joins this
   // worker first.
-  const int64_t end_ns = tracing || metrics_ ? now_ns() : 0;
   if (tracing) {
     trace_->record(TraceCollector::Record{
-        start_ns, end_ns - start_ns, worker_index, item.age, bodies,
-        SpanKind::kWorker, kernel_span_names_[static_cast<size_t>(def.id)],
-        span_ctx.trace_id, span_ctx.span_id, item.cause.span_id});
+        start_ns, end_ns - start_ns, worker_index, item.age,
+        static_cast<int64_t>(item.coords.size()), SpanKind::kWorker,
+        kernel_span_names_[static_cast<size_t>(def.id)], span_ctx.trace_id,
+        span_ctx.span_id, item.cause.span_id});
   }
   return end_ns;
 }
@@ -758,7 +727,7 @@ RunReport Runtime::run() {
     return report;
   }
 
-  if (metrics_) start_sampler();
+  if (!series_.empty()) sample_gauges(now_ns());
   std::thread analyzer_thread([this] { analyzer_loop(); });
   std::vector<std::thread> worker_threads;
   worker_threads.reserve(static_cast<size_t>(workers_));

@@ -32,7 +32,6 @@
 #include "core/timer.h"
 #include "core/trace.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 
 namespace p2g {
 
@@ -70,8 +69,6 @@ struct RunOptions {
   std::vector<FusionRule> fusions;
   /// Aborts the run if quiescence is not reached in time (hang detection).
   std::optional<std::chrono::milliseconds> watchdog;
-  /// Oldest-first dispatch (paper §VI-B). false = plain FIFO (ablation).
-  bool age_priority = true;
   /// Checked mode: record writer provenance per (field, age, region) so a
   /// write-once violation reports *both* offending kernel instances and
   /// their slices instead of just the second one. Costs one small record
@@ -117,10 +114,11 @@ struct RunOptions {
   /// error and by ExecutionNode::crash().
   std::optional<std::string> flight_dir;
 
-  /// Telemetry (src/obs): latency histograms, counters, and a sampler
-  /// thread turning queue depth / utilization / memory gauges into time
-  /// series. The snapshot lands in RunReport::metrics; combined with
-  /// trace_path, sampled gauges also become Perfetto counter tracks.
+  /// Telemetry (src/obs): the instrumentation's latency histograms and
+  /// counters, plus queue depth / utilization / memory gauges the analyzer
+  /// samples into time series. The snapshot lands in RunReport::metrics;
+  /// combined with trace_path, sampled gauges also become Perfetto counter
+  /// tracks.
   obs::MetricsOptions metrics;
 };
 
@@ -232,10 +230,9 @@ class Runtime {
   /// reliable-channel counters in before shipping its snapshot).
   obs::MetricsRegistry* mutable_metrics() { return metrics_.get(); }
 
-  /// Telemetry snapshot; empty when metrics are disabled.
-  obs::MetricsSnapshot metrics_snapshot() const {
-    return metrics_ ? metrics_->snapshot() : obs::MetricsSnapshot{};
-  }
+  /// Telemetry snapshot: the registry plus the instrumentation's metrics
+  /// view. Empty when metrics are disabled.
+  obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
   friend class DependencyAnalyzer;
@@ -263,10 +260,11 @@ class Runtime {
     bool enabled = true;  ///< false: kernel runs on another node
   };
 
-  void setup_metrics();
-  void start_sampler();
-  /// Stops the sampler, folds its series into the registry and (with
-  /// tracing on) into Perfetto counter tracks. Safe to call repeatedly.
+  /// Appends one sample at `t_ns` to every gauge series (run() before the
+  /// threads start, then the analyzer thread, then run() after the join).
+  void sample_gauges(int64_t t_ns);
+  /// Takes the closing sample and folds the series into the registry and
+  /// (with tracing on) into Perfetto counter tracks.
   void finalize_metrics();
 
   void resolve_options();
@@ -294,10 +292,9 @@ class Runtime {
   void analyzer_loop();
 
   /// Runs all bodies of a work item: fetch prep, body, store commit, fused
-  /// downstream execution, instrumentation, done-event emission. Under
-  /// metrics or tracing, `start_ns` is the item's start time and the
-  /// return value its end time (the bounds of its trace span); otherwise
-  /// both are 0.
+  /// downstream execution, instrumentation, done-event emission.
+  /// `start_ns` is the item's start time and the return value its end
+  /// time (the bounds of its trace span).
   int64_t execute(const WorkItem& item, int worker_index, int64_t start_ns);
   void prepare_fetches(KernelContext& ctx);
   /// Commits buffered stores into field storage; appends the store events
@@ -306,17 +303,22 @@ class Runtime {
   /// root span (no inherited frame) adopts the first store's frame id.
   void commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
                      std::vector<StoreEvent>& events,
-                     TraceContext* span_ctx);
-  void run_fused_downstream(const KernelContext& up_ctx,
-                            const ResolvedFusion& fusion,
-                            std::vector<StoreEvent>& events,
-                            TraceContext* span_ctx);
+                     Instrumentation::Slot tally, TraceContext* span_ctx);
+  /// Runs the fused downstream instance fed by `up_ctx`'s store and
+  /// returns the time it took (its body and store commit).
+  int64_t run_fused_downstream(const KernelContext& up_ctx,
+                               const ResolvedFusion& fusion,
+                               std::vector<StoreEvent>& events,
+                               Instrumentation::Slot tally,
+                               TraceContext* span_ctx);
   /// Merges runs of events from the same store statement whose regions
   /// tile an exact rectangle (chunked instances over consecutive indices),
   /// then pushes them — cutting analyzer load proportionally to the chunk
-  /// size — and emits one flow-start per traced event so consumers can
-  /// draw the dependency arrow.
-  void push_store_events(std::vector<StoreEvent> events, int worker_index);
+  /// size — and emits one flow-start per traced event, at `flow_ns`, so
+  /// consumers can draw the dependency arrow.
+  void push_store_events(std::vector<StoreEvent> events,
+                         Instrumentation::Slot tally, int worker_index,
+                         int64_t flow_ns);
 
   Age cap_of(KernelId kernel) const {
     return kcfg_[static_cast<size_t>(kernel)].cap;
@@ -352,18 +354,15 @@ class Runtime {
   std::atomic<uint64_t> span_seq_{1};
   uint64_t span_salt_ = 0;
 
-  // Telemetry (null when RunOptions::metrics.enabled is false). The raw
-  // pointers are hot-path handles resolved once in setup_metrics().
+  // Telemetry (null and empty when RunOptions::metrics.enabled is false).
+  // The registry holds the transports' counters. The gauge series (named
+  // in the constructor, in the order sample_gauges() appends values) and
+  // the time and worker time of the last sample belong to whichever
+  // thread samples (see sample_gauges).
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  std::unique_ptr<obs::Sampler> sampler_;
-  obs::Histogram* m_dispatch_ns_ = nullptr;
-  obs::Histogram* m_kernel_ns_ = nullptr;
-  obs::Histogram* m_analyzer_ns_ = nullptr;
-  obs::Histogram* m_store_batch_ = nullptr;
-  obs::Counter* m_store_bytes_ = nullptr;
-  obs::Counter* m_busy_ns_ = nullptr;
-  obs::Counter* m_idle_ns_ = nullptr;
-  obs::Counter* m_events_ = nullptr;
+  std::vector<obs::TimeSeries> series_;
+  int64_t sampled_at_ns_ = 0;
+  std::pair<int64_t, int64_t> sampled_worker_time_;
 
   std::atomic<int64_t> outstanding_{0};
   std::atomic<bool> bootstrapped_{false};

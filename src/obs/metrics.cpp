@@ -10,21 +10,6 @@
 
 namespace p2g::obs {
 
-size_t shard_index() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t index =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return index;
-}
-
-int64_t Counter::value() const {
-  int64_t total = 0;
-  for (const Cell& cell : shards_) {
-    total += cell.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------- Histogram
 
 size_t Histogram::bucket_index(int64_t value) {
@@ -45,38 +30,30 @@ int64_t Histogram::bucket_upper(size_t bucket) {
 }
 
 void Histogram::record(int64_t value) {
-  Shard& shard = shards_[shard_index()];
-  shard.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
-  int64_t seen = shard.min.load(std::memory_order_relaxed);
+  // min/max first: a reader that sees the count sees a bounded range.
+  int64_t seen = min_.load(std::memory_order_relaxed);
   while (value < seen &&
-         !shard.min.compare_exchange_weak(seen, value,
-                                          std::memory_order_relaxed)) {
+         !min_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
   }
-  seen = shard.max.load(std::memory_order_relaxed);
+  seen = max_.load(std::memory_order_relaxed);
   while (value > seen &&
-         !shard.max.compare_exchange_weak(seen, value,
-                                          std::memory_order_relaxed)) {
+         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
   }
+  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
+  out.count = count_.load(std::memory_order_acquire);
+  out.sum = sum_.load(std::memory_order_relaxed);
   out.buckets.assign(kBuckets, 0);
-  int64_t min = std::numeric_limits<int64_t>::max();
-  int64_t max = std::numeric_limits<int64_t>::min();
-  for (const Shard& shard : shards_) {
-    for (size_t b = 0; b < kBuckets; ++b) {
-      out.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-    out.count += shard.count.load(std::memory_order_relaxed);
-    out.sum += shard.sum.load(std::memory_order_relaxed);
-    min = std::min(min, shard.min.load(std::memory_order_relaxed));
-    max = std::max(max, shard.max.load(std::memory_order_relaxed));
+  for (size_t b = 0; b < kBuckets; ++b) {
+    out.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
   }
-  out.min = out.count > 0 ? min : 0;
-  out.max = out.count > 0 ? max : 0;
+  out.min = out.count > 0 ? min_.load(std::memory_order_relaxed) : 0;
+  out.max = out.count > 0 ? max_.load(std::memory_order_relaxed) : 0;
   return out;
 }
 

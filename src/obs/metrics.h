@@ -2,15 +2,15 @@
 // latency histograms.
 //
 // This is the quantitative half of the paper's "instrumentation feeds the
-// high-level scheduler" loop (§IV): the runtime records dispatch/kernel
-// latency distributions and data-plane state (queue depths, memory
-// footprint), a sampler turns gauges into time series, and the dist layer
-// ships whole snapshots to the master for cross-node aggregation.
+// high-level scheduler" loop (§IV): the snapshot types carry the runtime's
+// dispatch/kernel latency distributions and sampled data-plane state
+// (queue depths, memory footprint), and the dist layer ships whole
+// snapshots to the master for cross-node aggregation.
 //
-// Hot-path recording is contention-free: every metric shards its state
-// across cache-line-aligned atomic cells and a recording thread always
-// touches the same shard (thread-local index), so workers never bounce a
-// cache line between cores. Reads (snapshots) sum over shards.
+// The runtime's hot path does not record here: its workers write
+// per-thread tallies (core/instrumentation.h) that become a snapshot when
+// one is taken. The registry holds the cold-path metrics of the master and
+// the transports, looked up by name under its mutex.
 #pragma once
 
 #include <array>
@@ -25,12 +25,6 @@
 
 namespace p2g::obs {
 
-/// Shards per metric. Power of two; threads map onto shards round-robin.
-inline constexpr size_t kShards = 16;
-
-/// Stable per-thread shard index in [0, kShards).
-size_t shard_index();
-
 /// Enables telemetry on a run (RunOptions::metrics).
 struct MetricsOptions {
   bool enabled = false;
@@ -39,21 +33,14 @@ struct MetricsOptions {
 /// Monotonic counter (events, bytes, nanoseconds of busy time, ...).
 class Counter {
  public:
-  void add(int64_t n = 1) {
-    shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  int64_t value() const;
+  void add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<int64_t> v{0};
-  };
-  std::array<Cell, kShards> shards_;
+  std::atomic<int64_t> v_{0};
 };
 
-/// Last-written value (queue depth, bytes resident, ...). Gauges are
-/// usually read by the sampler thread, not set on the hot path, so a
-/// single atomic suffices.
+/// Last-written value (queue depth, bytes resident, ...).
 class Gauge {
  public:
   void set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
@@ -78,7 +65,7 @@ struct HistogramSnapshot {
   /// Linear interpolation inside the hit bucket, clamped to [min, max];
   /// `p` in [0, 100]. 0 when empty.
   double percentile(double p) const;
-  /// Bucket-wise sum; min/max/count/sum combine (cross-shard and
+  /// Bucket-wise sum; min/max/count/sum combine (cross-thread and
   /// cross-node reduction).
   void merge(const HistogramSnapshot& other);
 };
@@ -99,14 +86,11 @@ class Histogram {
   HistogramSnapshot snapshot() const;  ///< name left empty
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<int64_t>, kBuckets> buckets{};
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-    std::atomic<int64_t> min{INT64_MAX};
-    std::atomic<int64_t> max{INT64_MIN};
-  };
-  std::array<Shard, kShards> shards_;
+  std::array<std::atomic<int64_t>, kBuckets> buckets_{};
+  std::atomic<int64_t> count_{0};
+  std::atomic<int64_t> sum_{0};
+  std::atomic<int64_t> min_{INT64_MAX};
+  std::atomic<int64_t> max_{INT64_MIN};
 };
 
 struct CounterValue {
@@ -119,7 +103,7 @@ struct TimeSeriesSample {
   int64_t value = 0;
 };
 
-/// One sampled gauge over time (produced by obs::Sampler).
+/// One sampled gauge over time (the runtime's gauge series).
 struct TimeSeries {
   std::string name;
   std::vector<TimeSeriesSample> samples;
@@ -159,15 +143,14 @@ struct MetricsSnapshot {
 };
 
 /// Named-metric registry. Lookup is mutex-guarded and returns stable
-/// references — resolve metrics once at setup and use the references on
-/// the hot path.
+/// references.
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Attaches a sampler-produced time series to snapshots.
+  /// Attaches a sampled time series to snapshots.
   void add_series(TimeSeries series);
 
   MetricsSnapshot snapshot() const;

@@ -68,7 +68,7 @@ TEST(ContiguousSpan, OutsideExtentsIsNot) {
 }
 
 TEST(ReadyQueueTest, AgePriorityOrder) {
-  ReadyQueue queue(/*age_priority=*/true);
+  ReadyQueue queue;
   auto item = [](KernelId k, Age a) {
     WorkItem w;
     w.kernel = k;
@@ -86,20 +86,6 @@ TEST(ReadyQueueTest, AgePriorityOrder) {
   EXPECT_EQ(queue.pop()->kernel, 0);
 }
 
-TEST(ReadyQueueTest, FifoModeIgnoresAges) {
-  ReadyQueue queue(/*age_priority=*/false);
-  auto item = [](KernelId k, Age a) {
-    WorkItem w;
-    w.kernel = k;
-    w.age = a;
-    return w;
-  };
-  queue.push(item(0, 9));
-  queue.push(item(1, 1));
-  EXPECT_EQ(queue.pop()->kernel, 0);
-  EXPECT_EQ(queue.pop()->kernel, 1);
-}
-
 TEST(ReadyQueueTest, CloseUnblocksWaiters) {
   ReadyQueue queue;
   std::thread waiter([&] { EXPECT_FALSE(queue.pop().has_value()); });
@@ -108,7 +94,7 @@ TEST(ReadyQueueTest, CloseUnblocksWaiters) {
 }
 
 TEST(ReadyQueueTest, PushBatchPreservesAgeOrderAcrossBatches) {
-  ReadyQueue queue(/*age_priority=*/true);
+  ReadyQueue queue;
   auto item = [](KernelId k, Age a) {
     WorkItem w;
     w.kernel = k;

@@ -1,6 +1,6 @@
 // Tests for the telemetry subsystem (src/obs) and its runtime wiring:
-// sharded counters/histograms, percentile math, exports, the sampler, and
-// the metrics/trace artifacts a Runtime run produces.
+// counters/histograms, percentile math, exports, the per-thread tallies,
+// and the metrics/trace artifacts a Runtime run produces.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include "core/context.h"
 #include "core/runtime.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "workloads/mul2plus5.h"
 
 namespace p2g {
@@ -133,7 +132,7 @@ TEST(HistogramSnapshot, MergeCombines) {
   EXPECT_EQ(empty.min, 10);
 }
 
-TEST(Counter, ConcurrentShardedAdds) {
+TEST(Counter, ConcurrentAdds) {
   obs::Counter c;
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -219,63 +218,6 @@ TEST(MetricsSnapshot, JsonEscapesNames) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-TEST(Sampler, CollectsMonotonicSeries) {
-  obs::Sampler sampler(std::chrono::milliseconds(1));
-  int64_t tick = 0;
-  sampler.add_source("ticks", [&tick] { return tick++; });
-  sampler.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  sampler.stop();
-  std::vector<obs::TimeSeries> series = sampler.take_series();
-  ASSERT_EQ(series.size(), 1u);
-  EXPECT_EQ(series[0].name, "ticks");
-  ASSERT_GE(series[0].samples.size(), 2u);
-  for (size_t i = 1; i < series[0].samples.size(); ++i) {
-    EXPECT_GE(series[0].samples[i].t_ns, series[0].samples[i - 1].t_ns);
-    EXPECT_EQ(series[0].samples[i].value,
-              series[0].samples[i - 1].value + 1);
-  }
-}
-
-TEST(Sampler, SamplesEverySourceEachCycleAndAtStop) {
-  obs::Sampler sampler(std::chrono::milliseconds(1));
-  sampler.add_source("a", [] { return 1; });
-  sampler.add_source("b", [] { return 2; });
-  sampler.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  sampler.stop();
-  std::vector<obs::TimeSeries> series = sampler.take_series();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0].name, "a");
-  EXPECT_EQ(series[1].name, "b");
-  // Sources are polled together: each cycle (plus the closing sample at
-  // stop) contributes one point per source.
-  EXPECT_EQ(series[0].samples.size(), series[1].samples.size());
-  ASSERT_GE(series[0].samples.size(), 2u);
-  EXPECT_EQ(series[0].samples.back().value, 1);
-  EXPECT_EQ(series[1].samples.back().value, 2);
-}
-
-TEST(Sampler, StopIsIdempotentAndSafeWithoutStart) {
-  obs::Sampler sampler(std::chrono::milliseconds(1));
-  sampler.add_source("gauge", [] { return 7; });
-  // Never started: stop() must not hang or sample.
-  sampler.stop();
-  sampler.stop();
-  std::vector<obs::TimeSeries> series = sampler.take_series();
-  ASSERT_EQ(series.size(), 1u);
-  EXPECT_TRUE(series[0].samples.empty());
-  // take_series moves the series out; a second take is empty.
-  EXPECT_TRUE(sampler.take_series().empty());
-}
-
-TEST(Sampler, StartWithoutSourcesIsANoOp) {
-  obs::Sampler sampler(std::chrono::milliseconds(1));
-  sampler.start();  // no sources: no thread spun up
-  sampler.stop();
-  EXPECT_TRUE(sampler.take_series().empty());
-}
-
 // ---------------------------------------------------------- runtime wiring
 
 TEST(RuntimeMetrics, RunProducesSnapshotAndSeries) {
@@ -300,7 +242,7 @@ TEST(RuntimeMetrics, RunProducesSnapshotAndSeries) {
   EXPECT_GT(snap.find_counter("store_commit_bytes_total")->value, 0);
   EXPECT_GT(snap.find_counter("worker_busy_ns_total")->value, 0);
 
-  // Sampler series embedded in the snapshot.
+  // Gauge series embedded in the snapshot.
   ASSERT_NE(snap.find_series("ready_queue_depth"), nullptr);
   ASSERT_NE(snap.find_series("worker_utilization_pct"), nullptr);
   const obs::TimeSeries* memory = snap.find_series("field_memory_bytes");
@@ -382,6 +324,128 @@ TEST(RuntimeMetrics, FailedRunStillWritesTraceAndMetrics) {
   // The metrics registry survives too (instances before the failure).
   EXPECT_FALSE(runtime.metrics_snapshot().empty());
   std::remove(path.c_str());
+}
+
+// The analyzer samples gauges from its own timestamps; run() adds a first
+// and a closing sample, so even a run shorter than the 5 ms period has two
+// points per series.
+TEST(RuntimeMetrics, ShortRunStillYieldsTwoSamplesPerSeries) {
+  workloads::Mul2Plus5 workload;
+  RunOptions options;
+  options.workers = 1;
+  options.max_age = 1;
+  options.metrics.enabled = true;
+  Runtime runtime(workload.build(), options);
+  const RunReport report = runtime.run();
+  ASSERT_FALSE(report.metrics.series.empty());
+  for (const obs::TimeSeries& series : report.metrics.series) {
+    EXPECT_GE(series.samples.size(), 2u) << series.name;
+  }
+}
+
+TEST(RuntimeMetrics, EverySeriesHasTheSameSampleCount) {
+  workloads::Mul2Plus5 workload;
+  RunOptions options;
+  options.workers = 2;
+  options.max_age = 40;
+  options.metrics.enabled = true;
+  Runtime runtime(workload.build(), options);
+  const RunReport report = runtime.run();
+  const std::vector<obs::TimeSeries>& series = report.metrics.series;
+  ASSERT_FALSE(series.empty());
+  for (const obs::TimeSeries& one : series) {
+    EXPECT_EQ(one.samples.size(), series[0].samples.size()) << one.name;
+    for (size_t i = 1; i < one.samples.size(); ++i) {
+      EXPECT_GE(one.samples[i].t_ns, one.samples[i - 1].t_ns) << one.name;
+    }
+  }
+}
+
+// The tallies are the one recorder whatever telemetry is on: a metrics run,
+// a plain run and a flight-recorded run count the same work.
+TEST(RuntimeTally, TelemetryModesCountTheSameWork) {
+  const auto run = [](bool metrics, bool flight) {
+    workloads::Mul2Plus5 workload;
+    Program program = workload.build();
+    RunOptions options;
+    options.workers = 2;
+    options.max_age = 12;
+    for (const KernelDef& k : program.kernels()) {
+      options.kernel_schedules[k.name].chunk = 1;
+    }
+    options.metrics.enabled = metrics;
+    if (flight) options.flight_dir = ::testing::TempDir();
+    Runtime runtime(std::move(program), options);
+    return runtime.run().instrumentation;
+  };
+  const InstrumentationReport metrics_on = run(true, false);
+  const InstrumentationReport plain = run(false, false);
+  const InstrumentationReport flight = run(false, true);
+  ASSERT_EQ(plain.kernels.size(), metrics_on.kernels.size());
+  ASSERT_EQ(plain.kernels.size(), flight.kernels.size());
+  for (size_t i = 0; i < plain.kernels.size(); ++i) {
+    const KernelStats& k = plain.kernels[i];
+    EXPECT_GT(k.instances, 0) << k.name;
+    EXPECT_EQ(k.instances, k.dispatches) << k.name;  // chunk 1
+    EXPECT_EQ(metrics_on.kernels[i].instances, k.instances) << k.name;
+    EXPECT_EQ(metrics_on.kernels[i].dispatches, k.dispatches) << k.name;
+    EXPECT_EQ(flight.kernels[i].instances, k.instances) << k.name;
+    EXPECT_EQ(flight.kernels[i].dispatches, k.dispatches) << k.name;
+  }
+}
+
+// Views read the slots while their writers record: every snapshot sees
+// bounded histograms and a mean body time once one exists, and the final
+// totals are exact.
+TEST(RuntimeTally, SnapshotsRacingWritersSeeConsistentTallies) {
+  constexpr int kWriters = 2;
+  constexpr int kItems = 20000;
+  Instrumentation instr(/*kernel_count=*/1, kWriters);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      obs::MetricsSnapshot snap;
+      instr.add_metrics(snap);
+      for (const HistogramSnapshot& h : snap.histograms) {
+        ASSERT_LE(h.min, h.max) << h.name;
+      }
+      if (const auto mean = instr.mean_kernel_ns(0)) {
+        ASSERT_GE(*mean, 1.0);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&instr, w] {
+      Instrumentation::Slot slot = instr.worker(w);
+      for (int i = 1; i <= kItems; ++i) {
+        slot.add_item(0, 2, 10, 2 * i);
+        slot.record(Instrumentation::kBody, 2 * i);
+        slot.add_worker_time(3, 1);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true);
+  reader.join();
+
+  obs::MetricsSnapshot snap;
+  instr.add_metrics(snap);
+  const HistogramSnapshot* body = snap.find_histogram("kernel_body_ns");
+  ASSERT_NE(body, nullptr);
+  EXPECT_EQ(body->count, kWriters * kItems);
+  EXPECT_EQ(body->min, 2);
+  EXPECT_EQ(body->max, 2 * kItems);
+  EXPECT_EQ(snap.find_counter("worker_busy_ns_total")->value,
+            3 * kWriters * kItems);
+  EXPECT_EQ(snap.find_counter("worker_idle_ns_total")->value,
+            kWriters * kItems);
+  EXPECT_EQ(snap.find_counter("analyzer_events_total")->value, 0);
+  const auto [busy, idle] = instr.worker_time();
+  EXPECT_EQ(busy, 3 * kWriters * kItems);
+  EXPECT_EQ(idle, kWriters * kItems);
+  EXPECT_DOUBLE_EQ(*instr.mean_kernel_ns(0),
+                   static_cast<double>(kItems + 1) / 2.0);
 }
 
 }  // namespace

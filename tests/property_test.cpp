@@ -21,12 +21,11 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Determinism: the mul2/plus5 cycle produces identical output under every
-// combination of worker count, chunking and queue order.
+// combination of worker count, chunking and fusion.
 
 struct SchedulerConfig {
   int workers;
   int64_t chunk;  ///< 0: unset, the runtime sizes chunks itself
-  bool age_priority;
   bool fuse;
 };
 
@@ -48,7 +47,6 @@ TEST_P(DeterminismSweep, Mul2Plus5OutputIsInvariant) {
   RunOptions opts;
   opts.workers = config.workers;
   opts.max_age = 6;
-  opts.age_priority = config.age_priority;
   if (config.chunk > 0) {
     opts.kernel_schedules["mul2"].chunk = config.chunk;
     opts.kernel_schedules["plus5"].chunk = config.chunk;
@@ -62,26 +60,23 @@ TEST_P(DeterminismSweep, Mul2Plus5OutputIsInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, DeterminismSweep,
-    ::testing::Values(SchedulerConfig{1, 1, true, false},
-                      SchedulerConfig{2, 1, true, false},
-                      SchedulerConfig{4, 1, true, false},
-                      SchedulerConfig{2, 3, true, false},
-                      SchedulerConfig{4, 5, true, false},
-                      SchedulerConfig{2, 1, false, false},
-                      SchedulerConfig{4, 2, false, false},
-                      SchedulerConfig{2, 1, true, true},
-                      SchedulerConfig{4, 4, true, true},
-                      SchedulerConfig{1, 0, true, false},
-                      SchedulerConfig{2, 0, true, false},
-                      SchedulerConfig{4, 0, true, false},
-                      SchedulerConfig{4, 0, false, false},
-                      SchedulerConfig{2, 0, true, true}),
+    ::testing::Values(SchedulerConfig{1, 1, false},
+                      SchedulerConfig{2, 1, false},
+                      SchedulerConfig{4, 1, false},
+                      SchedulerConfig{2, 3, false},
+                      SchedulerConfig{4, 5, false},
+                      SchedulerConfig{4, 2, false},
+                      SchedulerConfig{2, 1, true},
+                      SchedulerConfig{4, 4, true},
+                      SchedulerConfig{1, 0, false},
+                      SchedulerConfig{2, 0, false},
+                      SchedulerConfig{4, 0, false},
+                      SchedulerConfig{2, 0, true}),
     [](const auto& info) {
       const SchedulerConfig& c = info.param;
       return "w" + std::to_string(c.workers) + "_c" +
              (c.chunk > 0 ? std::to_string(c.chunk) : std::string("auto")) +
-             (c.age_priority ? "_prio" : "_fifo") +
-             (c.fuse ? "_fused" : "");
+             "_prio" + (c.fuse ? "_fused" : "");
     });
 
 // ---------------------------------------------------------------------------
