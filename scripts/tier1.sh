@@ -67,15 +67,17 @@ fi
 # most runs" into a measured pass rate. The timing-sensitive tests are the
 # crash/recovery chaos tests, the field/trace concurrency tests, the
 # multi-process cluster tests (thread vs process launcher, shm, crash),
-# the granularity tests, whose probe hand-off is quiescence-sensitive, and
-# the telemetry tests, whose per-thread tallies and flight rings are read
-# by the analyzer and the heartbeat thread while workers write them.
+# the granularity tests, whose probe hand-off is quiescence-sensitive, the
+# telemetry tests, whose per-thread tallies and flight rings are read by
+# the analyzer and the heartbeat thread while workers write them, and the
+# transport-counter test, whose node transport runs a hub reader thread.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
   flake_tests="$flake_tests|FieldStorageStress|TraceCollector.Concurrent"
   flake_tests="$flake_tests|Cluster\\.|AdaptiveChunking\\.|DeterminismSweep"
   flake_tests="$flake_tests|RuntimeMetrics\\.|FlightTrace\\.|RuntimeTally\\."
+  flake_tests="$flake_tests|Socket\\.NodeDeadLetterCountersMatchBusStats"
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then
@@ -102,15 +104,37 @@ if [ "$rc" -eq 0 ]; then
   fi
 fi
 
-# One real 3-process socket-transport run keeps the out-of-process cluster
-# path (fork/exec, hub routing, termination detection) on the gate;
-# scripts/soak.sh runs the longer transport sweeps.
+# Two real 3-process runs, over sockets and over the shared-memory data
+# plane, keep the out-of-process cluster path (fork/exec, hub routing,
+# termination detection) on the gate. Both must print the same checksum
+# and the same nonzero frame count: the frames come from the transports'
+# shipped counters. scripts/soak.sh runs the longer transport sweeps.
+smoke_field() {  # smoke_field <key> <p2gnode output>
+  printf '%s\n' "$2" | tr ' ' '\n' | sed -n "s/^$1=//p"
+}
 if [ "$rc" -eq 0 ]; then
-  "$build_dir/tools/p2gnode" --master \
-    --program "$repo/examples/programs/mul2plus5.p2g" --max-age 3 \
-    --nodes 3 || rc=$?
+  smoke_out=()
+  for transport in "" --shm; do
+    out="$("$build_dir/tools/p2gnode" --master \
+      --program "$repo/examples/programs/mul2plus5.p2g" --max-age 3 \
+      --nodes 3 $transport)" || rc=$?
+    printf '%s\n' "$out"
+    smoke_out+=("$out")
+  done
   if [ "$rc" -ne 0 ]; then
     echo "tier1: p2gnode multi-process smoke failed with exit code $rc" >&2
+  else
+    socket_frames="$(smoke_field frames "${smoke_out[0]}")"
+    shm_frames="$(smoke_field frames "${smoke_out[1]}")"
+    socket_sum="$(smoke_field checksum "${smoke_out[0]}")"
+    shm_sum="$(smoke_field checksum "${smoke_out[1]}")"
+    if [ -z "$socket_sum" ] || [ "$socket_sum" != "$shm_sum" ] ||
+       [ -z "$socket_frames" ] || [ "$socket_frames" = 0 ] ||
+       [ "$socket_frames" != "$shm_frames" ]; then
+      echo "tier1: p2gnode smoke mismatch: socket frames=$socket_frames" \
+        "checksum=$socket_sum, shm frames=$shm_frames checksum=$shm_sum" >&2
+      rc=1
+    fi
   fi
 fi
 t_done=$(date +%s)

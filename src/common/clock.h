@@ -20,21 +20,6 @@ inline double ns_to_us(int64_t ns) { return static_cast<double>(ns) / 1e3; }
 inline double ns_to_ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 inline double ns_to_s(int64_t ns) { return static_cast<double>(ns) / 1e9; }
 
-/// Measures the wall time of a scope and accumulates it into a counter.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(int64_t& accumulator)
-      : accumulator_(accumulator), start_(now_ns()) {}
-  ~ScopedTimerNs() { accumulator_ += now_ns() - start_; }
-
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
- private:
-  int64_t& accumulator_;
-  int64_t start_;
-};
-
 /// Simple stopwatch for benchmark harnesses.
 class Stopwatch {
  public:

@@ -757,10 +757,6 @@ void DependencyAnalyzer::flush_chunks() {
 
 void DependencyAnalyzer::submit_or_park(WorkItem item) {
   const KernelDef& def = program_.kernel(item.kernel);
-  if (!def.serial) {
-    runtime_.submit(std::move(item));
-    return;
-  }
   SerialState& state = serial_[static_cast<size_t>(def.id)];
   if (item.age == state.next && !state.in_flight) {
     state.in_flight = true;

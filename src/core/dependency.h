@@ -217,6 +217,8 @@ class DependencyAnalyzer {
   /// the fixed chunk if any, else sized from the measured mean body time;
   /// nullopt while the kernel has no measurement.
   std::optional<int64_t> chunk_size(KernelId kernel, size_t ready) const;
+  /// Serial kernels only: submits the item when it is the kernel's next
+  /// age and none is in flight, else parks it until its turn.
   void submit_or_park(WorkItem item);
 
   /// Index-variable domain lengths of a kernel at an age, or nullopt while

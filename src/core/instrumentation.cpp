@@ -78,7 +78,7 @@ void Instrumentation::add_metrics(obs::MetricsSnapshot& into) const {
   for (size_t d = 0; d < kDistCount; ++d) {
     obs::HistogramSnapshot total;
     total.name = kDistNames[d];
-    total.buckets.assign(obs::Histogram::kBuckets, 0);
+    total.buckets.assign(obs::HistogramSnapshot::kBuckets, 0);
     for (size_t s = 0; s < slot_count(); ++s) {
       const std::atomic<int64_t>* c = slot_cells(s) + kDist0 + kDistCells * d;
       obs::HistogramSnapshot one;
@@ -86,7 +86,7 @@ void Instrumentation::add_metrics(obs::MetricsSnapshot& into) const {
       one.sum = c[kSum].load(std::memory_order_relaxed);
       one.min = c[kMin].load(std::memory_order_relaxed);
       one.max = c[kMax].load(std::memory_order_relaxed);
-      for (size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+      for (size_t b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
         one.buckets.push_back(c[kBucket0 + b].load(std::memory_order_relaxed));
       }
       total.merge(one);

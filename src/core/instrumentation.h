@@ -59,7 +59,7 @@ struct InstrumentationReport {
 /// Per-thread tallies of a run, read by every instrumentation view.
 class Instrumentation {
  public:
-  /// Log2-bucketed distributions (obs::Histogram's buckets).
+  /// Log2-bucketed distributions (obs::HistogramSnapshot's buckets).
   enum Dist : size_t {
     kDispatch,        ///< dispatch time per work item
     kBody,            ///< body time per work item
@@ -102,7 +102,7 @@ class Instrumentation {
         d[kMax].store(value, std::memory_order_relaxed);
       }
       bump(d[kSum], value);
-      bump(d[kBucket0 + obs::Histogram::bucket_index(value)], 1);
+      bump(d[kBucket0 + obs::HistogramSnapshot::bucket_index(value)], 1);
       d[kCount].store(count + 1, std::memory_order_release);
     }
 
@@ -146,8 +146,9 @@ class Instrumentation {
   static constexpr size_t kBusyNs = 0, kIdleNs = 1, kStoreBytes = 2,
                           kEvents = 3, kDist0 = 4;
   static constexpr size_t kCount = 0, kSum = 1, kMin = 2, kMax = 3,
-                          kBucket0 = 4,
-                          kDistCells = kBucket0 + obs::Histogram::kBuckets;
+                          kBucket0 = 4;
+  static constexpr size_t kDistCells =
+      kBucket0 + obs::HistogramSnapshot::kBuckets;
   static constexpr size_t kItems = 0, kBodies = 1, kDispatchNs = 2,
                           kKernelNs = 3, kKernelCells = 4;
   static constexpr size_t kKernel0 = kDist0 + kDistCount * kDistCells;

@@ -51,7 +51,6 @@ Runtime::Runtime(Program program, RunOptions options)
                                 ? std::string_view("p2g")
                                 : std::string_view(options_.trace_label)));
   if (options_.metrics.enabled) {
-    metrics_ = std::make_unique<obs::MetricsRegistry>();
     for (const char* name :
          {"ready_queue_depth", "analyzer_backlog", "field_memory_bytes"}) {
       series_.push_back(obs::TimeSeries{name, {}});
@@ -90,22 +89,22 @@ void Runtime::sample_gauges(int64_t t_ns) {
 void Runtime::finalize_metrics() {
   if (series_.empty()) return;
   sample_gauges(now_ns());
-  for (obs::TimeSeries& series : series_) {
-    if (trace_) {
+  if (trace_) {
+    for (const obs::TimeSeries& series : series_) {
       for (const obs::TimeSeriesSample& sample : series.samples) {
         trace_->record_counter(TraceCollector::CounterSample{
             series.name, sample.t_ns, sample.value});
       }
     }
-    metrics_->add_series(std::move(series));
   }
-  series_.clear();
+  series_closed_.store(true, std::memory_order_release);
 }
 
 obs::MetricsSnapshot Runtime::metrics_snapshot() const {
-  if (!metrics_) return {};
-  obs::MetricsSnapshot snapshot = metrics_->snapshot();
+  if (!options_.metrics.enabled) return {};
+  obs::MetricsSnapshot snapshot;
   instr_.add_metrics(snapshot);
+  if (series_closed_.load(std::memory_order_acquire)) snapshot.series = series_;
   return snapshot;
 }
 

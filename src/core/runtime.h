@@ -223,15 +223,9 @@ class Runtime {
   /// written.
   std::optional<std::string> dump_flight() const;
 
-  /// The metrics registry (nullptr unless RunOptions::metrics.enabled).
-  const obs::MetricsRegistry* metrics() const { return metrics_.get(); }
-
-  /// Mutable registry handle for embedding layers (the execution node folds
-  /// reliable-channel counters in before shipping its snapshot).
-  obs::MetricsRegistry* mutable_metrics() { return metrics_.get(); }
-
-  /// Telemetry snapshot: the registry plus the instrumentation's metrics
-  /// view. Empty when metrics are disabled.
+  /// Telemetry snapshot: the instrumentation's histograms and counters,
+  /// plus the gauge series once run() has finished sampling them. Empty
+  /// when metrics are disabled.
   obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -263,8 +257,8 @@ class Runtime {
   /// Appends one sample at `t_ns` to every gauge series (run() before the
   /// threads start, then the analyzer thread, then run() after the join).
   void sample_gauges(int64_t t_ns);
-  /// Takes the closing sample and folds the series into the registry and
-  /// (with tracing on) into Perfetto counter tracks.
+  /// Takes the closing sample, copies the series into Perfetto counter
+  /// tracks (with tracing on) and releases them to metrics_snapshot().
   void finalize_metrics();
 
   void resolve_options();
@@ -354,13 +348,13 @@ class Runtime {
   std::atomic<uint64_t> span_seq_{1};
   uint64_t span_salt_ = 0;
 
-  // Telemetry (null and empty when RunOptions::metrics.enabled is false).
-  // The registry holds the transports' counters. The gauge series (named
-  // in the constructor, in the order sample_gauges() appends values) and
-  // the time and worker time of the last sample belong to whichever
-  // thread samples (see sample_gauges).
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  // Gauge series (empty when RunOptions::metrics.enabled is false). The
+  // series (named in the constructor, in the order sample_gauges() appends
+  // values) and the time and worker time of the last sample belong to
+  // whichever thread samples (see sample_gauges); once finalize_metrics()
+  // sets series_closed_ they are read-only and snapshots copy them.
   std::vector<obs::TimeSeries> series_;
+  std::atomic<bool> series_closed_{false};
   int64_t sampled_at_ns_ = 0;
   std::pair<int64_t, int64_t> sampled_worker_time_;
 

@@ -321,11 +321,6 @@ void TraceCollector::record_flow_finish(const TraceContext& ctx,
   record_flow(FlowEvent{flow_id_of(ctx), t_ns, thread_id, true});
 }
 
-void TraceCollector::name_thread(int64_t thread_id, std::string name) {
-  std::scoped_lock lock(mutex_);
-  thread_names_[thread_id] = std::move(name);
-}
-
 // --- readers ----------------------------------------------------------------
 
 size_t TraceCollector::span_count() const {
@@ -399,10 +394,7 @@ void TraceCollector::emit(std::ostream& os, int pid,
   visit(tail, [&tids](const Entry& e) { tids.insert(e.record.thread_id); });
   for (const int64_t tid : tids) {
     std::string label;
-    const auto it = thread_names_.find(tid);
-    if (it != thread_names_.end()) {
-      label = it->second;
-    } else if (tid >= 0) {
+    if (tid >= 0) {
       label = "worker " + std::to_string(tid);
     } else if (tid == -1) {
       label = "analyzer";

@@ -150,10 +150,6 @@ class TraceCollector {
   void record_flow_finish(const TraceContext& ctx, int64_t t_ns,
                           int64_t thread_id);
 
-  /// Labels a thread lane (ph:"M" thread_name metadata). Unlabeled lanes
-  /// get defaults ("worker N" / "analyzer" / "net" / "retry").
-  void name_thread(int64_t thread_id, std::string name);
-
   /// Serializes everything as a Chrome trace-event JSON array document.
   std::string to_chrome_json() const;
 
@@ -231,11 +227,10 @@ class TraceCollector {
   /// Interned names by id, published with release stores, so ids resolve
   /// without a lock. The strings live in name_ids_' (never moved) keys.
   const std::unique_ptr<std::atomic<const char*>[]> names_;
-  mutable std::mutex mutex_;  ///< registration, names, counters, labels
+  mutable std::mutex mutex_;  ///< registration, names, counters
   std::map<std::thread::id, ThreadBuffer*> buffer_of_;
   std::map<std::string, uint32_t, std::less<>> name_ids_;
   std::vector<CounterSample> counters_;
-  std::map<int64_t, std::string> thread_names_;
 };
 
 }  // namespace p2g

@@ -459,13 +459,16 @@ void ExecutionNode::heartbeat_loop() {
 }
 
 void ExecutionNode::ship_metrics() {
-  if (master_endpoint_.empty() || runtime_->metrics() == nullptr) return;
+  if (master_endpoint_.empty()) return;
   MetricsReport metrics;
   metrics.node = name_;
   metrics.snapshot = runtime_->metrics_snapshot();
+  if (metrics.snapshot.empty()) return;  // metrics disabled
+  // Every producer adds its counters to the shipped copy; this runs
+  // repeatedly, so nothing accumulates across snapshots.
+  bus_.add_metrics(metrics.snapshot);
+  if (forwarder_ != nullptr) forwarder_->add_metrics(metrics.snapshot);
   if (channel_) {
-    // Append the reliable-channel counters to the shipped copy (not the
-    // live registry — this runs repeatedly and must not accumulate).
     const ft::ReliableChannel::Stats s = channel_->stats();
     auto add = [&](const char* counter, int64_t value) {
       metrics.snapshot.counters.push_back(

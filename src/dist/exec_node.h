@@ -60,6 +60,8 @@ class StoreForwarder {
  public:
   virtual ~StoreForwarder() = default;
   virtual bool forward(const StoreEvent& event, const std::string& target) = 0;
+  /// Adds the data plane's counters to the node's telemetry snapshot.
+  virtual void add_metrics(obs::MetricsSnapshot& /*into*/) const {}
 };
 
 /// Final contents of captured fields: field name -> age -> densely packed
@@ -143,9 +145,10 @@ class ExecutionNode {
   void receiver_loop();
   void heartbeat_loop();
   void ship_checkpoints();
-  /// Ships a kMetricsReport snapshot of the node registry (plus the
-  /// reliable-channel counters) to the master. Called periodically from
-  /// the heartbeat loop and once more at join().
+  /// Ships a kMetricsReport snapshot to the master: the runtime's metrics
+  /// plus the transport's, the store forwarder's and the reliable
+  /// channel's counters (nothing when metrics are disabled). Called
+  /// periodically from the heartbeat loop and once more at join().
   void ship_metrics();
   /// Wire-send span bracket around one traced store forward: fresh span
   /// id before the send, span + flow endpoints after it. Returns the zero

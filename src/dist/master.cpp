@@ -217,7 +217,6 @@ DistributedRunReport Master::run(Launcher& launcher) {
   }
   ft::FailureDetector detector(detector_options);
   ft::CheckpointStore checkpoints;
-  obs::MetricsRegistry master_registry;
   // Master control lane of the merged trace: recovery spans (failure
   // detection + reassignment, recorded below in fence()).
   TraceCollector master_trace;
@@ -355,7 +354,6 @@ DistributedRunReport Master::run(Launcher& launcher) {
     detector.remove(name);
     ftr.dead_nodes.push_back(name);
     ftr.recovery_latency_ns.push_back(latency);
-    master_registry.histogram("ft_recovery_latency_ns").record(latency);
     if (ft_on) reassign(name, rec_t0);
   };
 
@@ -506,15 +504,20 @@ DistributedRunReport Master::run(Launcher& launcher) {
       ftr.duplicates_dropped += s.duplicates_dropped;
       ftr.acks_sent += s.acks_sent;
     }
-    master_registry.counter("ft_heartbeats_total").add(ftr.heartbeats);
-    master_registry.counter("ft_recoveries_total").add(ftr.recoveries);
-    master_registry.counter("ft_kernels_reassigned_total")
-        .add(ftr.kernels_reassigned);
-    master_registry.counter("ft_checkpoints_stored_total")
-        .add(ftr.checkpoints_stored);
-    master_registry.counter("ft_checkpoint_restores_total")
-        .add(ftr.checkpoint_restores);
-    result.combined_metrics.merge(master_registry.snapshot());
+    obs::MetricsSnapshot master_metrics;
+    master_metrics.counters = {
+        {"ft_checkpoint_restores_total", ftr.checkpoint_restores},
+        {"ft_checkpoints_stored_total", ftr.checkpoints_stored},
+        {"ft_heartbeats_total", ftr.heartbeats},
+        {"ft_kernels_reassigned_total", ftr.kernels_reassigned},
+        {"ft_recoveries_total", ftr.recoveries}};
+    if (!ftr.recovery_latency_ns.empty()) {
+      obs::HistogramSnapshot latency;
+      latency.name = "ft_recovery_latency_ns";
+      for (const int64_t ns : ftr.recovery_latency_ns) latency.record(ns);
+      master_metrics.histograms.push_back(std::move(latency));
+    }
+    result.combined_metrics.merge(master_metrics);
   }
   // Causal tracing: harvest every lane's spans into one node-qualified
   // DAG, compute per-frame critical paths, and stitch the merged trace

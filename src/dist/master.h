@@ -141,9 +141,9 @@ struct DistributedRunReport {
   /// Per-node telemetry snapshots, shipped over the bus as
   /// kMetricsReport messages (empty unless collect_node_metrics).
   std::map<std::string, obs::MetricsSnapshot> node_metrics;
-  /// Cross-node reduction of node_metrics: counters/gauges summed,
-  /// histograms merged bucket-wise (time series stay per node). FT runs
-  /// also fold in the master-side registry (recovery latency histogram,
+  /// Cross-node reduction of node_metrics: counters summed, histograms
+  /// merged bucket-wise (time series stay per node). FT runs also fold in
+  /// the master's FtRunReport (recovery latency histogram,
   /// heartbeat/recovery counters).
   obs::MetricsSnapshot combined_metrics;
   int64_t messages_delivered = 0;

@@ -134,36 +134,14 @@ ProfileReport ProfileReport::decode(const std::vector<uint8_t>& bytes) {
   return out;
 }
 
-namespace {
-
-void encode_values(Writer& w, const std::vector<obs::CounterValue>& values) {
-  w.u32(static_cast<uint32_t>(values.size()));
-  for (const obs::CounterValue& v : values) {
-    w.str(v.name);
-    w.i64(v.value);
-  }
-}
-
-std::vector<obs::CounterValue> decode_values(Reader& r) {
-  std::vector<obs::CounterValue> out;
-  const uint32_t n = r.count(sizeof(uint32_t) + sizeof(int64_t));
-  out.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    obs::CounterValue v;
-    v.name = r.str();
-    v.value = r.i64();
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<uint8_t> MetricsReport::encode() const {
   Writer w;
   w.str(node);
-  encode_values(w, snapshot.counters);
-  encode_values(w, snapshot.gauges);
+  w.u32(static_cast<uint32_t>(snapshot.counters.size()));
+  for (const obs::CounterValue& c : snapshot.counters) {
+    w.str(c.name);
+    w.i64(c.value);
+  }
   w.u32(static_cast<uint32_t>(snapshot.histograms.size()));
   for (const obs::HistogramSnapshot& h : snapshot.histograms) {
     w.str(h.name);
@@ -190,8 +168,14 @@ MetricsReport MetricsReport::decode(const std::vector<uint8_t>& bytes) {
   Reader r(bytes);
   MetricsReport out;
   out.node = r.str();
-  out.snapshot.counters = decode_values(r);
-  out.snapshot.gauges = decode_values(r);
+  const uint32_t counters = r.count(sizeof(uint32_t) + sizeof(int64_t));
+  out.snapshot.counters.reserve(counters);
+  for (uint32_t i = 0; i < counters; ++i) {
+    obs::CounterValue c;
+    c.name = r.str();
+    c.value = r.i64();
+    out.snapshot.counters.push_back(std::move(c));
+  }
   const uint32_t histograms = r.count(2 * sizeof(uint32_t));
   out.snapshot.histograms.reserve(histograms);
   for (uint32_t i = 0; i < histograms; ++i) {

@@ -22,7 +22,7 @@ enum class MessageType : uint8_t {
   kProfileReport = 3,   ///< node -> master: instrumentation snapshot
   kIdleReport = 4,      ///< node -> master: quiescence probe answer
   kShutdown = 5,        ///< master -> nodes: stop
-  kMetricsReport = 6,   ///< node -> master: telemetry registry snapshot
+  kMetricsReport = 6,   ///< node -> master: telemetry snapshot
 
   // Fault-tolerance layer (src/ft).
   kData = 7,        ///< node -> node: reliable-channel envelope (DataEnvelope)
@@ -90,7 +90,7 @@ struct ProfileReport {
   static ProfileReport decode(const std::vector<uint8_t>& bytes);
 };
 
-/// A node's full telemetry snapshot (counters, gauges, histograms, sampled
+/// A node's full telemetry snapshot (counters, histograms, sampled
 /// time series), shipped to the master after the node's runtime drained.
 /// The master aggregates these into DistributedRunReport — the data side
 /// of the paper's "instrumentation feeds the high-level scheduler" loop.

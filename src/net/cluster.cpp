@@ -201,7 +201,6 @@ int run_node(const NodeConfig& config) {
     dist::ExecutionNode node(config.name,
                              lang::compile_source(assign.source).program,
                              kernel_owner, bus, options, supervision);
-    bus.set_metrics(node.runtime().mutable_metrics());
 
     std::unique_ptr<ShmDataPlane> plane;
     if (config.arena_fd >= 0) {

@@ -158,7 +158,6 @@ void ShmDataPlane::add_peer(const std::string& name,
 void ShmDataPlane::attach(dist::ExecutionNode& node) {
   P2G_CHECK_ARGUMENT(node_ == nullptr, "plane already attached");
   node_ = &node;
-  metrics_ = node.runtime().mutable_metrics();
   // Outgoing payloads are born in the arena: every field this node's
   // kernels produce for remote consumers gets an arena-backed buffer
   // factory, so a whole-store's bytes already sit at a shippable offset.
@@ -236,17 +235,15 @@ bool ShmDataPlane::forward(const StoreEvent& event, const std::string& target) {
     const nd::AnyBuffer packed = storage.fetch(event.age, event.region);
     std::memcpy(dst, packed.raw(), slot.bytes);
     slot.offset = arena_->offset_of(dst);
-    if (metrics_ != nullptr) {
-      metrics_->counter("shm_tx_copied_bytes_total")
-          .add(static_cast<int64_t>(slot.bytes));
-    }
+    tx_copied_bytes_.fetch_add(static_cast<int64_t>(slot.bytes),
+                               std::memory_order_relaxed);
   }
 
   // The ring is sized for the steady state; a full ring means the consumer
   // is momentarily behind, so spin briefly before falling back to sockets.
   for (int attempt = 0; attempt < 10000; ++attempt) {
     if (link.tx.push(slot)) {
-      if (metrics_ != nullptr) metrics_->counter("shm_tx_frames_total").add(1);
+      tx_frames_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     std::this_thread::yield();
@@ -295,13 +292,22 @@ void ShmDataPlane::deliver(const std::string& peer, const PeerLink& link,
     bool adopted = false;
     node_->apply_plane_store(slot.field, slot.age, region, slot.producer,
                              slot.store_decl, slot.whole != 0, view, &adopted);
-    if (metrics_ != nullptr) {
-      metrics_->counter("shm_rx_frames_total").add(1);
-      if (adopted) metrics_->counter("shm_rx_adopted_total").add(1);
-    }
+    rx_frames_.fetch_add(1, std::memory_order_relaxed);
+    if (adopted) rx_adopted_.fetch_add(1, std::memory_order_relaxed);
   } catch (const Error& e) {
     P2G_WARNC("net") << "shm plane dropping slot from '" << peer
                      << "': " << e.what();
+  }
+}
+
+void ShmDataPlane::add_metrics(obs::MetricsSnapshot& into) const {
+  for (const auto& [name, counter] :
+       {std::pair{"shm_rx_adopted_total", &rx_adopted_},
+        std::pair{"shm_rx_frames_total", &rx_frames_},
+        std::pair{"shm_tx_copied_bytes_total", &tx_copied_bytes_},
+        std::pair{"shm_tx_frames_total", &tx_frames_}}) {
+    const int64_t value = counter->load(std::memory_order_relaxed);
+    if (value > 0) into.counters.push_back(obs::CounterValue{name, value});
   }
 }
 

@@ -35,7 +35,6 @@
 
 #include "dist/exec_node.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
 
 namespace p2g::net {
 
@@ -191,6 +190,9 @@ class ShmDataPlane : public dist::StoreForwarder {
 
   // --- StoreForwarder -------------------------------------------------------
   bool forward(const StoreEvent& event, const std::string& target) override;
+  /// `shm_tx_frames_total`, `shm_tx_copied_bytes_total`,
+  /// `shm_rx_frames_total` and `shm_rx_adopted_total` (each once nonzero).
+  void add_metrics(obs::MetricsSnapshot& into) const override;
 
  private:
   struct PeerLink {
@@ -209,9 +211,13 @@ class ShmDataPlane : public dist::StoreForwarder {
   std::shared_ptr<ShmArena> arena_;
   std::map<std::string, std::unique_ptr<PeerLink>> peers_;
   dist::ExecutionNode* node_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   std::thread poller_;
   std::atomic<bool> stop_{false};
+  // Frame counters: tx from the node's workers, rx from the poller.
+  std::atomic<int64_t> tx_frames_{0};
+  std::atomic<int64_t> tx_copied_bytes_{0};
+  std::atomic<int64_t> rx_frames_{0};
+  std::atomic<int64_t> rx_adopted_{0};
 };
 
 }  // namespace p2g::net

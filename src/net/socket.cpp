@@ -41,7 +41,7 @@ bool is_data_frame(dist::MessageType type) {
 
 // --- SocketHub --------------------------------------------------------------
 
-SocketHub::SocketHub(obs::MetricsRegistry* metrics) : metrics_(metrics) {
+SocketHub::SocketHub() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   P2G_CHECK_INTERNAL(listen_fd_ >= 0, "socket() failed");
   const int one = 1;
@@ -173,18 +173,13 @@ SendStatus SocketHub::route(const std::string& to, dist::Message msg) {
     std::scoped_lock lock(mutex_);
     const auto dead_it = dead_.find(to);
     if (dead_it != dead_.end() && dead_it->second) {
-      ++stats_.dead_letters;
-      ++stats_.per_endpoint[to].dead_letters;
-      if (metrics_ != nullptr) {
-        metrics_->counter("net_dead_letters_total:" + to).add(1);
-      }
+      count_dead_letter(to);
       return SendStatus::kDead;
     }
     const auto local_it = local_.find(to);
     if (local_it != local_.end()) {
       if (closed_ || local_it->second->closed()) {
-        ++stats_.dead_letters;
-        ++stats_.per_endpoint[to].dead_letters;
+        count_dead_letter(to);
         return SendStatus::kClosed;
       }
       ++stats_.delivered;
@@ -201,11 +196,7 @@ SendStatus SocketHub::route(const std::string& to, dist::Message msg) {
     }
     conn = node_it->second;
     if (conn->dead) {
-      ++stats_.dead_letters;
-      ++stats_.per_endpoint[to].dead_letters;
-      if (metrics_ != nullptr) {
-        metrics_->counter("net_dead_letters_total:" + to).add(1);
-      }
+      count_dead_letter(to);
       return SendStatus::kDead;
     }
   }
@@ -217,11 +208,7 @@ SendStatus SocketHub::route(const std::string& to, dist::Message msg) {
     std::scoped_lock lock(mutex_);
     conn->dead = true;
     dead_[to] = true;
-    ++stats_.dead_letters;
-    ++stats_.per_endpoint[to].dead_letters;
-    if (metrics_ != nullptr) {
-      metrics_->counter("net_dead_letters_total:" + to).add(1);
-    }
+    count_dead_letter(to);
     return SendStatus::kDead;
   }
   std::scoped_lock lock(mutex_);
@@ -261,9 +248,6 @@ bool SocketHub::write_frame(const std::shared_ptr<Connection>& conn,
 void SocketHub::count_dead_letter(const std::string& to) {
   ++stats_.dead_letters;
   ++stats_.per_endpoint[to].dead_letters;
-  if (metrics_ != nullptr) {
-    metrics_->counter("net_dead_letters_total:" + to).add(1);
-  }
 }
 
 void SocketHub::close_all() {
@@ -366,11 +350,6 @@ SocketNodeTransport::SocketNodeTransport(const std::string& host,
 
 SocketNodeTransport::~SocketNodeTransport() { close_all(); }
 
-void SocketNodeTransport::set_metrics(obs::MetricsRegistry* metrics) {
-  std::scoped_lock lock(mutex_);
-  metrics_ = metrics;
-}
-
 bool SocketNodeTransport::hub_dead() const {
   std::scoped_lock lock(mutex_);
   return hub_dead_;
@@ -430,8 +409,7 @@ SendStatus SocketNodeTransport::send(const std::string& to,
     const auto local_it = local_.find(to);
     if (local_it != local_.end()) {
       if (closed_ || local_it->second->closed()) {
-        ++stats_.dead_letters;
-        ++stats_.per_endpoint[to].dead_letters;
+        count_dead_letter(to);
         return SendStatus::kClosed;
       }
       ++stats_.delivered;
@@ -469,10 +447,9 @@ SendStatus SocketNodeTransport::send(const std::string& to,
   auto& ep = stats_.per_endpoint[to];
   ++ep.messages;
   ep.bytes += static_cast<int64_t>(payload_bytes);
-  if (count_data && metrics_ != nullptr) {
-    metrics_->counter("net_tx_frames_total").add(1);
-    metrics_->counter("net_tx_copied_bytes_total")
-        .add(static_cast<int64_t>(payload_bytes));
+  if (count_data) {
+    ++tx_frames_;
+    tx_copied_bytes_ += static_cast<int64_t>(payload_bytes);
   }
   return SendStatus::kDelivered;
 }
@@ -503,9 +480,6 @@ int SocketNodeTransport::broadcast(dist::Message msg) {
 void SocketNodeTransport::count_dead_letter(const std::string& to) {
   ++stats_.dead_letters;
   ++stats_.per_endpoint[to].dead_letters;
-  if (metrics_ != nullptr) {
-    metrics_->counter("net_dead_letters_total:" + to).add(1);
-  }
 }
 
 void SocketNodeTransport::close_all() {
@@ -550,6 +524,20 @@ int64_t SocketNodeTransport::delivered() const {
 BusStats SocketNodeTransport::stats() const {
   std::scoped_lock lock(mutex_);
   return stats_;
+}
+
+void SocketNodeTransport::add_metrics(obs::MetricsSnapshot& into) const {
+  std::scoped_lock lock(mutex_);
+  for (const auto& [peer, ep] : stats_.per_endpoint) {
+    if (ep.dead_letters > 0) {
+      into.counters.push_back({"net_dead_letters_total:" + peer,
+                               ep.dead_letters});
+    }
+  }
+  if (tx_frames_ > 0) {
+    into.counters.push_back({"net_tx_copied_bytes_total", tx_copied_bytes_});
+    into.counters.push_back({"net_tx_frames_total", tx_frames_});
+  }
 }
 
 }  // namespace p2g::net

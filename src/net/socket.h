@@ -24,7 +24,6 @@
 
 #include "net/transport.h"
 #include "net/wire.h"
-#include "obs/metrics.h"
 
 namespace p2g::net {
 
@@ -35,9 +34,7 @@ namespace p2g::net {
 class SocketHub : public Transport {
  public:
   /// Binds 127.0.0.1 on an ephemeral port and starts the accept thread.
-  /// `metrics`, when given, receives per-link dead-letter counters
-  /// (`net_dead_letters_total:<node>`).
-  explicit SocketHub(obs::MetricsRegistry* metrics = nullptr);
+  SocketHub();
   ~SocketHub() override;
 
   SocketHub(const SocketHub&) = delete;
@@ -85,9 +82,9 @@ class SocketHub : public Transport {
   bool write_frame(const std::shared_ptr<Connection>& conn,
                    const NetEnvelope& envelope);
 
+  /// Counts a failed send to `to`. Caller holds mutex_.
   void count_dead_letter(const std::string& to);
 
-  obs::MetricsRegistry* metrics_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::thread acceptor_;
@@ -115,11 +112,6 @@ class SocketNodeTransport : public Transport {
   SocketNodeTransport(const SocketNodeTransport&) = delete;
   SocketNodeTransport& operator=(const SocketNodeTransport&) = delete;
 
-  /// Installs the registry receiving data-plane counters
-  /// (`net_tx_frames_total`, `net_tx_copied_bytes_total`). May be called
-  /// after construction, before traffic matters.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   /// True once the hub connection failed or was shut down.
   bool hub_dead() const;
 
@@ -135,6 +127,10 @@ class SocketNodeTransport : public Transport {
   bool unreachable(const std::string& name) const override;
   int64_t delivered() const override;
   BusStats stats() const override;
+  /// `net_dead_letters_total:<peer>` (from BusStats::per_endpoint) and the
+  /// data-plane frames sent through the hub (`net_tx_frames_total`,
+  /// `net_tx_copied_bytes_total`).
+  void add_metrics(obs::MetricsSnapshot& into) const override;
 
  private:
   void reader_loop();
@@ -148,10 +144,11 @@ class SocketNodeTransport : public Transport {
   std::mutex write_mutex_;
   bool closed_ = false;
   bool hub_dead_ = false;
-  obs::MetricsRegistry* metrics_ = nullptr;
   std::map<std::string, std::shared_ptr<Mailbox>> local_;
   std::map<std::string, bool> dead_;
   BusStats stats_;
+  int64_t tx_frames_ = 0;  ///< kRemoteStore/kData frames written
+  int64_t tx_copied_bytes_ = 0;
 };
 
 }  // namespace p2g::net

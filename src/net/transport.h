@@ -98,6 +98,11 @@ class Transport {
 
   /// Message/byte counters, total and per destination endpoint.
   virtual BusStats stats() const = 0;
+
+  /// Adds this transport's telemetry counters to a node's snapshot. The
+  /// default adds nothing: a transport shared by every in-process node
+  /// would otherwise be counted once per node.
+  virtual void add_metrics(obs::MetricsSnapshot& /*into*/) const {}
 };
 
 }  // namespace p2g::net

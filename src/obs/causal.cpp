@@ -80,8 +80,12 @@ CriticalPathReport analyze_critical_paths(
     }
   }
 
-  Histogram bucket_hist[kBucketCount];
-  Histogram total_hist;
+  report.bucket_latency.resize(kBucketCount);
+  for (size_t b = 0; b < kBucketCount; ++b) {
+    report.bucket_latency[b].name =
+        std::string("critpath_") + to_string(static_cast<Bucket>(b)) + "_ns";
+  }
+  report.total_latency.name = "critpath_total_ns";
 
   for (const auto& [trace_id, last] : terminal) {
     CriticalPath path;
@@ -132,9 +136,9 @@ CriticalPathReport analyze_critical_paths(
     }
 
     for (size_t b = 0; b < kBucketCount; ++b) {
-      bucket_hist[b].record(path.bucket_ns[b]);
+      report.bucket_latency[b].record(path.bucket_ns[b]);
     }
-    total_hist.record(path.total_ns);
+    report.total_latency.record(path.total_ns);
     report.paths.push_back(std::move(path));
   }
 
@@ -143,17 +147,6 @@ CriticalPathReport analyze_critical_paths(
               if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
               return a.trace_id < b.trace_id;  // deterministic order
             });
-
-  report.bucket_latency.reserve(kBucketCount);
-  for (size_t b = 0; b < kBucketCount; ++b) {
-    HistogramSnapshot snap = bucket_hist[b].snapshot();
-    snap.name =
-        std::string("critpath_") + to_string(static_cast<Bucket>(b)) +
-        "_ns";
-    report.bucket_latency.push_back(std::move(snap));
-  }
-  report.total_latency = total_hist.snapshot();
-  report.total_latency.name = "critpath_total_ns";
   return report;
 }
 

@@ -10,51 +10,32 @@
 
 namespace p2g::obs {
 
-// ---------------------------------------------------------------- Histogram
+// --------------------------------------------------------- HistogramSnapshot
 
-size_t Histogram::bucket_index(int64_t value) {
+size_t HistogramSnapshot::bucket_index(int64_t value) {
   if (value < 1) return 0;
   const size_t width =
       static_cast<size_t>(std::bit_width(static_cast<uint64_t>(value)));
   return std::min(width, kBuckets - 1);
 }
 
-int64_t Histogram::bucket_lower(size_t bucket) {
+int64_t HistogramSnapshot::bucket_lower(size_t bucket) {
   if (bucket == 0) return 0;
   return int64_t{1} << (bucket - 1);
 }
 
-int64_t Histogram::bucket_upper(size_t bucket) {
+int64_t HistogramSnapshot::bucket_upper(size_t bucket) {
   if (bucket >= 63) return std::numeric_limits<int64_t>::max();
   return int64_t{1} << bucket;
 }
 
-void Histogram::record(int64_t value) {
-  // min/max first: a reader that sees the count sees a bounded range.
-  int64_t seen = min_.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !min_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  seen = max_.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-  }
-  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_release);
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot out;
-  out.count = count_.load(std::memory_order_acquire);
-  out.sum = sum_.load(std::memory_order_relaxed);
-  out.buckets.assign(kBuckets, 0);
-  for (size_t b = 0; b < kBuckets; ++b) {
-    out.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  }
-  out.min = out.count > 0 ? min_.load(std::memory_order_relaxed) : 0;
-  out.max = out.count > 0 ? max_.load(std::memory_order_relaxed) : 0;
-  return out;
+void HistogramSnapshot::record(int64_t value) {
+  if (buckets.empty()) buckets.assign(kBuckets, 0);
+  ++buckets[bucket_index(value)];
+  min = count > 0 ? std::min(min, value) : value;
+  max = count > 0 ? std::max(max, value) : value;
+  ++count;
+  sum += value;
 }
 
 double HistogramSnapshot::mean() const {
@@ -74,10 +55,8 @@ double HistogramSnapshot::percentile(double p) const {
       const double fraction =
           (target - static_cast<double>(cumulative)) /
           static_cast<double>(buckets[b]);
-      const double lower =
-          static_cast<double>(Histogram::bucket_lower(b));
-      const double upper =
-          static_cast<double>(Histogram::bucket_upper(b));
+      const double lower = static_cast<double>(bucket_lower(b));
+      const double upper = static_cast<double>(bucket_upper(b));
       const double value = lower + fraction * (upper - lower);
       return std::clamp(value, static_cast<double>(min),
                         static_cast<double>(max));
@@ -105,29 +84,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 
 namespace {
 
-const CounterValue* find_value(const std::vector<CounterValue>& values,
-                               std::string_view name) {
-  for (const CounterValue& v : values) {
-    if (v.name == name) return &v;
-  }
-  return nullptr;
-}
-
-void merge_values(std::vector<CounterValue>& into,
-                  const std::vector<CounterValue>& from) {
-  for (const CounterValue& v : from) {
-    bool found = false;
-    for (CounterValue& mine : into) {
-      if (mine.name == v.name) {
-        mine.value += v.value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) into.push_back(v);
-  }
-}
-
 /// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
 std::string prom_name(std::string_view name) {
   std::string out = "p2g_";
@@ -148,45 +104,44 @@ void json_series(std::ostringstream& os, const TimeSeries& ts) {
   os << "]";
 }
 
+/// The entry called `name`, or nullptr (const-ness follows `items`).
+template <typename Items>
+auto* find_named(Items& items, std::string_view name) {
+  const auto it = std::find_if(items.begin(), items.end(),
+                               [&](const auto& i) { return i.name == name; });
+  return it == items.end() ? nullptr : &*it;
+}
+
 }  // namespace
 
 const CounterValue* MetricsSnapshot::find_counter(
     std::string_view name) const {
-  return find_value(counters, name);
-}
-
-const CounterValue* MetricsSnapshot::find_gauge(std::string_view name) const {
-  return find_value(gauges, name);
+  return find_named(counters, name);
 }
 
 const HistogramSnapshot* MetricsSnapshot::find_histogram(
     std::string_view name) const {
-  for (const HistogramSnapshot& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
+  return find_named(histograms, name);
 }
 
 const TimeSeries* MetricsSnapshot::find_series(std::string_view name) const {
-  for (const TimeSeries& ts : series) {
-    if (ts.name == name) return &ts;
-  }
-  return nullptr;
+  return find_named(series, name);
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  merge_values(counters, other.counters);
-  merge_values(gauges, other.gauges);
-  for (const HistogramSnapshot& h : other.histograms) {
-    bool found = false;
-    for (HistogramSnapshot& mine : histograms) {
-      if (mine.name == h.name) {
-        mine.merge(h);
-        found = true;
-        break;
-      }
+  for (const CounterValue& c : other.counters) {
+    if (CounterValue* mine = find_named(counters, c.name)) {
+      mine->value += c.value;
+    } else {
+      counters.push_back(c);
     }
-    if (!found) histograms.push_back(h);
+  }
+  for (const HistogramSnapshot& h : other.histograms) {
+    if (HistogramSnapshot* mine = find_named(histograms, h.name)) {
+      mine->merge(h);
+    } else {
+      histograms.push_back(h);
+    }
   }
 }
 
@@ -197,11 +152,6 @@ std::string MetricsSnapshot::to_prometheus() const {
     os << "# TYPE " << name << " counter\n"
        << name << " " << c.value << "\n";
   }
-  for (const CounterValue& g : gauges) {
-    const std::string name = prom_name(g.name);
-    os << "# TYPE " << name << " gauge\n"
-       << name << " " << g.value << "\n";
-  }
   for (const HistogramSnapshot& h : histograms) {
     const std::string name = prom_name(h.name);
     os << "# TYPE " << name << " histogram\n";
@@ -209,7 +159,7 @@ std::string MetricsSnapshot::to_prometheus() const {
     for (size_t b = 0; b < h.buckets.size(); ++b) {
       if (h.buckets[b] == 0) continue;
       cumulative += h.buckets[b];
-      os << name << "_bucket{le=\"" << Histogram::bucket_upper(b) << "\"} "
+      os << name << "_bucket{le=\"" << h.bucket_upper(b) << "\"} "
          << cumulative << "\n";
     }
     os << name << "_bucket{le=\"+Inf\"} " << h.count << "\n"
@@ -226,11 +176,6 @@ std::string MetricsSnapshot::to_json() const {
     if (i > 0) os << ", ";
     os << "\"" << json_escape(counters[i].name)
        << "\": " << counters[i].value;
-  }
-  os << "},\n  \"gauges\": {";
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "\"" << json_escape(gauges[i].name) << "\": " << gauges[i].value;
   }
   os << "},\n  \"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {
@@ -250,63 +195,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   os << "\n  }\n}\n";
   return os.str();
-}
-
-// ----------------------------------------------------------- MetricsRegistry
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  std::scoped_lock lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::scoped_lock lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  std::scoped_lock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
-void MetricsRegistry::add_series(TimeSeries series) {
-  std::scoped_lock lock(mutex_);
-  series_.push_back(std::move(series));
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::scoped_lock lock(mutex_);
-  MetricsSnapshot out;
-  out.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.counters.push_back(CounterValue{name, counter->value()});
-  }
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    out.gauges.push_back(CounterValue{name, gauge->value()});
-  }
-  out.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramSnapshot snap = histogram->snapshot();
-    snap.name = name;
-    out.histograms.push_back(std::move(snap));
-  }
-  out.series = series_;
-  return out;
 }
 
 }  // namespace p2g::obs

@@ -326,14 +326,6 @@ TEST(Clock, Monotonic) {
   EXPECT_LE(a, b);
 }
 
-TEST(Clock, ScopedTimerAccumulates) {
-  int64_t acc = 0;
-  {
-    ScopedTimerNs t(acc);
-  }
-  EXPECT_GE(acc, 0);
-}
-
 TEST(Rng, SameSeedSameSequence) {
   Rng a(42);
   Rng b(42);

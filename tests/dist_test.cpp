@@ -110,16 +110,15 @@ TEST(Messages, ProfileAndIdleReportRoundTrip) {
 }
 
 TEST(Messages, MetricsReportRoundTrip) {
-  obs::MetricsRegistry registry;
-  registry.counter("events_total").add(9);
-  registry.gauge("depth").set(-2);
-  obs::Histogram& h = registry.histogram("lat_ns");
+  obs::HistogramSnapshot h;
+  h.name = "lat_ns";
   h.record(5);
   h.record(900);
 
   MetricsReport report;
   report.node = "node3";
-  report.snapshot = registry.snapshot();
+  report.snapshot.counters = {{"events_total", 9}, {"delta", -2}};
+  report.snapshot.histograms.push_back(h);
   report.snapshot.series.push_back(
       obs::TimeSeries{"depth", {{100, 1}, {200, 4}}});
 
@@ -127,8 +126,8 @@ TEST(Messages, MetricsReportRoundTrip) {
   EXPECT_EQ(back.node, "node3");
   ASSERT_NE(back.snapshot.find_counter("events_total"), nullptr);
   EXPECT_EQ(back.snapshot.find_counter("events_total")->value, 9);
-  ASSERT_NE(back.snapshot.find_gauge("depth"), nullptr);
-  EXPECT_EQ(back.snapshot.find_gauge("depth")->value, -2);
+  ASSERT_NE(back.snapshot.find_counter("delta"), nullptr);
+  EXPECT_EQ(back.snapshot.find_counter("delta")->value, -2);
   const obs::HistogramSnapshot* lat = back.snapshot.find_histogram("lat_ns");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->count, 2);
@@ -382,13 +381,13 @@ std::vector<CodecCase> codec_corpus() {
                      ProfileReport::decode(b);
                    }});
 
-  obs::MetricsRegistry registry;
-  registry.counter("events_total").add(9);
-  registry.gauge("depth").set(-2);
-  registry.histogram("lat_ns").record(5);
   MetricsReport metrics;
   metrics.node = "node3";
-  metrics.snapshot = registry.snapshot();
+  metrics.snapshot.counters = {{"events_total", 9}, {"delta", -2}};
+  obs::HistogramSnapshot lat;
+  lat.name = "lat_ns";
+  lat.record(5);
+  metrics.snapshot.histograms.push_back(lat);
   metrics.snapshot.series.push_back(
       obs::TimeSeries{"depth", {{100, 1}, {200, 4}}});
   cases.push_back({"MetricsReport", metrics.encode(),

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -326,12 +327,10 @@ TEST(Socket, UnknownEndpointThrowsProtocolLikeTheInProcessBus) {
   hub.close_all();
 }
 
-TEST(Socket, DeadEndpointFeedsDeadLetterStatsAndObsCounter) {
+TEST(Socket, DeadEndpointFeedsDeadLetterStats) {
   // The SendStatus seam must behave exactly like MessageBus::mark_dead:
-  // kDead results feed BusStats::dead_letters (total and per endpoint) and
-  // bump the per-link obs counter.
-  obs::MetricsRegistry metrics;
-  SocketHub hub(&metrics);
+  // kDead results feed BusStats::dead_letters (total and per endpoint).
+  SocketHub hub;
   hub.register_endpoint("master");
   SocketNodeTransport node("127.0.0.1", hub.port(), "a");
   node.register_endpoint("a");
@@ -352,11 +351,44 @@ TEST(Socket, DeadEndpointFeedsDeadLetterStatsAndObsCounter) {
   ASSERT_TRUE(stats.per_endpoint.count("a"));
   EXPECT_EQ(stats.per_endpoint.at("a").dead_letters, 2);
 
-  const obs::MetricsSnapshot snapshot = metrics.snapshot();
-  const obs::CounterValue* dead_letters =
-      snapshot.find_counter("net_dead_letters_total:a");
-  ASSERT_NE(dead_letters, nullptr);
-  EXPECT_EQ(dead_letters->value, 2);
+  hub.close_all();
+  node.close_all();
+}
+
+TEST(Socket, NodeDeadLetterCountersMatchBusStats) {
+  // A node ships net_dead_letters_total:<peer> from the same per-endpoint
+  // tally BusStats reports, so sends to a fenced endpoint (kDead) and to a
+  // closed one (kClosed) both count.
+  SocketHub hub;
+  hub.register_endpoint("master");
+  SocketNodeTransport node("127.0.0.1", hub.port(), "a");
+  node.register_endpoint("a");
+  node.register_endpoint("closed")->close();
+  ASSERT_TRUE(hub.wait_for_nodes(1, std::chrono::seconds(10)));
+
+  node.mark_dead("fenced");
+  EXPECT_EQ(node.send("fenced", make_message(MessageType::kShutdown, "a")),
+            SendStatus::kDead);
+  EXPECT_EQ(node.send("closed", make_message(MessageType::kShutdown, "a")),
+            SendStatus::kClosed);
+  EXPECT_EQ(node.send("closed", make_message(MessageType::kShutdown, "a")),
+            SendStatus::kClosed);
+
+  const BusStats stats = node.stats();
+  EXPECT_EQ(stats.dead_letters, 3);
+  obs::MetricsSnapshot shipped;
+  node.add_metrics(shipped);
+  for (const char* peer : {"fenced", "closed"}) {
+    const obs::CounterValue* counter =
+        shipped.find_counter(std::string("net_dead_letters_total:") + peer);
+    ASSERT_NE(counter, nullptr) << peer;
+    ASSERT_TRUE(stats.per_endpoint.count(peer)) << peer;
+    EXPECT_EQ(counter->value, stats.per_endpoint.at(peer).dead_letters)
+        << peer;
+  }
+  EXPECT_EQ(shipped.find_counter("net_dead_letters_total:closed")->value, 2);
+  // No data frame went through the hub.
+  EXPECT_EQ(shipped.find_counter("net_tx_frames_total"), nullptr);
 
   hub.close_all();
   node.close_all();

@@ -5,8 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/context.h"
 #include "core/runtime.h"
@@ -16,42 +18,39 @@
 namespace p2g {
 namespace {
 
-using obs::Histogram;
 using obs::HistogramSnapshot;
-using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 
 TEST(Histogram, BucketBoundaries) {
   // Bucket 0: values < 1 (incl. negatives); bucket b>=1: [2^(b-1), 2^b).
-  EXPECT_EQ(Histogram::bucket_index(-5), 0u);
-  EXPECT_EQ(Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(Histogram::bucket_index(1023), 10u);
-  EXPECT_EQ(Histogram::bucket_index(1024), 11u);
-  EXPECT_EQ(Histogram::bucket_index(INT64_MAX), 63u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(-5), 0u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(0), 0u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(1), 1u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(2), 2u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(3), 2u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(4), 3u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(1023), 10u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(1024), 11u);
+  EXPECT_EQ(HistogramSnapshot::bucket_index(INT64_MAX), 63u);
 
-  EXPECT_EQ(Histogram::bucket_lower(0), 0);
-  EXPECT_EQ(Histogram::bucket_upper(0), 1);
-  EXPECT_EQ(Histogram::bucket_lower(1), 1);
-  EXPECT_EQ(Histogram::bucket_upper(1), 2);
-  EXPECT_EQ(Histogram::bucket_lower(11), 1024);
-  EXPECT_EQ(Histogram::bucket_upper(10), 1024);
-  EXPECT_EQ(Histogram::bucket_upper(63), INT64_MAX);
+  EXPECT_EQ(HistogramSnapshot::bucket_lower(0), 0);
+  EXPECT_EQ(HistogramSnapshot::bucket_upper(0), 1);
+  EXPECT_EQ(HistogramSnapshot::bucket_lower(1), 1);
+  EXPECT_EQ(HistogramSnapshot::bucket_upper(1), 2);
+  EXPECT_EQ(HistogramSnapshot::bucket_lower(11), 1024);
+  EXPECT_EQ(HistogramSnapshot::bucket_upper(10), 1024);
+  EXPECT_EQ(HistogramSnapshot::bucket_upper(63), INT64_MAX);
 
   // Every value lands in the bucket whose bounds contain it.
   for (int64_t v : {0, 1, 2, 7, 63, 64, 65, 4095, 4096}) {
-    const size_t b = Histogram::bucket_index(v);
-    EXPECT_GE(v, Histogram::bucket_lower(b)) << v;
-    EXPECT_LT(v, Histogram::bucket_upper(b)) << v;
+    const size_t b = HistogramSnapshot::bucket_index(v);
+    EXPECT_GE(v, HistogramSnapshot::bucket_lower(b)) << v;
+    EXPECT_LT(v, HistogramSnapshot::bucket_upper(b)) << v;
   }
 }
 
 TEST(Histogram, EmptySnapshotIsZero) {
-  Histogram h;
-  const HistogramSnapshot snap = h.snapshot();
+  const HistogramSnapshot snap;
   EXPECT_EQ(snap.count, 0);
   EXPECT_EQ(snap.sum, 0);
   EXPECT_EQ(snap.min, 0);
@@ -61,9 +60,8 @@ TEST(Histogram, EmptySnapshotIsZero) {
 }
 
 TEST(Histogram, SingleSamplePercentilesClampToValue) {
-  Histogram h;
-  h.record(1000);
-  const HistogramSnapshot snap = h.snapshot();
+  HistogramSnapshot snap;
+  snap.record(1000);
   EXPECT_EQ(snap.count, 1);
   EXPECT_EQ(snap.min, 1000);
   EXPECT_EQ(snap.max, 1000);
@@ -74,9 +72,8 @@ TEST(Histogram, SingleSamplePercentilesClampToValue) {
 }
 
 TEST(Histogram, PercentilesOrderAndBounds) {
-  Histogram h;
-  for (int64_t v = 1; v <= 1000; ++v) h.record(v);
-  const HistogramSnapshot snap = h.snapshot();
+  HistogramSnapshot snap;
+  for (int64_t v = 1; v <= 1000; ++v) snap.record(v);
   EXPECT_EQ(snap.count, 1000);
   EXPECT_EQ(snap.min, 1);
   EXPECT_EQ(snap.max, 1000);
@@ -94,29 +91,30 @@ TEST(Histogram, PercentilesOrderAndBounds) {
 }
 
 TEST(Histogram, ConcurrentRecordsAllCounted) {
-  Histogram h;
+  // Concurrent recorders each keep their own histogram; merging them
+  // counts every value.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
+  std::vector<HistogramSnapshot> per_thread(kThreads);
   std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
+  for (HistogramSnapshot& h : per_thread) {
     threads.emplace_back([&h] {
       for (int i = 0; i < kPerThread; ++i) h.record(i % 512);
     });
   }
   for (std::thread& t : threads) t.join();
-  const HistogramSnapshot snap = h.snapshot();
+  HistogramSnapshot snap;
+  for (const HistogramSnapshot& h : per_thread) snap.merge(h);
   EXPECT_EQ(snap.count, kThreads * kPerThread);
   EXPECT_EQ(snap.min, 0);
   EXPECT_EQ(snap.max, 511);
 }
 
 TEST(HistogramSnapshot, MergeCombines) {
-  Histogram a, b;
-  a.record(10);
-  a.record(20);
-  b.record(100000);
-  HistogramSnapshot sa = a.snapshot();
-  const HistogramSnapshot sb = b.snapshot();
+  HistogramSnapshot sa, sb;
+  sa.record(10);
+  sa.record(20);
+  sb.record(100000);
   sa.merge(sb);
   EXPECT_EQ(sa.count, 3);
   EXPECT_EQ(sa.sum, 100030);
@@ -132,49 +130,36 @@ TEST(HistogramSnapshot, MergeCombines) {
   EXPECT_EQ(empty.min, 10);
 }
 
-TEST(Counter, ConcurrentAdds) {
-  obs::Counter c;
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < 10000; ++i) c.add(2);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c.value(), int64_t{kThreads} * 10000 * 2);
+TEST(HistogramSnapshot, RecordTracksCountSumMinMaxAndBuckets) {
+  HistogramSnapshot h;
+  for (const int64_t v : {42, -3, 1000, 42}) h.record(v);
+  EXPECT_EQ(h.count, 4);
+  EXPECT_EQ(h.sum, 1081);
+  EXPECT_EQ(h.min, -3);
+  EXPECT_EQ(h.max, 1000);
+  ASSERT_EQ(h.buckets.size(), HistogramSnapshot::kBuckets);
+  EXPECT_EQ(h.buckets[0], 1);  // -3
+  EXPECT_EQ(h.buckets[HistogramSnapshot::bucket_index(42)], 2);
+  EXPECT_EQ(h.buckets[HistogramSnapshot::bucket_index(1000)], 1);
 }
 
-TEST(MetricsRegistry, StableNamedInstances) {
-  MetricsRegistry registry;
-  obs::Counter& c1 = registry.counter("x");
-  obs::Counter& c2 = registry.counter("x");
-  EXPECT_EQ(&c1, &c2);
-  c1.add(5);
-  registry.gauge("g").set(-3);
-  registry.histogram("h").record(42);
-
-  const MetricsSnapshot snap = registry.snapshot();
-  ASSERT_NE(snap.find_counter("x"), nullptr);
-  EXPECT_EQ(snap.find_counter("x")->value, 5);
-  ASSERT_NE(snap.find_gauge("g"), nullptr);
-  EXPECT_EQ(snap.find_gauge("g")->value, -3);
-  ASSERT_NE(snap.find_histogram("h"), nullptr);
-  EXPECT_EQ(snap.find_histogram("h")->count, 1);
-  EXPECT_EQ(snap.find_counter("missing"), nullptr);
+/// A snapshot with the given counters and one histogram "lat" holding
+/// `lat_values`.
+MetricsSnapshot snapshot_of(std::vector<obs::CounterValue> counters,
+                            std::initializer_list<int64_t> lat_values) {
+  MetricsSnapshot snap;
+  snap.counters = std::move(counters);
+  HistogramSnapshot lat;
+  lat.name = "lat";
+  for (const int64_t v : lat_values) lat.record(v);
+  snap.histograms.push_back(std::move(lat));
+  return snap;
 }
 
 TEST(MetricsSnapshot, MergeSumsByName) {
-  MetricsRegistry a, b;
-  a.counter("shared").add(1);
-  a.counter("only_a").add(2);
-  b.counter("shared").add(10);
-  b.counter("only_b").add(20);
-  a.histogram("lat").record(8);
-  b.histogram("lat").record(32);
-
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
+  MetricsSnapshot merged =
+      snapshot_of({{"shared", 1}, {"only_a", 2}}, {8});
+  merged.merge(snapshot_of({{"shared", 10}, {"only_b", 20}}, {32}));
   EXPECT_EQ(merged.find_counter("shared")->value, 11);
   EXPECT_EQ(merged.find_counter("only_a")->value, 2);
   EXPECT_EQ(merged.find_counter("only_b")->value, 20);
@@ -183,18 +168,18 @@ TEST(MetricsSnapshot, MergeSumsByName) {
 }
 
 TEST(MetricsSnapshot, PrometheusExposition) {
-  MetricsRegistry registry;
-  registry.counter("events_total").add(7);
-  registry.gauge("queue_depth").set(3);
-  obs::Histogram& h = registry.histogram("latency_ns");
+  MetricsSnapshot snap;
+  snap.counters.push_back({"events_total", 7});
+  HistogramSnapshot h;
+  h.name = "latency_ns";
   h.record(1);
   h.record(3);
   h.record(700);
+  snap.histograms.push_back(h);
 
-  const std::string text = registry.to_prometheus();
+  const std::string text = snap.to_prometheus();
   EXPECT_NE(text.find("# TYPE p2g_events_total counter"), std::string::npos);
   EXPECT_NE(text.find("p2g_events_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE p2g_queue_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE p2g_latency_ns histogram"), std::string::npos);
   // Cumulative le buckets: [1,2) -> le="2" holds 1, le="4" holds 2.
   EXPECT_NE(text.find("p2g_latency_ns_bucket{le=\"2\"} 1"),
@@ -208,9 +193,9 @@ TEST(MetricsSnapshot, PrometheusExposition) {
 }
 
 TEST(MetricsSnapshot, JsonEscapesNames) {
-  MetricsRegistry registry;
-  registry.counter("weird\"name\\with\njunk").add(1);
-  const std::string json = registry.to_json();
+  MetricsSnapshot snap;
+  snap.counters.push_back({"weird\"name\\with\njunk", 1});
+  const std::string json = snap.to_json();
   EXPECT_NE(json.find("weird\\\"name\\\\with\\njunk"), std::string::npos);
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);
   // Percentile keys present for histogram-free snapshots too.
@@ -229,7 +214,6 @@ TEST(RuntimeMetrics, RunProducesSnapshotAndSeries) {
   Runtime runtime(workload.build(), options);
   const RunReport report = runtime.run();
 
-  ASSERT_NE(runtime.metrics(), nullptr);
   const MetricsSnapshot& snap = report.metrics;
   const HistogramSnapshot* dispatch =
       snap.find_histogram("dispatch_latency_ns");
@@ -262,7 +246,7 @@ TEST(RuntimeMetrics, DisabledByDefault) {
   options.max_age = 2;
   Runtime runtime(workload.build(), options);
   const RunReport report = runtime.run();
-  EXPECT_EQ(runtime.metrics(), nullptr);
+  EXPECT_TRUE(runtime.metrics_snapshot().empty());
   EXPECT_TRUE(report.metrics.empty());
 }
 
@@ -321,7 +305,7 @@ TEST(RuntimeMetrics, FailedRunStillWritesTraceAndMetrics) {
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content.front(), '[');
-  // The metrics registry survives too (instances before the failure).
+  // The metrics survive too (instances before the failure).
   EXPECT_FALSE(runtime.metrics_snapshot().empty());
   std::remove(path.c_str());
 }
