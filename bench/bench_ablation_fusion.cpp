@@ -90,6 +90,9 @@ int main() {
     Program prog = elidable_pipeline(elements);
     RunOptions opts;
     opts.max_age = 300;
+    // Kept past its consumer so the bytes below show the elision, not
+    // age reclamation.
+    opts.retain_fields = {"mid"};
     if (fused) opts.fusions.push_back(FusionRule{"stage_a", "stage_b"});
     Runtime rt(std::move(prog), opts);
     const RunReport report = rt.run();

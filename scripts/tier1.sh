@@ -70,7 +70,8 @@ fi
 # the granularity tests, whose probe hand-off is quiescence-sensitive, the
 # telemetry tests, whose per-thread tallies and flight rings are read by
 # the analyzer and the heartbeat thread while workers write them, and the
-# transport-counter test, whose node transport runs a hub reader thread.
+# transport-counter test, whose node transport runs a hub reader thread,
+# and the age-reclamation tests, whose releases race workers' views.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
@@ -78,6 +79,7 @@ if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="$flake_tests|Cluster\\.|AdaptiveChunking\\.|DeterminismSweep"
   flake_tests="$flake_tests|RuntimeMetrics\\.|FlightTrace\\.|RuntimeTally\\."
   flake_tests="$flake_tests|Socket\\.NodeDeadLetterCountersMatchBusStats"
+  flake_tests="$flake_tests|AgeReclaim"
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then

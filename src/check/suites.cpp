@@ -147,6 +147,71 @@ void suite_field_seal_publish(CheckSession& session) {
   });
 }
 
+/// Age reclamation in miniature: an analyzer stores and seals an age,
+/// dispatches one work item for it through a ReadyQueue, and releases the
+/// age when the item's done event comes back over the event queue; a
+/// worker fetches a view of the age, reports done, and only then reads the
+/// view, which its keepalive holds across the release. With
+/// `release_at_dispatch` the analyzer releases right after the push
+/// instead: a worker fetching afterwards finds the age released.
+void release_protocol(CheckSession& session, bool release_at_dispatch) {
+  struct Shared {
+    explicit Shared(FieldDecl decl) : field(std::move(decl)) {}
+    FieldStorage field;
+    ReadyQueue ready;
+    MpscQueue<Age> done;
+  };
+  FieldDecl decl;
+  decl.id = 0;
+  decl.name = "f";
+  decl.type = nd::ElementType::kInt64;
+  decl.rank = 1;
+  auto shared = std::make_shared<Shared>(std::move(decl));
+  session.spawn("analyzer", [shared, release_at_dispatch] {
+    std::deque<Age> done;
+    for (Age age = 0; age < 2; ++age) {
+      nd::AnyBuffer data(nd::ElementType::kInt64, nd::Extents({2}));
+      data.data<int64_t>()[0] = age;
+      data.data<int64_t>()[1] = age + 1;
+      shared->field.store_whole(age, data);
+      shared->field.seal(age, nd::Extents({2}));
+      WorkItem item;
+      item.age = age;
+      shared->ready.push(std::move(item));
+      if (release_at_dispatch) {
+        shared->field.release_age(age);  // the item may not have fetched
+        continue;
+      }
+      // One item in flight: its done event is the next one.
+      if (!shared->done.pop_all(done)) return;
+      for (const Age retired : done) shared->field.release_age(retired);
+    }
+    shared->ready.close();
+    while (shared->done.pop_all(done)) {
+    }
+    if (!shared->field.is_sealed(0) || !shared->field.is_complete(1)) {
+      throw std::logic_error("a released age reads as unsealed");
+    }
+  });
+  session.spawn("worker", [shared] {
+    while (const auto item = shared->ready.pop()) {
+      const auto view = shared->field.try_fetch_view_whole(item->age);
+      if (!view) throw std::logic_error("a dispatched age has no view");
+      shared->done.push(item->age);
+      check::read_range(view->raw(), 2 * sizeof(int64_t),
+                        "FieldStorage.payload");
+      if (view->at_flat<int64_t>(0) != item->age) {
+        throw std::logic_error("a held view changed under a release");
+      }
+    }
+    shared->done.close();
+  });
+}
+
+void suite_field_release_on_done(CheckSession& session) {
+  release_protocol(session, /*release_at_dispatch=*/false);
+}
+
 void suite_bus_shutdown(CheckSession& session) {
   auto bus = std::make_shared<dist::MessageBus>();
   auto inbox = bus->register_endpoint("b");
@@ -356,6 +421,13 @@ void suite_broken_publish(CheckSession& session) {
   });
 }
 
+void suite_broken_release(CheckSession& session) {
+  // Bug under test: the analyzer releases an age when it dispatches the
+  // item that reads it, not when the item reports done. A worker whose
+  // fetch comes after the release gets the kInternal released-age error.
+  release_protocol(session, /*release_at_dispatch=*/true);
+}
+
 void suite_lock_cycle(CheckSession& session) {
   struct Shared {
     sync::Mutex a{"demo.lock_cycle.A"};
@@ -418,6 +490,11 @@ void register_builtin_suites() {
         "region_written/is_complete readers) and store-then-seal "
         "(publish at first fetch vs lock-free view lookup)",
         suite_field_seal_publish);
+    add("field.release_on_done",
+        "age reclamation: a worker fetches a view and reports done, the "
+        "analyzer releases the age on that done while the worker still "
+        "reads the view",
+        suite_field_release_on_done);
     add("bus.shutdown", "MessageBus send / mailbox drain vs close_all",
         suite_bus_shutdown);
     add("reliable.stop", "ReliableChannel retransmit loop vs stop()",
@@ -445,6 +522,10 @@ void register_builtin_suites() {
         "fixture: written bit committed before the payload copy (must "
         "find P2G-C001)",
         suite_broken_publish, "P2G-C001");
+    add("demo.broken_release",
+        "fixture: age released at dispatch instead of at done (must find "
+        "P2G-C004, the worker's fetch of the released age)",
+        suite_broken_release, "P2G-C004");
     add("demo.lock_cycle", "fixture: AB/BA lock order (must find P2G-C002)",
         suite_lock_cycle, "P2G-C002");
     add("demo.lost_wakeup",

@@ -106,6 +106,73 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime)
     if (flags.empty()) flags.assign(nfetches, 0);
     if (cert.fetch < flags.size()) flags[cert.fetch] = 1;
   }
+
+  fused_into_.assign(nk, nullptr);
+  for (const Runtime::ResolvedFusion& fu : runtime_.fusions_) {
+    fused_into_[static_cast<size_t>(fu.downstream)] = &fu;
+  }
+  build_reclaim_plans();
+}
+
+void DependencyAnalyzer::build_reclaim_plans() {
+  const size_t nf = program_.fields().size();
+  plans_.resize(nf);
+  // Retained: fields no kernel fetches (nothing retires them), fields
+  // callers read after run(), and every field in checked runs (writer
+  // provenance) and with idempotent stores (failover rescans, checkpoints
+  // and replays read and re-store old ages).
+  const RunOptions& options = runtime_.options_;
+  for (const FieldDecl& f : program_.fields()) {
+    plans_[static_cast<size_t>(f.id)].retained =
+        options.checked || options.idempotent_stores ||
+        program_.consumers_of(f.id).empty();
+  }
+  for (const std::string& name : options.retain_fields) {
+    const FieldId id = program_.find_field(name);
+    P2G_CHECK_ARGUMENT(id != kInvalidField,
+                       "retain_fields lists unknown field '" + name + "'");
+    plans_[static_cast<size_t>(id)].retained = true;
+  }
+  for (const KernelDef& k : program_.kernels()) {
+    const bool local = runtime_.kernel_enabled(k.id);
+    for (const FetchDecl& f : k.fetches) {
+      ReclaimPlan& plan = plans_[static_cast<size_t>(f.field)];
+      if (f.age.kind == AgeExpr::Kind::kConst) {
+        plan.pinned.push_back(f.age.value);  // any kernel, any node (W007)
+      } else if (local) {
+        plan.touches.push_back(AgeLink{k.id, f.age});
+      }
+    }
+    if (local) {
+      for (const StoreDecl& s : k.stores) {
+        ReclaimPlan& plan = plans_[static_cast<size_t>(s.field)];
+        if (s.age.kind == AgeExpr::Kind::kConst && !k.is_run_once()) {
+          plan.pinned.push_back(s.age.value);  // any instance may store it
+        } else {
+          plan.touches.push_back(AgeLink{k.id, s.age});
+        }
+      }
+    }
+    // Seal links of every kernel, local or not: this node may seal its
+    // stores' field ages from the bound fields' extents.
+    std::vector<size_t> binding_fetches;
+    for (size_t v = 0; v < k.index_vars.size(); ++v) {
+      const auto b = k.binding_of_var(static_cast<int>(v));
+      if (b && std::find(binding_fetches.begin(), binding_fetches.end(),
+                         b->fetch_index) == binding_fetches.end()) {
+        binding_fetches.push_back(b->fetch_index);
+      }
+    }
+    for (const size_t fi : binding_fetches) {
+      const FetchDecl& f = k.fetches[fi];
+      if (f.age.kind == AgeExpr::Kind::kConst) continue;  // pinned above
+      for (const StoreDecl& s : k.stores) {
+        if (s.slice.is_whole()) continue;  // sealed by its store event
+        plans_[static_cast<size_t>(f.field)].seal_readers.push_back(
+            SealLink{k.id, f.age.value, s.field, s.age});
+      }
+    }
+  }
 }
 
 void DependencyAnalyzer::bootstrap() {
@@ -113,12 +180,14 @@ void DependencyAnalyzer::bootstrap() {
     if (!runtime_.kernel_enabled(def.id)) continue;
     if (def.is_run_once() && def.fetches.empty()) {
       create_instance(def, 0, {});
+      close_age(def.id, 0);  // its only instance
     } else if (def.is_source()) {
       mark_dispatched(def.id, 0, {});
       WorkItem item;
       item.kernel = def.id;
       item.age = 0;
       item.coords = {nd::Coord{}};
+      begin_item(def.id, 0);
       runtime_.submit(std::move(item));
     }
   }
@@ -139,6 +208,7 @@ void DependencyAnalyzer::handle_one(const Event& event) {
 void DependencyAnalyzer::handle_batch(const std::deque<Event>& events) {
   for (const Event& event : events) handle_one(event);
   flush_chunks();
+  release_pending();
 }
 
 DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
@@ -148,6 +218,7 @@ DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
     stats.retry_entries += entries.size();
   }
   for (const KernelDispatch& kd : dispatch_) {
+    stats.running_ages += kd.running.size();
     stats.open_ages += kd.open.size();
     for (const auto& [age, ad] : kd.open) {
       stats.open_coords += ad.coords.size();
@@ -191,9 +262,15 @@ void DependencyAnalyzer::handle_store(const StoreEvent& event) {
   check_seal(event.field, event.age);
   drain_seal_worklist();
   scan_local(event.field, event.age, &event.region);
+  // The store tap forwarded this store before its event was pushed, so a
+  // field with no local reader can go as soon as its writers retired.
+  queue_release(event.field, event.age);
 }
 
 void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
+  for (const StoreEvent& store : event.stores) handle_store(store);
+  current_cause_ = TraceContext{};  // done-created work is untraced
+  finish_item(event.kernel, event.age);
   // A probe's kernel is neither serial nor a source: its event only has to
   // reach the batch-end flush_chunks, which now finds the measurement.
   if (event.probe) return;
@@ -221,6 +298,7 @@ void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
         item.kernel = def.id;
         item.age = next;
         item.coords = {nd::Coord{}};
+        begin_item(def.id, next);
         runtime_.submit(std::move(item));
       }
     }
@@ -245,6 +323,7 @@ void DependencyAnalyzer::handle_rescan(const RescanEvent& event) {
       item.kernel = def.id;
       item.age = 0;
       item.coords = {nd::Coord{}};
+      begin_item(def.id, 0);
       runtime_.submit(std::move(item));
     }
     return;
@@ -368,6 +447,23 @@ void DependencyAnalyzer::drain_seal_worklist() {
 }
 
 void DependencyAnalyzer::on_sealed(FieldId field, Age age) {
+  // Sealing may complete the age, and may be the last seal a bound
+  // field's age waited for.
+  queue_release(field, age);
+  for (size_t bound = 0; bound < plans_.size(); ++bound) {
+    for (const SealLink& link : plans_[bound].seal_readers) {
+      if (link.stored != field) continue;
+      if (link.store_age.kind == AgeExpr::Kind::kRelative) {
+        queue_release(
+            static_cast<FieldId>(bound),
+            age - link.store_age.value + link.fetch_offset);
+      } else if (link.store_age.value == age) {
+        queue_release(static_cast<FieldId>(bound),
+                                         link.fetch_offset);
+      }
+    }
+  }
+
   // Extent propagation: consumers whose index domains may now be known can
   // seal the extents of the fields they store to.
   for (const Program::Use& use : program_.consumers_of(field)) {
@@ -650,6 +746,7 @@ void DependencyAnalyzer::close_age(KernelId kernel, Age age) {
     const Age down_age = age + cfg.fusion->age_delta;
     if (down_age >= 0) close_age(cfg.fusion->downstream, down_age);
   }
+  note_retired(kernel, age);
 }
 
 void DependencyAnalyzer::create_instance(const KernelDef& def, Age age,
@@ -728,6 +825,7 @@ void DependencyAnalyzer::flush_chunks() {
       item.age = age;
       item.cause = buffer.cause;
       item.probe = probe;
+      begin_item(kernel, age);
       if (begin == 0 && end == total) {
         item.coords = std::move(coords);  // whole buffer in one item
       } else {
@@ -768,6 +866,114 @@ void DependencyAnalyzer::submit_or_park(WorkItem item) {
     runtime_.add_outstanding(1);
     state.parked.emplace(item.age, std::move(item));
   }
+}
+
+void DependencyAnalyzer::begin_item(KernelId kernel, Age age) {
+  ++dispatch_[static_cast<size_t>(kernel)].running[age];
+  if (const Runtime::ResolvedFusion* fu =
+          runtime_.kcfg_[static_cast<size_t>(kernel)].fusion) {
+    ++dispatch_[static_cast<size_t>(fu->downstream)]
+          .running[age + fu->age_delta];
+  }
+}
+
+void DependencyAnalyzer::finish_item(KernelId kernel, Age age) {
+  const auto uncount = [this](KernelId k, Age a) {
+    auto& running = dispatch_[static_cast<size_t>(k)].running;
+    const auto it = running.find(a);
+    P2G_CHECK_INTERNAL(it != running.end(),
+                       "done event of a work item that is not running");
+    if (--it->second == 0) running.erase(it);
+    note_retired(k, a);
+  };
+  uncount(kernel, age);
+  if (const Runtime::ResolvedFusion* fu =
+          runtime_.kcfg_[static_cast<size_t>(kernel)].fusion) {
+    uncount(fu->downstream, age + fu->age_delta);
+  }
+}
+
+bool DependencyAnalyzer::retired(KernelId kernel, Age age) const {
+  const auto k = static_cast<size_t>(kernel);
+  if (age < first_feasible_[k] || age > runtime_.cap_of(kernel)) return true;
+  if (program_.kernel(kernel).is_run_once() && age != 0) return true;
+  const KernelDispatch& kd = dispatch_[k];
+  if (!age_closed(kd, age) || kd.running.count(age) != 0 ||
+      chunk_buffers_.count({kernel, age}) != 0) {
+    return false;
+  }
+  // A fused downstream's instances wait in its upstream's buffers.
+  const Runtime::ResolvedFusion* fu = fused_into_[k];
+  return fu == nullptr ||
+         chunk_buffers_.count({fu->upstream, age - fu->age_delta}) == 0;
+}
+
+void DependencyAnalyzer::note_retired(KernelId kernel, Age age) {
+  if (!retired(kernel, age)) return;  // a later done or close notes it
+  const KernelDef& def = program_.kernel(kernel);
+  for (const FetchDecl& f : def.fetches) {
+    queue_release(f.field, f.age.resolve(age));
+  }
+  for (const StoreDecl& s : def.stores) {
+    queue_release(s.field, s.age.resolve(age));
+  }
+}
+
+void DependencyAnalyzer::queue_release(FieldId field, Age age) {
+  // Bursts of stores and done events name the same field age in a row.
+  if (release_candidates_.empty() ||
+      release_candidates_.back() != std::pair{field, age}) {
+    release_candidates_.emplace_back(field, age);
+  }
+}
+
+void DependencyAnalyzer::release_pending() {
+  // Checked after the batch: nothing below reads storage, and the chunk
+  // buffers and running counts are settled. A batch of chunked items names
+  // the same field ages many times; each is checked once.
+  std::sort(release_candidates_.begin(), release_candidates_.end());
+  release_candidates_.erase(
+      std::unique(release_candidates_.begin(), release_candidates_.end()),
+      release_candidates_.end());
+  for (const auto& [field, age] : release_candidates_) try_release(field, age);
+  release_candidates_.clear();
+}
+
+void DependencyAnalyzer::try_release(FieldId field, Age age) {
+  const ReclaimPlan& plan = plans_[static_cast<size_t>(field)];
+  if (plan.retained || age < 0 ||
+      std::find(plan.pinned.begin(), plan.pinned.end(), age) !=
+          plan.pinned.end()) {
+    return;
+  }
+  // The instance age of a link's kernel that touches this field age.
+  const auto instance_of = [age](const AgeExpr& e) -> std::optional<Age> {
+    if (e.kind == AgeExpr::Kind::kRelative) return age - e.value;
+    if (e.value == age) return 0;
+    return std::nullopt;
+  };
+  for (const AgeLink& link : plan.touches) {
+    const std::optional<Age> a = instance_of(link.age);
+    if (a && !retired(link.kernel, *a)) return;
+  }
+  for (const SealLink& link : plan.seal_readers) {
+    const Age a = age - link.fetch_offset;
+    if (a < 0 || a > runtime_.cap_of(link.kernel)) continue;  // never asked
+    Age target;
+    if (link.store_age.kind == AgeExpr::Kind::kRelative) {
+      target = a + link.store_age.value;
+    } else if (a == 0) {
+      target = link.store_age.value;  // const stores seal from instance 0
+    } else {
+      continue;
+    }
+    if (target >= 0 && !storage(link.stored).is_sealed(target)) return;
+  }
+  // Last: a released age also reads as complete, and release_age is then a
+  // no-op.
+  FieldStorage& fs = storage(field);
+  if (!fs.is_complete(age)) return;
+  fs.release_age(age);
 }
 
 std::optional<std::vector<int64_t>> DependencyAnalyzer::domain_of(

@@ -12,6 +12,10 @@
 // fields binding its index variables to be sealed). Sealing is what makes
 // "all elements written" (completeness) meaningful for whole-field fetches
 // and what the paper calls implicit-resize extent propagation.
+//
+// Age reclamation: the analyzer releases each (field, age) once every
+// local reader and writer has retired it (see try_release), so a stream's
+// memory is bounded by its in-flight ages instead of its length.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +65,7 @@ class DependencyAnalyzer {
     size_t open_ages = 0;      ///< (kernel, age) dispatch sets still open
     size_t open_coords = 0;    ///< coords held by open dispatch sets
     size_t retry_entries = 0;  ///< blocked (kernel, age) retry registrations
+    size_t running_ages = 0;   ///< (kernel, age) with work items not done
   };
   MemoryStats memory_stats() const;
 
@@ -135,7 +140,39 @@ class DependencyAnalyzer {
     Age closed_below = 0;
     std::set<Age> closed_sparse;
     std::map<Age, AgeDispatch> open;
+    /// Work items created and not yet reported done, per age (a fused
+    /// downstream counts its upstream's items at the mapped age).
+    std::map<Age, int64_t> running;
   };
+
+  // --- age reclamation ------------------------------------------------------
+
+  /// A local kernel's fetch or store of a field: the field age it touches
+  /// at instance age a is age.resolve(a). Readers and writers are alike:
+  /// either keeps an age until its instance age retires.
+  struct AgeLink {
+    KernelId kernel;
+    AgeExpr age;
+  };
+  /// Kernel `kernel` (on any node) binds an index variable through a
+  /// relative fetch of the field at `fetch_offset` and stores `stored` at
+  /// `store_age` elementwise: sealing that store's field age reads the
+  /// bound field's extents (check_seal -> domain_of).
+  struct SealLink {
+    KernelId kernel;
+    int64_t fetch_offset;
+    FieldId stored;
+    AgeExpr store_age;
+  };
+  /// What keeps one field's ages alive on this node, computed once.
+  struct ReclaimPlan {
+    bool retained = false;        ///< never released
+    std::vector<Age> pinned;      ///< constant fetch / aged-kernel store ages
+    /// Enabled kernels' relative fetches and their stores.
+    std::vector<AgeLink> touches;
+    std::vector<SealLink> seal_readers;
+  };
+
 
   /// Instances buffered for chunked dispatch, with the causal context of
   /// the first store event that made one of them runnable (the chunk's
@@ -221,6 +258,31 @@ class DependencyAnalyzer {
   /// age and none is in flight, else parks it until its turn.
   void submit_or_park(WorkItem item);
 
+  /// Builds plans_ (constructor).
+  void build_reclaim_plans();
+  /// Counts a new work item of (kernel, age) (and of a fused downstream
+  /// twin) as running.
+  void begin_item(KernelId kernel, Age age);
+  /// A work item reported done: uncounts it and queues release checks.
+  void finish_item(KernelId kernel, Age age);
+  /// True when (kernel, age) will never read or write again: its age is
+  /// closed with no buffered instance and no running item, or it can never
+  /// run (below the first feasible age, above the cap, a run-once kernel's
+  /// non-zero age).
+  bool retired(KernelId kernel, Age age) const;
+  /// Once (kernel, age) has retired, queues the field ages it fetches and
+  /// stores for a release check.
+  void note_retired(KernelId kernel, Age age);
+  /// Releases (field, age) when it is sealed and complete, not retained or
+  /// pinned, every local reader and writer of it has retired, and every
+  /// seal that reads its extents has happened. Never releases early: an
+  /// age whose retirement is never known stays.
+  void try_release(FieldId field, Age age);
+  /// Queues (field, age) for a release check at the end of the batch.
+  void queue_release(FieldId field, Age age);
+  /// Runs the queued release checks (end of every batch).
+  void release_pending();
+
   /// Index-variable domain lengths of a kernel at an age, or nullopt while
   /// some binding field extent is not sealed yet.
   std::optional<std::vector<int64_t>> domain_of(const KernelDef& def,
@@ -259,6 +321,13 @@ class DependencyAnalyzer {
   /// Per-kernel per-fetch certificate bitmap, resolved once from
   /// Program::certificates() (empty vectors when certificates are off).
   std::vector<std::vector<char>> certified_;
+
+  /// Per field: its reclaim plan.
+  std::vector<ReclaimPlan> plans_;
+  /// Per kernel: the fusion it is the downstream of (nullptr if none).
+  std::vector<const Runtime::ResolvedFusion*> fused_into_;
+  /// (field, age) pairs to check at the end of the batch.
+  std::vector<std::pair<FieldId, Age>> release_candidates_;
 };
 
 }  // namespace p2g

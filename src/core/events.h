@@ -6,6 +6,7 @@
 #pragma once
 
 #include <variant>
+#include <vector>
 
 #include "core/ids.h"
 #include "core/trace.h"
@@ -27,7 +28,10 @@ struct StoreEvent {
   TraceContext ctx;
 };
 
-/// A kernel instance (possibly a chunk of several bodies) finished.
+/// A work item (one or several bodies of one kernel at one age) finished.
+/// Every item reports one, carrying its store events: the analyzer handles
+/// the stores first, then retires the item — which is what tells it when
+/// an age's readers and writers are done with it (age reclamation).
 struct InstanceDoneEvent {
   KernelId kernel = kInvalidKernel;
   Age age = 0;
@@ -36,6 +40,8 @@ struct InstanceDoneEvent {
   /// event tells the analyzer the measurement exists, so the instances
   /// held back can be sized.
   bool probe = false;
+  /// The item's committed stores, coalesced, in commit order.
+  std::vector<StoreEvent> stores;
 };
 
 /// Re-enables a kernel on this node and re-enumerates its instances from

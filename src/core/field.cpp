@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -26,14 +25,15 @@ namespace {
 // it; release_age() must not free the record while such a reader may still
 // hold it. Every thread owns a reader slot whose sequence number is odd
 // while the thread is inside a read section. release_age() clears the
-// directory slot, then waits until every slot that was odd has moved on —
-// after that no reader can still hold the old pointer. Entering a section
-// costs one seq_cst increment of the thread's own slot; readers never
-// write shared memory, so stores to disjoint elements of one age stay
-// independent. The seq_cst increment, the seq_cst slot load in
-// Directory::find, and the seq_cst clear and sequence loads in
-// release_age() form a Dekker pair: either the reader sees the cleared
-// slot, or release_age() sees the reader's odd sequence and waits.
+// directory slot and notes every slot that is odd; the record is freed
+// once each of those has moved on — after that no reader can still hold
+// the old pointer. Entering a section costs one seq_cst increment of the
+// thread's own slot; readers never write shared memory, so stores to
+// disjoint elements of one age stay independent. The seq_cst increment,
+// the seq_cst slot load in Directory::find, and the seq_cst clear and
+// sequence loads in release_age() form a Dekker pair: either the reader
+// sees the cleared slot, or release_age() sees the reader's odd sequence
+// and keeps the record until it moves on.
 
 struct ReaderSlot {
   std::atomic<uint64_t> seq{0};  ///< odd while the owner is inside a section
@@ -100,20 +100,30 @@ class ReadSection {
   ThreadReader& reader_;
 };
 
-/// Blocks until every read section open at the call has ended. Call after
-/// unlinking a record from the directory, before freeing it.
-void wait_for_readers() {
+/// The read sections open now, as (slot sequence, odd value) pairs. Call
+/// after unlinking a record from the directory: it may be freed once
+/// sections_ended() holds for the result.
+std::vector<std::pair<const std::atomic<uint64_t>*, uint64_t>>
+open_sections() {
   P2G_CHECK_INTERNAL(thread_reader().depth == 0,
                      "release_age inside a field read section");
+  std::vector<std::pair<const std::atomic<uint64_t>*, uint64_t>> open;
   for (ReaderSlot* slot = g_reader_slots.load(std::memory_order_acquire);
        slot != nullptr; slot = slot->next) {
     const uint64_t seen = slot->seq.load(std::memory_order_seq_cst);
-    if ((seen & 1) == 0) continue;
-    while (slot->seq.load(std::memory_order_acquire) == seen) {
-      check::racy_read(&slot->seq, sizeof(slot->seq));  // scheduling point
-      std::this_thread::yield();
-    }
+    if ((seen & 1) != 0) open.emplace_back(&slot->seq, seen);
   }
+  return open;
+}
+
+bool sections_ended(
+    const std::vector<std::pair<const std::atomic<uint64_t>*, uint64_t>>&
+        open) {
+  for (const auto& [seq, seen] : open) {
+    check::racy_read(seq, sizeof(*seq));  // scheduling point
+    if (seq->load(std::memory_order_acquire) == seen) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -187,6 +197,7 @@ FieldStorage::FieldStorage(FieldDecl decl) : decl_(std::move(decl)) {}
 
 FieldStorage::~FieldStorage() {
   for (auto& [age, data] : ages_) delete data.published;
+  free_retired(/*all=*/true);  // nobody reads a storage being destroyed
 }
 
 // --- directory ------------------------------------------------------------
@@ -233,8 +244,9 @@ void FieldStorage::Directory::install(Age age, Published* record) {
   std::atomic<Page*>& page_ref = *page_slot(age);
   Page* page = page_ref.load(std::memory_order_relaxed);
   if (page == nullptr) {
-    pages_.push_back(std::make_unique<Page>());
-    page = pages_.back().get();
+    if (pages_.size() <= index) pages_.resize(index + 1);
+    pages_[index] = std::make_unique<Page>();
+    page = pages_[index].get();
     page_ref.store(page, std::memory_order_release);
   }
   page->slots[static_cast<size_t>(age) & (kPageSlots - 1)].store(
@@ -248,6 +260,26 @@ void FieldStorage::Directory::clear(Age age) {
     page->slots[static_cast<size_t>(age) & (kPageSlots - 1)].store(
         nullptr, std::memory_order_seq_cst);  // see "read sections" above
   }
+}
+
+void FieldStorage::Directory::unlink_released_pages(
+    Age low, Age high, std::vector<std::unique_ptr<Page>>* unlinked) {
+  // Pages wholly inside the run: from the first page starting at or
+  // after `low` up to the last page ending at or before `high`. A fully
+  // released page is never installed into again (released ages are
+  // never published), so each page is unlinked at most once.
+  const size_t first = std::max(
+      reclaim_from_, (static_cast<size_t>(low) + kPageSlots - 1) >> kPageBits);
+  const size_t end = static_cast<size_t>(high) >> kPageBits;
+  const Spine* spine = spine_.load(std::memory_order_relaxed);
+  for (size_t index = first; index < end && index < pages_.size(); ++index) {
+    if (!pages_[index]) continue;
+    // Readers walk the current spine (superseded ones only readers that
+    // were already inside a section when it was replaced).
+    spine->page[index].store(nullptr, std::memory_order_seq_cst);
+    unlinked->push_back(std::move(pages_[index]));
+  }
+  reclaim_from_ = std::max(reclaim_from_, end);
 }
 
 // --- errors ---------------------------------------------------------------
@@ -283,6 +315,17 @@ void FieldStorage::throw_outside_seal(Age age, const nd::Region& region,
               "store " + region.to_string() + " outside sealed extents " +
                   sealed.to_string() + " of field " + decl_.name + " age " +
                   std::to_string(age));
+}
+
+bool FieldStorage::released(Age age) const {
+  return (age >= released_low_ && age < released_high_) ||
+         released_sparse_.count(age) != 0;
+}
+
+void FieldStorage::throw_released(Age age, const char* what) const {
+  throw_error(ErrorKind::kInternal, std::string(what) + " of released age " +
+                                        std::to_string(age) + " of field " +
+                                        decl_.name);
 }
 
 FieldStorage::AgeData& FieldStorage::age_data(Age age) {
@@ -407,6 +450,7 @@ std::optional<nd::ConstView> FieldStorage::try_fetch_view(
   // Slow path: first fetch of a sealed age publishes it.
   std::unique_lock lock(mutex_);
   const auto it = ages_.find(age);
+  if (it == ages_.end() && released(age)) throw_released(age, "view");
   if (it == ages_.end() || !it->second.sealed) return std::nullopt;
   const Published& rec = publish(it->second, age);
   P2G_CHECK_INTERNAL(region.within(rec.extents),
@@ -424,6 +468,7 @@ std::optional<nd::ConstView> FieldStorage::try_fetch_view_whole(Age age) {
   }
   std::unique_lock lock(mutex_);
   const auto it = ages_.find(age);
+  if (it == ages_.end() && released(age)) throw_released(age, "view");
   if (it == ages_.end() || !it->second.sealed) return std::nullopt;
   const Published& rec = publish(it->second, age);
   return make_view(rec.buffer, nd::Region::whole(rec.extents));
@@ -442,6 +487,14 @@ StoreResult FieldStorage::store(Age age, const nd::Region& region,
     }
   }
   std::unique_lock lock(mutex_);
+  if (released(age)) {
+    throw_error(ErrorKind::kWriteOnceViolation,
+                "store " + region.to_string() + " into released age " +
+                    std::to_string(age) + " of field " + decl_.name +
+                    "; writer: " +
+                    (origin != nullptr ? origin->to_string()
+                                       : std::string("unknown")));
+  }
   AgeData& ad = age_data(age);
   if (ad.sealed) {
     // First store after the seal: publish, then take the lock-free path
@@ -558,6 +611,7 @@ int64_t FieldStorage::store_fill(Age age, const nd::Region& region,
     }
   }
   std::unique_lock lock(mutex_);
+  if (released(age)) return 0;  // released ages were complete
   AgeData& ad = age_data(age);
   if (ad.sealed) {
     return store_fill_published(publish(ad, age), age, region, data);
@@ -621,6 +675,7 @@ StoreResult FieldStorage::store_whole(Age age, const nd::AnyBuffer& data,
 
 void FieldStorage::seal(Age age, const nd::Extents& extents) {
   std::unique_lock lock(mutex_);
+  if (released(age)) return;  // released ages were sealed
   AgeData& ad = age_data(age);
   check::write(ad.sealed, "FieldStorage.age_meta");
   if (ad.sealed) {
@@ -642,7 +697,7 @@ bool FieldStorage::is_sealed(Age age) const {
   }
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
-  if (ad == nullptr) return false;
+  if (ad == nullptr) return released(age);
   check::read(ad->sealed, "FieldStorage.age_meta");
   return ad->sealed;
 }
@@ -661,7 +716,7 @@ bool FieldStorage::is_complete(Age age) const {
   }
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
-  if (ad == nullptr) return false;
+  if (ad == nullptr) return released(age);
   if (ad->published != nullptr) return complete(*ad->published);
   check::read(ad->written, "FieldStorage.age_meta");
   return ad->sealed && static_cast<int64_t>(ad->written.count()) ==
@@ -698,7 +753,10 @@ bool FieldStorage::region_written(Age age, const nd::Region& region) const {
   }
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
-  if (ad == nullptr) return false;
+  if (ad == nullptr) {
+    if (released(age)) throw_released(age, "region_written");
+    return false;
+  }
   if (ad->published != nullptr) {
     return region_written_published(*ad->published, region);
   }
@@ -728,6 +786,7 @@ nd::Extents FieldStorage::extents(Age age) const {
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
   if (ad == nullptr) {
+    if (released(age)) throw_released(age, "extents");
     return nd::Extents(std::vector<int64_t>(decl_.rank, 0));
   }
   return ad->current_extents();
@@ -736,6 +795,7 @@ nd::Extents FieldStorage::extents(Age age) const {
 nd::AnyBuffer FieldStorage::fetch(Age age, const nd::Region& region) const {
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
+  if (ad == nullptr && released(age)) throw_released(age, "fetch");
   P2G_CHECK_INTERNAL(ad != nullptr,
                      "fetch from untouched age of field " + decl_.name);
   P2G_CHECK_INTERNAL(region.within(ad->buffer->extents()),
@@ -753,6 +813,7 @@ nd::AnyBuffer FieldStorage::fetch(Age age, const nd::Region& region) const {
 nd::AnyBuffer FieldStorage::fetch_whole(Age age) const {
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
+  if (ad == nullptr && released(age)) throw_released(age, "fetch");
   P2G_CHECK_INTERNAL(ad != nullptr,
                      "fetch from untouched age of field " + decl_.name);
   const nd::Region region = nd::Region::whole(ad->current_extents());
@@ -772,7 +833,10 @@ int64_t FieldStorage::written_count(Age age) const {
   }
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
-  if (ad == nullptr) return 0;
+  if (ad == nullptr) {
+    if (released(age)) throw_released(age, "written_count");
+    return 0;
+  }
   if (ad->published != nullptr) {
     return ad->published->written_count.load(std::memory_order_acquire);
   }
@@ -782,18 +846,65 @@ int64_t FieldStorage::written_count(Age age) const {
 void FieldStorage::release_age(Age age) {
   std::unique_lock lock(mutex_);
   const auto it = ages_.find(age);
-  if (it == ages_.end()) return;
-  if (Published* rec = it->second.published) {
-    // Unlink, wait out every reader that may have found the record, then
-    // free it. Outstanding views keep the payload itself alive.
-    directory_.clear(age);
-    wait_for_readers();
-    check::reset_range(rec, sizeof(Published));
-    delete rec;
-  }
+  if (it == ages_.end()) return;  // untouched or already released
+  Retired retired;
+  retired.record = it->second.published;
+  if (retired.record != nullptr) directory_.clear(age);
   // The age's metadata address may be recycled by a future age: forget it.
   check::reset_range(&it->second, sizeof(AgeData));
   ages_.erase(it);
+  note_released(age);
+  // Directory pages whose ages are all released go too, so a stream's
+  // directory stays as small as its in-flight window.
+  directory_.unlink_released_pages(released_low_, released_high_,
+                                   &retired.pages);
+  if (retired.record != nullptr || !retired.pages.empty()) {
+    // A reader that found the record or a page before the unlink may
+    // still use it: it is freed once every section open now has ended,
+    // checked here at later releases, so the releasing thread never waits
+    // for a reader. Outstanding views keep the payload alive anyway.
+    retired.open = open_sections();
+    retired_.push_back(std::move(retired));
+  }
+  free_retired(/*all=*/false);
+}
+
+void FieldStorage::free_retired(bool all) {
+  size_t kept = 0;
+  for (size_t i = 0; i < retired_.size(); ++i) {
+    Retired& r = retired_[i];
+    if (!all && !sections_ended(r.open)) {
+      if (kept != i) retired_[kept] = std::move(r);
+      ++kept;
+      continue;
+    }
+    if (r.record != nullptr) {
+      check::reset_range(r.record, sizeof(Published));
+      delete r.record;
+    }
+    for (const auto& page : r.pages) {
+      check::reset_range(page.get(), sizeof(Directory::Page));
+    }
+  }
+  retired_.resize(kept);
+}
+
+void FieldStorage::note_released(Age age) {
+  // Extend the run at either end (or start it), else remember the age
+  // sparsely; then absorb sparse ages the run now touches.
+  if (released_low_ == released_high_) {
+    released_low_ = age;
+    released_high_ = age + 1;
+  } else if (age == released_high_) {
+    ++released_high_;
+  } else if (age + 1 == released_low_) {
+    --released_low_;
+  } else {
+    released_sparse_.insert(age);
+    return;
+  }
+  while (released_sparse_.erase(released_high_) != 0) ++released_high_;
+  while (released_sparse_.erase(released_low_ - 1) != 0) --released_low_;
 }
 
 std::vector<Age> FieldStorage::live_ages() const {
@@ -826,7 +937,10 @@ std::optional<FieldStorage::RawBlock> FieldStorage::peek_block(
     Age age) const {
   std::shared_lock lock(mutex_);
   const AgeData* ad = find_age(age);
-  if (ad == nullptr) return std::nullopt;
+  if (ad == nullptr) {
+    if (released(age)) throw_released(age, "peek_block");
+    return std::nullopt;
+  }
   RawBlock block;
   block.base = std::as_const(*ad->buffer).raw();
   block.extents = ad->buffer->extents();
@@ -839,6 +953,7 @@ bool FieldStorage::adopt_whole(Age age, const nd::ConstView& view) {
     return false;
   }
   std::unique_lock lock(mutex_);
+  if (released(age)) return false;  // the copying store reports it
   AgeData& ad = age_data(age);
   // Only a pristine age can alias foreign pages: once anything was written
   // (or the buffer published), the write-once bitmap refers to the current

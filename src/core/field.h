@@ -15,8 +15,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/sync.h"
@@ -164,10 +166,23 @@ class FieldStorage {
   /// Number of elements written so far at this age.
   int64_t written_count(Age age) const;
 
-  /// Releases the storage of an age (garbage collection of old ages).
+  // --- released ages ---------------------------------------------------------
+  //
+  // The dependency analyzer releases an age once every local reader and
+  // writer has retired it (DependencyAnalyzer, "age reclamation"). A
+  // released age stays released: is_sealed/is_complete keep answering
+  // true, so the analyzer's view never goes backwards; a store into it is
+  // a write-once violation (store_fill writes nothing, adopt_whole
+  // declines); any read of its data or shape (fetch, views, extents,
+  // region_written, written_count, peek_block) throws kInternal naming the
+  // field and the age. Views taken before the release stay valid through
+  // their keepalive.
+
+  /// Releases the storage of an age. No-op for an untouched or already
+  /// released age.
   void release_age(Age age);
 
-  /// Ages currently held (for reports/tests).
+  /// Ages currently held (released ones excluded).
   std::vector<Age> live_ages() const;
 
   /// Total bytes currently allocated across live ages.
@@ -250,13 +265,19 @@ class FieldStorage {
     Published* find(Age age) const;
     void install(Age age, Published* record);  // writer lock held
     void clear(Age age);                       // writer lock held
-
-   private:
     static constexpr size_t kPageBits = 8;
     static constexpr size_t kPageSlots = size_t{1} << kPageBits;
     struct Page {
       std::atomic<Published*> slots[kPageSlots] = {};
     };
+
+    /// Moves the pages all of whose ages lie in [low, high), the released
+    /// run, from the directory into `unlinked` (writer lock held); they
+    /// may be freed once the read sections open now have ended.
+    void unlink_released_pages(Age low, Age high,
+                               std::vector<std::unique_ptr<Page>>* unlinked);
+
+   private:
     struct Spine {
       explicit Spine(size_t n);
       size_t pages;
@@ -265,11 +286,27 @@ class FieldStorage {
     std::atomic<Page*>* page_slot(Age age) const;
 
     std::atomic<Spine*> spine_{nullptr};
-    /// Every spine and page ever allocated (writer lock). Superseded
-    /// spines stay alive: a lock-free reader may still be walking one.
+    /// Every spine ever allocated (writer lock). Superseded spines stay
+    /// alive: a lock-free reader may still be walking one.
     std::vector<std::unique_ptr<Spine>> spines_;
+    /// Live pages by page index (writer lock).
     std::vector<std::unique_ptr<Page>> pages_;
+    /// Pages below this index were considered by unlink_released_pages.
+    size_t reclaim_from_ = 0;
   };
+
+  /// A released age's record and directory pages, unlinked but possibly
+  /// still used by read sections that were open at the unlink.
+  struct Retired {
+    Published* record = nullptr;
+    std::vector<std::unique_ptr<Directory::Page>> pages;
+    /// (reader slot sequence, odd value) of each section open at the
+    /// unlink; all must move on before the record and pages are freed.
+    std::vector<std::pair<const std::atomic<uint64_t>*, uint64_t>> open;
+  };
+  /// Frees the retired entries whose sections have ended (every entry
+  /// with `all`, at destruction). Writer lock held.
+  void free_retired(bool all);
 
   AgeData& age_data(Age age);           // creates on demand (locked caller)
   const AgeData* find_age(Age age) const;
@@ -299,6 +336,13 @@ class FieldStorage {
   nd::ConstView make_view(std::shared_ptr<const nd::AnyBuffer> buffer,
                           const nd::Region& region) const;
 
+  /// True when `age` was released (caller holds mutex_, either mode).
+  bool released(Age age) const;
+  /// Adds `age` to the released record (writer lock held).
+  void note_released(Age age);
+  /// Throws kInternal for a read of a released age.
+  [[noreturn]] void throw_released(Age age, const char* what) const;
+
   /// Builds and throws the kWriteOnceViolation error for a store hitting
   /// already-written elements of `conflict`, naming the earlier writers
   /// listed in `writers`.
@@ -316,6 +360,13 @@ class FieldStorage {
   mutable sync::SharedMutex mutex_{"FieldStorage.mutex"};
   std::map<Age, AgeData> ages_;
   Directory directory_;
+  /// Released ages: the run [released_low_, released_high_) plus the ones
+  /// outside it. The run grows at either end and absorbs adjacent sparse
+  /// ages, so an in-order stream keeps the set empty.
+  Age released_low_ = 0;
+  Age released_high_ = 0;
+  std::set<Age> released_sparse_;
+  std::vector<Retired> retired_;
 };
 
 }  // namespace p2g

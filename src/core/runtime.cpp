@@ -558,9 +558,10 @@ void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
   }
 }
 
-void Runtime::push_store_events(std::vector<StoreEvent> events,
-                                Instrumentation::Slot tally,
-                                int worker_index, int64_t flow_ns) {
+std::vector<StoreEvent> Runtime::coalesce_store_events(
+    std::vector<StoreEvent> events, Instrumentation::Slot tally,
+    int worker_index, int64_t flow_ns) {
+  std::vector<StoreEvent> out;
   size_t i = 0;
   while (i < events.size()) {
     const size_t batch_start = i;
@@ -598,8 +599,9 @@ void Runtime::push_store_events(std::vector<StoreEvent> events,
       // consumer emits the matching finish with the same derived id.
       trace_->record_flow_start(merged.ctx, flow_ns, worker_index);
     }
-    push_event(std::move(merged));
+    out.push_back(std::move(merged));
   }
+  return out;
 }
 
 int64_t Runtime::run_fused_downstream(const KernelContext& up_ctx,
@@ -677,7 +679,13 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
     }
     if (ctx.continue_requested()) continue_flag = true;
   }
-  push_store_events(std::move(events), tally, worker_index, last_body_end);
+  InstanceDoneEvent done;
+  done.kernel = def.id;
+  done.age = item.age;
+  done.continue_next_age = continue_flag;
+  done.probe = item.probe;
+  done.stores = coalesce_store_events(std::move(events), tally, worker_index,
+                                      last_body_end);
 
   // Recorded before the done event: a probe's measurement is visible to
   // the analyzer when it handles that event.
@@ -687,14 +695,8 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
                  dispatch_ns, kernel_ns);
   tally.record(Instrumentation::kDispatch, dispatch_ns);
   tally.record(Instrumentation::kBody, kernel_ns);
-  if (needs_done_event(def) || item.probe) {
-    InstanceDoneEvent done;
-    done.kernel = def.id;
-    done.age = item.age;
-    done.continue_next_age = continue_flag;
-    done.probe = item.probe;
-    push_event(done);
-  }
+  // One push per item: its stores and its completion.
+  push_event(std::move(done));
   complete_outstanding();
 
   // Recording after complete_outstanding() is safe: shutdown joins this

@@ -76,6 +76,12 @@ struct RunOptions {
   /// runs. (Unlike P2G_SANITIZE=thread this catches semantic write-once
   /// races even when the two stores never overlap in time.)
   bool checked = false;
+  /// Fields whose ages survive the run. The analyzer releases each
+  /// (field, age) once every local reader and writer has retired it, so
+  /// after run() only retained fields still hold consumed ages. Fields no
+  /// kernel fetches are always retained, and so is every field in checked
+  /// runs and with idempotent_stores.
+  std::set<std::string> retain_fields;
 
   // --- hooks for distributed operation (src/dist) --------------------------
 
@@ -306,13 +312,14 @@ class Runtime {
                                Instrumentation::Slot tally,
                                TraceContext* span_ctx);
   /// Merges runs of events from the same store statement whose regions
-  /// tile an exact rectangle (chunked instances over consecutive indices),
-  /// then pushes them — cutting analyzer load proportionally to the chunk
-  /// size — and emits one flow-start per traced event, at `flow_ns`, so
-  /// consumers can draw the dependency arrow.
-  void push_store_events(std::vector<StoreEvent> events,
-                         Instrumentation::Slot tally, int worker_index,
-                         int64_t flow_ns);
+  /// tile an exact rectangle (chunked instances over consecutive indices)
+  /// — cutting analyzer load proportionally to the chunk size — and emits
+  /// one flow-start per traced event, at `flow_ns`, so consumers can draw
+  /// the dependency arrow. The result rides in the item's done event.
+  std::vector<StoreEvent> coalesce_store_events(std::vector<StoreEvent> events,
+                                                Instrumentation::Slot tally,
+                                                int worker_index,
+                                                int64_t flow_ns);
 
   Age cap_of(KernelId kernel) const {
     return kcfg_[static_cast<size_t>(kernel)].cap;
@@ -320,10 +327,6 @@ class Runtime {
 
   bool kernel_enabled(KernelId kernel) const {
     return kcfg_[static_cast<size_t>(kernel)].enabled;
-  }
-
-  static bool needs_done_event(const KernelDef& def) {
-    return def.serial || def.is_source();
   }
 
   Program program_;

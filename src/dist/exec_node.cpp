@@ -37,11 +37,13 @@ uint32_t peer_span_name(TraceCollector& trace,
 ExecutionNode::ExecutionNode(
     std::string name, Program program,
     const std::map<std::string, std::string>& kernel_owner,
-    net::Transport& bus, RunOptions base_options, NodeFtOptions ft)
+    net::Transport& bus, RunOptions base_options, NodeFtOptions ft,
+    std::vector<std::string> capture_fields)
     : name_(std::move(name)),
       bus_(bus),
       ft_(std::move(ft)),
-      kernel_owner_(kernel_owner) {
+      kernel_owner_(kernel_owner),
+      capture_fields_(std::move(capture_fields)) {
   mailbox_ = bus_.register_endpoint(name_);
 
   // Enable only this node's kernels.
@@ -57,6 +59,22 @@ ExecutionNode::ExecutionNode(
                        "kernel '" + k.name + "' has no owner");
     if (it->second != name_) {
       options.disabled_kernels.insert(k.name);
+    }
+  }
+
+  // Captured fields outlive age reclamation where capture() finds their
+  // complete ages: at their producers, or wherever stores from several
+  // producing nodes meet.
+  for (const std::string& field_name : capture_fields_) {
+    const FieldId field = program.find_field(field_name);
+    P2G_CHECK_ARGUMENT(field != kInvalidField,
+                       "capture of unknown field '" + field_name + "'");
+    std::set<std::string> producer_nodes;
+    for (const Program::Use& use : program.producers_of(field)) {
+      producer_nodes.insert(kernel_owner.at(program.kernel(use.kernel).name));
+    }
+    if (producer_nodes.count(name_) != 0 || producer_nodes.size() > 1) {
+      options.retain_fields.insert(field_name);
     }
   }
 
@@ -552,9 +570,8 @@ ft::ReliableChannel::Stats ExecutionNode::channel_stats() const {
   return channel_ ? channel_->stats() : ft::ReliableChannel::Stats{};
 }
 
-void ExecutionNode::capture(const std::vector<std::string>& fields,
-                            FieldCaptures* into) {
-  for (const std::string& field_name : fields) {
+void ExecutionNode::capture(FieldCaptures* into) {
+  for (const std::string& field_name : capture_fields_) {
     auto& ages = (*into)[field_name];
     FieldStorage& storage = runtime_->storage(field_name);
     for (const Age age : storage.live_ages()) {

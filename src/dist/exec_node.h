@@ -74,10 +74,15 @@ class ExecutionNode {
   /// `kernel_owner` maps every kernel name to the name of the node that
   /// runs it (the master's partitioning decision). A store_tap in
   /// `base_options` still fires, after the node forwarded the store.
+  /// `capture_fields` are the fields capture() hands back after the run:
+  /// the node retains (RunOptions::retain_fields) those it produces, and
+  /// those it receives when their producers span several nodes, since it
+  /// may then be the only node holding complete ages.
   ExecutionNode(std::string name, Program program,
                 const std::map<std::string, std::string>& kernel_owner,
                 net::Transport& bus, RunOptions base_options,
-                NodeFtOptions ft = {});
+                NodeFtOptions ft = {},
+                std::vector<std::string> capture_fields = {});
 
   /// Registers on the bus and reports the local topology to the master.
   void announce(const std::string& master_endpoint);
@@ -114,9 +119,9 @@ class ExecutionNode {
 
   ft::ReliableChannel::Stats channel_stats() const;
 
-  /// Adds every complete age of the named fields that `into` does not
+  /// Adds every complete age of the capture fields that `into` does not
   /// hold yet, densely packed (valid after join()).
-  void capture(const std::vector<std::string>& fields, FieldCaptures* into);
+  void capture(FieldCaptures* into);
 
   /// Installs a data-plane forwarder (see StoreForwarder). Must be called
   /// before start(); non-FT mode only — the reliable channel owns the FT
@@ -181,6 +186,7 @@ class ExecutionNode {
   /// field id -> remote node names that host consumers of the field.
   std::vector<std::vector<std::string>> forward_targets_;
   std::map<std::string, std::string> kernel_owner_;
+  std::vector<std::string> capture_fields_;
   /// Every forwarded payload, for replay to targets added by failover.
   std::vector<std::pair<FieldId, std::vector<uint8_t>>> store_log_;
 

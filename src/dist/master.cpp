@@ -42,72 +42,57 @@ void append_spans(const TraceCollector& trace, const std::string& node,
   }
 }
 
-
-/// In-process nodes: one ExecutionNode per name on this process's threads,
-/// answering the master by direct calls instead of wire messages.
-class ThreadLauncher final : public Launcher {
- public:
-  bool in_process() const override { return true; }
-  net::Transport& transport() override { return bus_; }
-
-  bool start(const NodePlan& plan, net::Transport& bus) override {
-    capture_fields_ = plan.capture_fields;
-    for (const std::string& name : plan.names) {
-      nodes_.push_back(std::make_unique<ExecutionNode>(
-          name, plan.program_factory(), plan.kernel_owner, bus, plan.options,
-          plan.ft));
-    }
-    for (auto& node : nodes_) node->announce("master");
-    for (auto& node : nodes_) node->start();
-    return true;
-  }
-
-  bool request_idle(const std::string& node,
-                    std::map<std::string, IdleReport>* replies) override {
-    (*replies)[node] = find(node).idle_report();
-    return true;
-  }
-
-  void kill(const std::string& node) override { find(node).crash(); }
-
-  void join(std::map<std::string, NodeResult>* results,
-            FieldCaptures* captured) override {
-    std::exception_ptr error;
-    for (auto& node : nodes_) {
-      try {
-        node->join();
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    for (auto& node : nodes_) {
-      NodeResult& result = (*results)[node->name()];
-      result.done = true;
-      result.profile = node->runtime().instrumentation();
-      if (!node->crashed()) node->capture(capture_fields_, captured);
-    }
-  }
-
-  std::vector<ExecutionNode*> local_nodes() override {
-    std::vector<ExecutionNode*> nodes;
-    for (auto& node : nodes_) nodes.push_back(node.get());
-    return nodes;
-  }
-
- private:
-  ExecutionNode& find(const std::string& name) {
-    return **std::find_if(nodes_.begin(), nodes_.end(), [&](const auto& n) {
-      return n->name() == name;
-    });
-  }
-
-  MessageBus bus_;
-  std::vector<std::unique_ptr<ExecutionNode>> nodes_;
-  std::vector<std::string> capture_fields_;
-};
-
 }  // namespace
+
+bool ThreadLauncher::start(const NodePlan& plan, net::Transport& bus) {
+  for (const std::string& name : plan.names) {
+    nodes_.push_back(std::make_unique<ExecutionNode>(
+        name, plan.program_factory(), plan.kernel_owner, bus, plan.options,
+        plan.ft, plan.capture_fields));
+  }
+  for (auto& node : nodes_) node->announce("master");
+  for (auto& node : nodes_) node->start();
+  return true;
+}
+
+bool ThreadLauncher::request_idle(
+    const std::string& node, std::map<std::string, IdleReport>* replies) {
+  (*replies)[node] = find(node).idle_report();
+  return true;
+}
+
+void ThreadLauncher::kill(const std::string& node) { find(node).crash(); }
+
+void ThreadLauncher::join(std::map<std::string, NodeResult>* results,
+                          FieldCaptures* captured) {
+  std::exception_ptr error;
+  for (auto& node : nodes_) {
+    try {
+      node->join();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  for (auto& node : nodes_) {
+    NodeResult& result = (*results)[node->name()];
+    result.done = true;
+    result.profile = node->runtime().instrumentation();
+    if (!node->crashed()) node->capture(captured);
+  }
+}
+
+std::vector<ExecutionNode*> ThreadLauncher::local_nodes() {
+  std::vector<ExecutionNode*> nodes;
+  for (auto& node : nodes_) nodes.push_back(node.get());
+  return nodes;
+}
+
+ExecutionNode& ThreadLauncher::find(const std::string& name) {
+  return **std::find_if(nodes_.begin(), nodes_.end(), [&](const auto& n) {
+    return n->name() == name;
+  });
+}
 
 Master::Master(MasterOptions options)
     : options_(std::move(options)),

@@ -232,6 +232,28 @@ class Launcher {
   virtual std::vector<ExecutionNode*> local_nodes() { return {}; }
 };
 
+/// In-process nodes: one ExecutionNode per name on this process's threads,
+/// answering the master by direct calls instead of wire messages. The
+/// nodes stay alive after the run, for inspection through local_nodes().
+class ThreadLauncher final : public Launcher {
+ public:
+  bool in_process() const override { return true; }
+  net::Transport& transport() override { return bus_; }
+  bool start(const NodePlan& plan, net::Transport& bus) override;
+  bool request_idle(const std::string& node,
+                    std::map<std::string, IdleReport>* replies) override;
+  void kill(const std::string& node) override;
+  void join(std::map<std::string, NodeResult>* results,
+            FieldCaptures* captured) override;
+  std::vector<ExecutionNode*> local_nodes() override;
+
+ private:
+  ExecutionNode& find(const std::string& name);
+
+  MessageBus bus_;
+  std::vector<std::unique_ptr<ExecutionNode>> nodes_;
+};
+
 class Master {
  public:
   explicit Master(MasterOptions options);

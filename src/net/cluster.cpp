@@ -200,7 +200,8 @@ int run_node(const NodeConfig& config) {
     supervision.heartbeat_period_ms = config.heartbeat_period_ms;
     dist::ExecutionNode node(config.name,
                              lang::compile_source(assign.source).program,
-                             kernel_owner, bus, options, supervision);
+                             kernel_owner, bus, options, supervision,
+                             assign.capture_fields);
 
     std::unique_ptr<ShmDataPlane> plane;
     if (config.arena_fd >= 0) {
@@ -254,7 +255,7 @@ int run_node(const NodeConfig& config) {
       profile.report = node.runtime().instrumentation();
       send(MessageType::kProfileReport, profile.encode());
       dist::FieldCaptures captured;
-      node.capture(assign.capture_fields, &captured);
+      node.capture(&captured);
       for (auto& [field, ages] : captured) {
         for (auto& [age, payload] : ages) {
           send(MessageType::kCapture,

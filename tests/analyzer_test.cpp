@@ -129,6 +129,7 @@ TEST(Analyzer, StreamingRunRetiresAnalyzerState) {
   EXPECT_EQ(stats.open_ages, 0u);
   EXPECT_EQ(stats.open_coords, 0u);
   EXPECT_EQ(stats.retry_entries, 0u);
+  EXPECT_EQ(stats.running_ages, 0u);
 }
 
 }  // namespace

@@ -390,8 +390,8 @@ INSTANTIATE_TEST_SUITE_P(
     Converted, BuiltinSuiteSweep,
     ::testing::Values("blocking_queue.pop_all_shutdown",
                       "ready_queue.shutdown", "field.seal_publish",
-                      "bus.shutdown", "reliable.stop",
-                      "flight_recorder.ring"),
+                      "field.release_on_done", "bus.shutdown",
+                      "reliable.stop", "flight_recorder.ring"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -5,13 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "core/field.h"
 
 namespace p2g {
 namespace {
+
+/// The kind of Error `fn` throws; nullopt when it returns normally.
+template <typename Fn>
+std::optional<ErrorKind> thrown_kind(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.kind();
+  }
+  return std::nullopt;
+}
 
 FieldDecl decl1d(const std::string& name = "f") {
   FieldDecl d;
@@ -311,7 +324,8 @@ TEST(FieldStorageView, ViewOutlivesReleaseAge) {
 
   fs.release_age(0);
   EXPECT_TRUE(fs.live_ages().empty());
-  EXPECT_FALSE(fs.try_fetch_view_whole(0).has_value())
+  EXPECT_EQ(thrown_kind([&] { (void)fs.try_fetch_view_whole(0); }),
+            ErrorKind::kInternal)
       << "released ages stop handing out new views";
 
   // The keepalive keeps the payload valid for the view already held.
@@ -364,8 +378,17 @@ TEST(FieldStorageStress, ConcurrentViewsAcrossRelease) {
       for (int iter = 0; iter < 4000; ++iter) {
         if (iter == 1) started.fetch_add(1);
         const Age a = (iter * 13 + t * 7) % kAges;
-        const auto view = fs.try_fetch_view_whole(a);
-        if (!view) continue;  // already released: allowed
+        std::optional<nd::ConstView> view;
+        try {
+          view = fs.try_fetch_view_whole(a);
+        } catch (const Error& e) {
+          // Already released: allowed, as the kInternal read error.
+          if (e.kind() != ErrorKind::kInternal) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          continue;
+        }
+        if (!view) continue;
         // Hold the view and read it fully — release_age may run right now.
         for (int64_t i = 0; i < view->element_count(); ++i) {
           if (view->at_flat<int32_t>(i) != static_cast<int32_t>(a)) {
@@ -541,11 +564,48 @@ TEST(FieldStorageConcurrency, AgesSpanningDirectoryPages) {
   EXPECT_FALSE(fs.is_sealed(2));
   EXPECT_FALSE(fs.is_sealed(100000));
   fs.release_age(256);
-  EXPECT_FALSE(fs.is_sealed(256));
-  EXPECT_FALSE(fs.try_fetch_view_whole(256).has_value());
+  EXPECT_TRUE(fs.is_sealed(256)) << "released ages stay sealed";
+  EXPECT_TRUE(fs.is_complete(256));
+  EXPECT_EQ(thrown_kind([&] { (void)fs.try_fetch_view_whole(256); }),
+            ErrorKind::kInternal);
   EXPECT_TRUE(fs.is_complete(255));
   EXPECT_TRUE(fs.is_complete(257));
   EXPECT_EQ(fs.live_ages().size(), ages.size() - 1);
+}
+
+// Released ages are recorded as a run plus sparse ages, in any release
+// order; directory pages whose ages are all released are unlinked while
+// their neighbours keep resolving.
+TEST(FieldStorageConcurrency, ReleasedRecordAndPagesInAnyOrder) {
+  constexpr Age kAges = 3 * 256;
+  FieldStorage fs(decl1d("record"));
+  for (Age a = 0; a < kAges; ++a) {
+    fs.seal(a, nd::Extents({1}));
+    const auto v = static_cast<int32_t>(a);
+    fs.store(a, nd::Region::point({0}), bytes_of(v));
+  }
+  // Out of order: the run starts at 300, grows down to 0 and up past the
+  // sparse ages 520 and 600, which it absorbs.
+  fs.release_age(600);
+  fs.release_age(520);
+  for (Age a = 300; a >= 0; --a) fs.release_age(a);
+  for (Age a = 301; a < 520; ++a) fs.release_age(a);
+  fs.release_age(520);  // already released: no-op
+  for (Age a = 521; a < 600; ++a) fs.release_age(a);
+  for (Age a = 0; a <= 600; ++a) {
+    ASSERT_TRUE(fs.is_sealed(a)) << a;
+    ASSERT_TRUE(fs.is_complete(a)) << a;
+    ASSERT_EQ(thrown_kind([&] { (void)fs.try_fetch_view_whole(a); }),
+              ErrorKind::kInternal)
+        << a;
+  }
+  EXPECT_EQ(fs.live_ages().size(), static_cast<size_t>(kAges - 601));
+  for (Age a = 601; a < kAges; ++a) {
+    const auto view = fs.try_fetch_view_whole(a);
+    ASSERT_TRUE(view.has_value()) << a;
+    EXPECT_EQ(view->at_flat<int32_t>(0), static_cast<int32_t>(a));
+  }
+  EXPECT_FALSE(fs.is_sealed(kAges)) << "ages past the run are untouched";
 }
 
 // release_age of a published age with and without a live view.
@@ -562,19 +622,24 @@ TEST(FieldStorageConcurrency, ReleasePublishedAgeWithAndWithoutView) {
   fs.release_age(1);  // no view
   EXPECT_LT(fs.memory_bytes(), before);
   EXPECT_TRUE(fs.live_ages().empty());
-  EXPECT_FALSE(fs.is_sealed(1));
-  EXPECT_FALSE(fs.is_complete(1));
-  EXPECT_EQ(fs.written_count(1), 0);
+  EXPECT_TRUE(fs.is_sealed(1));
+  EXPECT_TRUE(fs.is_complete(1));
+  EXPECT_EQ(thrown_kind([&] { (void)fs.written_count(1); }),
+            ErrorKind::kInternal);
   EXPECT_EQ(view->at_flat<int32_t>(2), 9);  // the keepalive holds
-  // A released age starts over as a fresh, unsealed age.
+  // A released age stays released: it is not re-created by a store.
   const int32_t v = 1;
-  fs.store(1, nd::Region::point({0}), bytes_of(v));
-  EXPECT_FALSE(fs.is_sealed(1));
-  EXPECT_EQ(fs.written_count(1), 1);
+  EXPECT_EQ(thrown_kind([&] {
+              fs.store(1, nd::Region::point({0}), bytes_of(v));
+            }),
+            ErrorKind::kWriteOnceViolation);
+  EXPECT_TRUE(fs.is_sealed(1));
+  EXPECT_TRUE(fs.live_ages().empty());
 }
 
 // Lock-free lookups racing release_age: every answer is either the
-// pre-release one or "absent", never a crash or a torn record.
+// pre-release one or the released one (sealed and complete; reads of the
+// data or shape throw kInternal), never a crash or a torn record.
 TEST(FieldStorageConcurrency, LookupsRaceRelease) {
   constexpr Age kAges = 300;
   constexpr int64_t kElems = 16;
@@ -593,18 +658,28 @@ TEST(FieldStorageConcurrency, LookupsRaceRelease) {
     readers.emplace_back([&fs, &bad, t] {
       for (int iter = 0; iter < 3000; ++iter) {
         const Age a = (iter * 7 + t * 31) % kAges;
-        const int64_t n = fs.written_count(a);
-        if (n != 0 && n != kElems) bad.fetch_add(1);
-        const nd::Extents ext = fs.extents(a);
-        if (ext.dim(0) != 0 && ext.dim(0) != kElems) bad.fetch_add(1);
-        (void)fs.is_sealed(a);
-        (void)fs.is_complete(a);
-        (void)fs.region_written(a, nd::Region::point({3}));
-        if (const auto view = fs.try_fetch_view(a, nd::Region::point({3}))) {
-          if (view->at_flat<int32_t>(0) != static_cast<int32_t>(a)) {
+        // A read either succeeds with the stored answer or finds the age
+        // released.
+        const auto read = [&bad](auto&& fn) {
+          const std::optional<ErrorKind> kind = thrown_kind(fn);
+          if (kind && *kind != ErrorKind::kInternal) bad.fetch_add(1);
+        };
+        read([&] {
+          if (fs.written_count(a) != kElems) bad.fetch_add(1);
+        });
+        read([&] {
+          if (fs.extents(a).dim(0) != kElems) bad.fetch_add(1);
+        });
+        if (!fs.is_sealed(a) || !fs.is_complete(a)) bad.fetch_add(1);
+        read([&] {
+          if (!fs.region_written(a, nd::Region::point({3}))) bad.fetch_add(1);
+        });
+        read([&] {
+          const auto view = fs.try_fetch_view(a, nd::Region::point({3}));
+          if (!view || view->at_flat<int32_t>(0) != static_cast<int32_t>(a)) {
             bad.fetch_add(1);
           }
-        }
+        });
       }
     });
   }

@@ -72,6 +72,7 @@ TEST_F(MotionTest, P2gMatchesSequentialReference) {
 
   RunOptions opts;
   opts.workers = 2;
+  opts.retain_fields = {"vectors"};  // read back below
   Runtime rt(workload.build(), opts);
   const RunReport report = rt.run();
   EXPECT_FALSE(report.timed_out);
