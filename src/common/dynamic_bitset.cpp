@@ -93,6 +93,19 @@ size_t DynamicBitset::find_first_unset() const {
   return size_;
 }
 
+size_t DynamicBitset::find_first_set(size_t begin, size_t end) const {
+  P2G_CHECK_INTERNAL(begin <= end && end <= size_,
+                     "DynamicBitset::find_first_set out of range");
+  for (size_t pos = begin; pos < end;) {
+    const uint64_t word = words_[pos / kBitsPerWord] >> (pos % kBitsPerWord);
+    if (word != 0) {
+      return std::min(end, pos + static_cast<size_t>(std::countr_zero(word)));
+    }
+    pos = (pos / kBitsPerWord + 1) * kBitsPerWord;
+  }
+  return end;
+}
+
 void DynamicBitset::clear() {
   words_.assign(words_.size(), 0);
   count_ = 0;

@@ -44,6 +44,9 @@ class DynamicBitset {
   /// Index of the first cleared bit, or size() when all bits are set.
   size_t find_first_unset() const;
 
+  /// Index of the first set bit in [begin, end), or `end` when none is.
+  size_t find_first_set(size_t begin, size_t end) const;
+
   void clear();
 
  private:

@@ -22,6 +22,47 @@ bool has_all_dim(const nd::SliceSpec& slice) {
   return false;
 }
 
+/// The outermost index variable `slice` addresses that spans more than one
+/// value in `box`: the dimension to split a box along when the slice's
+/// data is there for only part of it. -1 when the slice's footprint does
+/// not depend on the box (a whole-field or constant slice, or a box of one
+/// along every variable the slice uses): splitting cannot help then.
+int split_var(const nd::SliceSpec& slice, const nd::Region& box) {
+  if (slice.is_whole()) return -1;
+  for (const nd::SliceDim& d : slice.dims()) {
+    if (d.kind == nd::SliceDim::Kind::kVar &&
+        box.interval(static_cast<size_t>(d.var)).length() > 1) {
+      return d.var;
+    }
+  }
+  return -1;
+}
+
+/// Cuts up to `n` (>= 1) instances off the front of `box` in row-major
+/// order: returns them as one box and appends the rest of `box`, as
+/// disjoint boxes, to `rest` (latest first in row-major order).
+nd::Region take_front(const nd::Region& box, int64_t n,
+                      std::vector<nd::Region>& rest) {
+  std::vector<nd::Interval> piece = box.intervals();
+  for (size_t d = 0; d < piece.size(); ++d) {
+    int64_t inner = 1;
+    for (size_t i = d + 1; i < piece.size(); ++i) inner *= piece[i].length();
+    nd::Interval& iv = piece[d];
+    // Whole slabs along d when one fits, else a piece of the first slab.
+    const int64_t slabs =
+        inner <= n ? std::min(iv.length(), std::max<int64_t>(1, n / inner))
+                   : 1;
+    if (slabs < iv.length()) {
+      std::vector<nd::Interval> later = piece;
+      later[d].begin = iv.begin + slabs;
+      rest.emplace_back(std::move(later));
+    }
+    iv.end = iv.begin + slabs;
+    if (inner <= n) break;
+  }
+  return nd::Region(std::move(piece));
+}
+
 }  // namespace
 
 std::vector<Age> DependencyAnalyzer::first_feasible_ages(
@@ -127,6 +168,23 @@ void DependencyAnalyzer::build_reclaim_plans() {
         options.checked || options.idempotent_stores ||
         program_.consumers_of(f.id).empty();
   }
+  // Elided: every producer is a local fusion upstream whose store of the
+  // field is elided, so no age is ever stored here (the fused pipeline's
+  // intermediate) and sealed ages can never become complete.
+  for (const FieldDecl& f : program_.fields()) {
+    const auto& producers = program_.producers_of(f.id);
+    plans_[static_cast<size_t>(f.id)].elided =
+        !producers.empty() &&
+        std::all_of(producers.begin(), producers.end(),
+                    [this](const Program::Use& use) {
+                      const Runtime::ResolvedFusion* fu =
+                          runtime_.kcfg_[static_cast<size_t>(use.kernel)]
+                              .fusion;
+                      return runtime_.kernel_enabled(use.kernel) &&
+                             fu != nullptr && fu->elide &&
+                             fu->upstream_store_decl == use.statement;
+                    });
+  }
   for (const std::string& name : options.retain_fields) {
     const FieldId id = program_.find_field(name);
     P2G_CHECK_ARGUMENT(id != kInvalidField,
@@ -154,18 +212,18 @@ void DependencyAnalyzer::build_reclaim_plans() {
       }
     }
     // Seal links of every kernel, local or not: this node may seal its
-    // stores' field ages from the bound fields' extents.
-    std::vector<size_t> binding_fetches;
+    // stores' field ages from the bound fields' extents. Each binding
+    // fetch counts once (variables bound through one fetch share it).
     for (size_t v = 0; v < k.index_vars.size(); ++v) {
       const auto b = k.binding_of_var(static_cast<int>(v));
-      if (b && std::find(binding_fetches.begin(), binding_fetches.end(),
-                         b->fetch_index) == binding_fetches.end()) {
-        binding_fetches.push_back(b->fetch_index);
+      if (!b) continue;
+      bool seen = false;
+      for (size_t u = 0; u < v && !seen; ++u) {
+        const auto earlier = k.binding_of_var(static_cast<int>(u));
+        seen = earlier && earlier->fetch_index == b->fetch_index;
       }
-    }
-    for (const size_t fi : binding_fetches) {
-      const FetchDecl& f = k.fetches[fi];
-      if (f.age.kind == AgeExpr::Kind::kConst) continue;  // pinned above
+      const FetchDecl& f = k.fetches[b->fetch_index];
+      if (seen || f.age.kind == AgeExpr::Kind::kConst) continue;  // pinned above
       for (const StoreDecl& s : k.stores) {
         if (s.slice.is_whole()) continue;  // sealed by its store event
         plans_[static_cast<size_t>(f.field)].seal_readers.push_back(
@@ -179,16 +237,10 @@ void DependencyAnalyzer::bootstrap() {
   for (const KernelDef& def : program_.kernels()) {
     if (!runtime_.kernel_enabled(def.id)) continue;
     if (def.is_run_once() && def.fetches.empty()) {
-      create_instance(def, 0, {});
+      create_instances(def, 0, nd::Region{});
       close_age(def.id, 0);  // its only instance
     } else if (def.is_source()) {
-      mark_dispatched(def.id, 0, {});
-      WorkItem item;
-      item.kernel = def.id;
-      item.age = 0;
-      item.coords = {nd::Coord{}};
-      begin_item(def.id, 0);
-      runtime_.submit(std::move(item));
+      dispatch_source_age(def.id, 0);
     }
   }
   flush_chunks();
@@ -221,7 +273,7 @@ DependencyAnalyzer::MemoryStats DependencyAnalyzer::memory_stats() const {
     stats.running_ages += kd.running.size();
     stats.open_ages += kd.open.size();
     for (const auto& [age, ad] : kd.open) {
-      stats.open_coords += ad.coords.size();
+      stats.open_boxes += ad.boxes.size();
     }
   }
   return stats;
@@ -234,37 +286,45 @@ void DependencyAnalyzer::handle_store(const StoreEvent& event) {
 
   // Seal bookkeeping only accumulates while the age is unsealed; late
   // elementwise stores into an already-sealed age (the extents were known
-  // before all data arrived) must not resurrect a retired entry.
-  if (event.producer != kInvalidKernel &&
-      !storage(event.field).is_sealed(event.age)) {
-    FieldAgeState& state = fa_states_[{event.field, event.age}];
-    const ProducerKey key{event.producer, event.store_decl};
-    if (event.whole) {
-      state.satisfied.emplace(key, event.region.required_extents());
-    } else {
-      const KernelDef& producer = program_.kernel(event.producer);
-      const nd::SliceSpec& slice = producer.stores[event.store_decl].slice;
-      const bool needs_witness =
-          has_all_dim(slice) || producer.is_source() ||
-          producer.is_run_once();
-      if (needs_witness && !state.witnesses.count(key)) {
-        std::vector<int64_t> lengths(slice.dims().size(), -1);
-        for (size_t i = 0; i < slice.dims().size(); ++i) {
-          if (slice.dims()[i].kind == nd::SliceDim::Kind::kAll) {
-            lengths[i] = event.region.interval(i).length();
-          }
+  // before all data arrived) must not resurrect a retired entry. (The seal
+  // worklist is empty between events.)
+  if (!storage(event.field).is_sealed(event.age)) {
+    if (event.producer != kInvalidKernel) record_contribution(event);
+    check_seal(event.field, event.age);
+    drain_seal_worklist();
+  }
+  scan_local(event.field, event.age, &event.region);
+  // A local producer's done event follows its stores and queues the field
+  // age once the producer retires. A store from elsewhere (the store tap
+  // forwarded it before its event was pushed) may be the last thing a
+  // field age with no local reader waited for.
+  if (event.producer == kInvalidKernel ||
+      !runtime_.kernel_enabled(event.producer)) {
+    queue_release(event.field, event.age);
+  }
+}
+
+void DependencyAnalyzer::record_contribution(const StoreEvent& event) {
+  FieldAgeState& state = fa_states_[{event.field, event.age}];
+  const ProducerKey key{event.producer, event.store_decl};
+  if (event.whole) {
+    state.satisfied.emplace(key, event.region.required_extents());
+  } else {
+    const KernelDef& producer = program_.kernel(event.producer);
+    const nd::SliceSpec& slice = producer.stores[event.store_decl].slice;
+    const bool needs_witness =
+        has_all_dim(slice) || producer.is_source() ||
+        producer.is_run_once();
+    if (needs_witness && !state.witnesses.count(key)) {
+      std::vector<int64_t> lengths(slice.dims().size(), -1);
+      for (size_t i = 0; i < slice.dims().size(); ++i) {
+        if (slice.dims()[i].kind == nd::SliceDim::Kind::kAll) {
+          lengths[i] = event.region.interval(i).length();
         }
-        state.witnesses.emplace(key, std::move(lengths));
       }
+      state.witnesses.emplace(key, std::move(lengths));
     }
   }
-
-  check_seal(event.field, event.age);
-  drain_seal_worklist();
-  scan_local(event.field, event.age, &event.region);
-  // The store tap forwarded this store before its event was pushed, so a
-  // field with no local reader can go as soon as its writers retired.
-  queue_release(event.field, event.age);
 }
 
 void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
@@ -290,17 +350,8 @@ void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
   }
 
   if (def.is_source()) {
-    if (event.continue_next_age) {
-      const Age next = event.age + 1;
-      if (next <= runtime_.cap_of(def.id) &&
-          mark_dispatched(def.id, next, {})) {
-        WorkItem item;
-        item.kernel = def.id;
-        item.age = next;
-        item.coords = {nd::Coord{}};
-        begin_item(def.id, next);
-        runtime_.submit(std::move(item));
-      }
+    if (event.continue_next_age && event.age + 1 <= runtime_.cap_of(def.id)) {
+      dispatch_source_age(def.id, event.age + 1);
     }
     // The completed age will never be re-created (a same-node rescan of a
     // dispatched source age was always a no-op); retire its entry.
@@ -318,14 +369,7 @@ void DependencyAnalyzer::handle_rescan(const RescanEvent& event) {
     // Re-drive the source chain from age 0. Instances whose output already
     // arrived re-store idempotently and their continue flags rebuild the
     // chain up to the first genuinely lost age.
-    if (mark_dispatched(def.id, 0, {})) {
-      WorkItem item;
-      item.kernel = def.id;
-      item.age = 0;
-      item.coords = {nd::Coord{}};
-      begin_item(def.id, 0);
-      runtime_.submit(std::move(item));
-    }
+    dispatch_source_age(def.id, 0);
     return;
   }
 
@@ -559,27 +603,31 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
   // certified fetch, that fetch's data is statically known to be fully
   // written for every candidate the region admits (see
   // IndependenceCertificate), so both its age-level gate and its
-  // per-candidate region check below are skipped.
+  // per-box region check below are skipped.
   const bool cert_skip = constrain_fetch && written != nullptr &&
                          certified(def.id, *constrain_fetch);
 
-  // Age-level gates shared by every candidate of this (kernel, age). A
+  // Age-level gates shared by every candidate of this (kernel, age): a
+  // whole fetch needs its age complete, an all() fetch its age sealed. A
   // failed gate registers a retry on the exact (field, age) that blocks.
-  for (size_t fi = 0; fi < def.fetches.size(); ++fi) {
+  // The fetch the event arrived through goes first: it is the likeliest
+  // to block (a whole fetch waiting for the last of many stores).
+  for (const FetchDecl& f : def.fetches) {
+    if (f.age.resolve(age) < 0) return;  // this age can never run
+  }
+  const size_t nfetches = def.fetches.size();
+  const size_t first = constrain_fetch ? *constrain_fetch : 0;
+  for (size_t n = 0; n < nfetches; ++n) {
+    const size_t fi = (first + n) % nfetches;
+    if (cert_skip && fi == *constrain_fetch) continue;
     const FetchDecl& f = def.fetches[fi];
     const Age ga = f.age.resolve(age);
-    if (ga < 0) return;  // this age can never run
-    if (cert_skip && fi == *constrain_fetch) continue;
-    if (f.slice.is_whole()) {
-      if (!storage(f.field).is_complete(ga)) {
-        register_retry(def, age, fi);
-        return;
-      }
-    } else if (has_all_dim(f.slice)) {
-      if (!storage(f.field).is_sealed(ga)) {
-        register_retry(def, age, fi);
-        return;
-      }
+    const bool open = f.slice.is_whole() ? storage(f.field).is_complete(ga)
+                      : has_all_dim(f.slice) ? storage(f.field).is_sealed(ga)
+                                             : true;
+    if (!open) {
+      register_retry(def, age, fi);
+      return;
     }
   }
 
@@ -604,14 +652,14 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
 
   // Sealed extents are immutable, so once every binding is sealed the
   // candidate space is final: record its size so the age can close (and
-  // its coord set retire) as soon as that many instances dispatched —
+  // its box list retire) as soon as that many instances dispatched —
   // whether by this pass or by later constrained scans.
   if (domain_final) {
     int64_t total = 1;
     for (const nd::Interval& r : ranges) total *= r.length();
     AgeDispatch& ad = kd.open[age];
     ad.total = total;
-    if (static_cast<int64_t>(ad.coords.size()) >= total) {
+    if (ad.dispatched >= total) {
       close_age(def.id, age);
       return;
     }
@@ -633,33 +681,47 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
     if (ranges[v].empty()) return;  // empty slice, no instances to add
   }
 
-  // Enumerate the candidate product space.
+  // The candidate box less the boxes already dispatched, kept as a stack
+  // whose top is the lowest box in row-major order.
+  const nd::Region candidates(std::move(ranges));
+  std::vector<nd::Region> todo{candidates};
+  if (const auto open = kd.open.find(age); open != kd.open.end()) {
+    std::vector<nd::Region> rest;
+    for (const nd::Region& done : open->second.boxes) {
+      if (candidates.intersect(done).empty()) continue;
+      rest.clear();
+      for (const nd::Region& box : todo) box.subtract(done, rest);
+      todo.swap(rest);
+      if (todo.empty()) return;  // every candidate already dispatched
+    }
+  }
+  std::reverse(todo.begin(), todo.end());
+
+  const std::optional<size_t> skip =
+      cert_skip ? constrain_fetch : std::nullopt;
   uint64_t blocked_fetches = 0;
-  nd::Coord coord(nvars);
-  for (size_t v = 0; v < nvars; ++v) coord[v] = ranges[v].begin;
-  while (true) {
-    if (!is_dispatched(def.id, age, coord)) {
-      size_t blocking = SIZE_MAX;
-      if (satisfied(def, age, coord,
-                    cert_skip ? constrain_fetch : std::nullopt, &blocking)) {
-        create_instance(def, age, coord);
-        if (age_closed(kd, age)) break;  // auto-closed: nothing left
-      } else if (blocking != SIZE_MAX && blocking < 64) {
-        blocked_fetches |= uint64_t{1} << blocking;
-      }
+  while (!todo.empty()) {
+    nd::Region box = std::move(todo.back());
+    todo.pop_back();
+    const std::optional<size_t> blocking =
+        blocking_fetch(def, age, box, skip);
+    if (!blocking) {
+      create_instances(def, age, std::move(box));
+      if (age_closed(kd, age)) break;  // auto-closed: nothing left
+      continue;
     }
-    // Advance the product iterator (row-major).
-    if (nvars == 0) break;
-    size_t v = nvars;
-    bool carry_out = true;
-    while (v-- > 0) {
-      if (++coord[v] < ranges[v].end) {
-        carry_out = false;
-        break;
-      }
-      coord[v] = ranges[v].begin;
+    const int var = split_var(def.fetches[*blocking].slice, box);
+    if (var < 0) {
+      if (*blocking < 64) blocked_fetches |= uint64_t{1} << *blocking;
+      continue;
     }
-    if (carry_out) break;
+    // Halve the box along `var`; the lower half is checked first.
+    const auto v = static_cast<size_t>(var);
+    std::vector<nd::Interval> low = box.intervals();
+    std::vector<nd::Interval> high = low;
+    low[v].end = high[v].begin = low[v].begin + low[v].length() / 2;
+    todo.emplace_back(std::move(high));
+    todo.emplace_back(std::move(low));
   }
 
   // Register each distinct blocking field age: unsatisfied candidates are
@@ -669,58 +731,65 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
   }
 }
 
-bool DependencyAnalyzer::satisfied(const KernelDef& def, Age age,
-                                   const nd::Coord& coord,
-                                   std::optional<size_t> skip_fetch,
-                                   size_t* blocking_fetch) {
+std::optional<size_t> DependencyAnalyzer::blocking_fetch(
+    const KernelDef& def, Age age, const nd::Region& box,
+    std::optional<size_t> skip_fetch) {
   for (size_t fi = 0; fi < def.fetches.size(); ++fi) {
     const FetchDecl& f = def.fetches[fi];
     const Age ga = f.age.resolve(age);
-    if (ga < 0) return false;
+    if (ga < 0) return fi;
     if (skip_fetch && fi == *skip_fetch) {
       ++certified_skips_;
       continue;
     }
     FieldStorage& fs = storage(f.field);
     if (f.slice.is_whole()) {
-      if (!fs.is_complete(ga)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
-    } else {
-      if (has_all_dim(f.slice) && !fs.is_sealed(ga)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
-      const nd::Region region = f.slice.resolve(coord, fs.extents(ga));
-      if (!fs.region_written(ga, region)) {
-        if (blocking_fetch != nullptr) *blocking_fetch = fi;
-        return false;
-      }
+      if (!fs.is_complete(ga)) return fi;
+      continue;
+    }
+    if (has_all_dim(f.slice) && !fs.is_sealed(ga)) return fi;
+    if (!fs.region_written(ga, f.slice.footprint(box, fs.extents(ga)))) {
+      return fi;
     }
   }
-  return true;
+  return std::nullopt;
 }
 
-bool DependencyAnalyzer::is_dispatched(KernelId kernel, Age age,
-                                       const nd::Coord& coord) const {
-  const KernelDispatch& kd = dispatch_[static_cast<size_t>(kernel)];
-  if (age_closed(kd, age)) return true;
-  const auto it = kd.open.find(age);
-  return it != kd.open.end() && it->second.coords.count(coord) != 0;
-}
-
-bool DependencyAnalyzer::mark_dispatched(KernelId kernel, Age age,
-                                         nd::Coord coord) {
+void DependencyAnalyzer::mark_dispatched(KernelId kernel, Age age,
+                                         const nd::Region& box) {
   KernelDispatch& kd = dispatch_[static_cast<size_t>(kernel)];
-  if (age_closed(kd, age)) return false;
+  if (age_closed(kd, age)) return;
   AgeDispatch& ad = kd.open[age];
-  if (!ad.coords.insert(std::move(coord)).second) return false;
-  ++dispatched_total_;
-  if (ad.total >= 0 && static_cast<int64_t>(ad.coords.size()) >= ad.total) {
-    close_age(kernel, age);
+  const int64_t n = box.element_count();
+  // A box that tiles a larger box with the previous one merges into it,
+  // so an age dispatched in order keeps a short list.
+  bool merged = false;
+  if (!ad.boxes.empty()) {
+    nd::Region grown = ad.boxes.back().bounding_union(box);
+    if (grown.element_count() == ad.boxes.back().element_count() + n) {
+      ad.boxes.back() = std::move(grown);
+      merged = true;
+    }
   }
-  return true;
+  if (!merged) ad.boxes.push_back(box);
+  ad.dispatched += n;
+  dispatched_total_ += n;
+  if (ad.total >= 0 && ad.dispatched >= ad.total) close_age(kernel, age);
+}
+
+void DependencyAnalyzer::dispatch_source_age(KernelId kernel, Age age) {
+  KernelDispatch& kd = dispatch_[static_cast<size_t>(kernel)];
+  if (age_closed(kd, age)) return;
+  if (const auto it = kd.open.find(age);
+      it != kd.open.end() && it->second.dispatched > 0) {
+    return;
+  }
+  mark_dispatched(kernel, age, nd::Region{});
+  WorkItem item;
+  item.kernel = kernel;
+  item.age = age;
+  begin_item(kernel, age);
+  runtime_.submit(std::move(item));
 }
 
 void DependencyAnalyzer::close_age(KernelId kernel, Age age) {
@@ -738,9 +807,9 @@ void DependencyAnalyzer::close_age(KernelId kernel, Age age) {
   } else if (age > kd.closed_below) {
     kd.closed_sparse.insert(age);
   }
-  // A fused downstream's candidates are exactly the mapped upstream coords
+  // A fused downstream's instances are exactly the mapped upstream ones
   // (its sole fetch is the upstream's store); once the upstream age fully
-  // dispatched, every twin is marked, so the downstream age closes too.
+  // dispatched, every twin box is marked, so the downstream age closes too.
   const auto& cfg = runtime_.kcfg_[static_cast<size_t>(kernel)];
   if (cfg.fusion != nullptr) {
     const Age down_age = age + cfg.fusion->age_delta;
@@ -749,27 +818,23 @@ void DependencyAnalyzer::close_age(KernelId kernel, Age age) {
   note_retired(kernel, age);
 }
 
-void DependencyAnalyzer::create_instance(const KernelDef& def, Age age,
-                                         nd::Coord coord) {
+void DependencyAnalyzer::create_instances(const KernelDef& def, Age age,
+                                          nd::Region box) {
   ChunkBuffer& buffer = chunk_buffers_[{def.id, age}];
   if (!buffer.cause.valid()) buffer.cause = current_cause_;
-  buffer.coords.push_back(coord);
+  buffer.instances += box.element_count();
 
-  // A fused downstream twin runs inside the upstream's work item; mark it
-  // dispatched *now* (before any event can be observed) so no scan can
+  // A fused downstream twin runs inside the upstream's work item; mark its
+  // box dispatched *now* (before any event can be observed) so no scan can
   // double-run it.
-  const auto& cfg = runtime_.kcfg_[static_cast<size_t>(def.id)];
-  if (cfg.fusion != nullptr) {
-    const auto& fu = *cfg.fusion;
-    nd::Coord down_coord(fu.coord_map.size());
-    for (size_t v = 0; v < fu.coord_map.size(); ++v) {
-      down_coord[v] = coord[fu.coord_map[v]];
-    }
-    mark_dispatched(fu.downstream, age + fu.age_delta,
-                    std::move(down_coord));
+  if (const Runtime::ResolvedFusion* fu =
+          runtime_.kcfg_[static_cast<size_t>(def.id)].fusion) {
+    mark_dispatched(fu->downstream, age + fu->age_delta,
+                    fu->downstream_box(box));
   }
 
-  mark_dispatched(def.id, age, std::move(coord));
+  mark_dispatched(def.id, age, box);
+  buffer.boxes.push_back(std::move(box));
 }
 
 std::optional<int64_t> DependencyAnalyzer::chunk_size(KernelId kernel,
@@ -792,13 +857,13 @@ std::optional<int64_t> DependencyAnalyzer::chunk_size(KernelId kernel,
 void DependencyAnalyzer::flush_chunks() {
   if (chunk_buffers_.empty()) return;
   std::vector<WorkItem> batch;
+  std::vector<nd::Region> rest;
   for (auto it = chunk_buffers_.begin(); it != chunk_buffers_.end();) {
     const auto [kernel, age] = it->first;
     ChunkBuffer& buffer = it->second;
-    std::vector<nd::Coord>& coords = buffer.coords;
-    const size_t total = coords.size();
+    const auto total = static_cast<size_t>(buffer.instances);
     size_t chunk;
-    size_t limit = total;  // instances dispatched now; the rest is held
+    size_t items = SIZE_MAX;  // items dispatched now; the rest is held
     bool probe = false;
     if (const std::optional<int64_t> sized = chunk_size(kernel, total)) {
       chunk = static_cast<size_t>(*sized);
@@ -812,40 +877,42 @@ void DependencyAnalyzer::flush_chunks() {
       probe = true;
       chunk = std::clamp<size_t>(
           total / static_cast<size_t>(runtime_.workers_), 1, kProbeBodies);
-      const size_t items = std::min((total + chunk - 1) / chunk, budget);
+      items = std::min((total + chunk - 1) / chunk, budget);
       budget -= items;
-      limit = std::min(total, items * chunk);
     }
     const bool serial = program_.kernel(kernel).serial;
-    size_t begin = 0;
-    while (begin < limit) {
-      const size_t end = std::min(limit, begin + chunk);
+    std::deque<nd::Region>& boxes = buffer.boxes;
+    // Each item is a sub-box of at most `chunk` instances cut off the
+    // front of the first buffered box; what is left of it stays in front.
+    int64_t cut = 0;
+    for (; items > 0 && !boxes.empty(); --items, ++cut) {
       WorkItem item;
       item.kernel = kernel;
       item.age = age;
       item.cause = buffer.cause;
       item.probe = probe;
-      begin_item(kernel, age);
-      if (begin == 0 && end == total) {
-        item.coords = std::move(coords);  // whole buffer in one item
+      if (static_cast<size_t>(boxes.front().element_count()) <= chunk) {
+        item.box = std::move(boxes.front());
+        boxes.pop_front();
       } else {
-        item.coords.reserve(end - begin);
-        std::move(coords.begin() + static_cast<ptrdiff_t>(begin),
-                  coords.begin() + static_cast<ptrdiff_t>(end),
-                  std::back_inserter(item.coords));
+        rest.clear();
+        item.box = take_front(boxes.front(), static_cast<int64_t>(chunk),
+                              rest);
+        boxes.pop_front();
+        for (nd::Region& r : rest) boxes.push_front(std::move(r));
       }
+      buffer.instances -= item.box.element_count();
       if (serial) {
+        begin_item(kernel, age);
         submit_or_park(std::move(item));
       } else {
         batch.push_back(std::move(item));
       }
-      begin = end;
     }
-    if (limit == total) {
+    if (!serial && cut > 0) begin_item(kernel, age, cut);
+    if (boxes.empty()) {
       it = chunk_buffers_.erase(it);
     } else {
-      coords.erase(coords.begin(),
-                   coords.begin() + static_cast<ptrdiff_t>(limit));
       ++it;
     }
   }
@@ -868,22 +935,33 @@ void DependencyAnalyzer::submit_or_park(WorkItem item) {
   }
 }
 
-void DependencyAnalyzer::begin_item(KernelId kernel, Age age) {
-  ++dispatch_[static_cast<size_t>(kernel)].running[age];
+void DependencyAnalyzer::begin_item(KernelId kernel, Age age, int64_t n) {
+  const auto count = [n](KernelDispatch& kd, Age a) {
+    const auto it = kd.running_at(a);
+    if (it != kd.running.end()) {
+      it->second += n;
+    } else {
+      kd.running.emplace_back(a, n);
+    }
+  };
+  count(dispatch_[static_cast<size_t>(kernel)], age);
   if (const Runtime::ResolvedFusion* fu =
           runtime_.kcfg_[static_cast<size_t>(kernel)].fusion) {
-    ++dispatch_[static_cast<size_t>(fu->downstream)]
-          .running[age + fu->age_delta];
+    count(dispatch_[static_cast<size_t>(fu->downstream)],
+          age + fu->age_delta);
   }
 }
 
 void DependencyAnalyzer::finish_item(KernelId kernel, Age age) {
   const auto uncount = [this](KernelId k, Age a) {
-    auto& running = dispatch_[static_cast<size_t>(k)].running;
-    const auto it = running.find(a);
-    P2G_CHECK_INTERNAL(it != running.end(),
+    KernelDispatch& kd = dispatch_[static_cast<size_t>(k)];
+    const auto it = kd.running_at(a);
+    P2G_CHECK_INTERNAL(it != kd.running.end(),
                        "done event of a work item that is not running");
-    if (--it->second == 0) running.erase(it);
+    if (--it->second == 0) {
+      *it = kd.running.back();
+      kd.running.pop_back();
+    }
     note_retired(k, a);
   };
   uncount(kernel, age);
@@ -898,7 +976,10 @@ bool DependencyAnalyzer::retired(KernelId kernel, Age age) const {
   if (age < first_feasible_[k] || age > runtime_.cap_of(kernel)) return true;
   if (program_.kernel(kernel).is_run_once() && age != 0) return true;
   const KernelDispatch& kd = dispatch_[k];
-  if (!age_closed(kd, age) || kd.running.count(age) != 0 ||
+  const auto& running = kd.running;
+  if (!age_closed(kd, age) ||
+      std::any_of(running.begin(), running.end(),
+                  [age](const auto& entry) { return entry.first == age; }) ||
       chunk_buffers_.count({kernel, age}) != 0) {
     return false;
   }
@@ -970,9 +1051,9 @@ void DependencyAnalyzer::try_release(FieldId field, Age age) {
     if (target >= 0 && !storage(link.stored).is_sealed(target)) return;
   }
   // Last: a released age also reads as complete, and release_age is then a
-  // no-op.
+  // no-op. An elided field's age is never stored: sealed is all it gets.
   FieldStorage& fs = storage(field);
-  if (!fs.is_complete(age)) return;
+  if (plan.elided ? !fs.is_sealed(age) : !fs.is_complete(age)) return;
   fs.release_age(age);
 }
 

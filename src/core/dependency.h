@@ -6,6 +6,14 @@
 // once, discovers newly runnable kernel instances and dispatches each
 // exactly once into the ReadyQueue.
 //
+// Range dispatch: the unit the analyzer reasons about is a box of index
+// coordinates (nd::Region), not a coordinate. An event narrows a kernel
+// age to a box of candidates; each fetch is checked once for the whole
+// box through its footprint; a box that is only partly satisfied is split
+// and rechecked (a point is a box of one); dispatched boxes are the
+// exactly-once record; and work items carry boxes cut from what became
+// runnable.
+//
 // Sealing: an age of a field is *sealed* when every producer's contribution
 // is known — a whole-field store arrives, or an elementwise producer's
 // index domain becomes known (which in turn requires the extents of the
@@ -18,13 +26,13 @@
 // memory is bounded by its in-flight ages instead of its length.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,13 +65,13 @@ class DependencyAnalyzer {
   int64_t certified_skip_count() const { return certified_skips_; }
 
   /// Analyzer-state footprint. Streaming runs retire
-  /// seal bookkeeping on seal and dispatched-coord sets once an age closes,
+  /// seal bookkeeping on seal and dispatched-box lists once an age closes,
   /// so these stay bounded by the in-flight age window instead of growing
   /// with the run length. Quiescent use only (tests).
   struct MemoryStats {
     size_t fa_states = 0;      ///< unsealed (field, age) seal entries
-    size_t open_ages = 0;      ///< (kernel, age) dispatch sets still open
-    size_t open_coords = 0;    ///< coords held by open dispatch sets
+    size_t open_ages = 0;      ///< (kernel, age) dispatch records still open
+    size_t open_boxes = 0;     ///< boxes held by open dispatch records
     size_t retry_entries = 0;  ///< blocked (kernel, age) retry registrations
     size_t running_ages = 0;   ///< (kernel, age) with work items not done
   };
@@ -110,39 +118,39 @@ class DependencyAnalyzer {
     std::map<Age, WorkItem> parked;
   };
 
-  struct CoordHash {
-    size_t operator()(const nd::Coord& c) const {
-      size_t h = c.size();
-      for (const int64_t v : c) {
-        h ^= std::hash<int64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-             (h >> 2);
-      }
-      return h;
-    }
-  };
-
-  /// Dispatched coords of one open (kernel, age). `total` is the final
-  /// candidate-space size, set once every binding field extent is sealed
-  /// (-1 until then); when `coords` reaches it the age closes and the set
-  /// is dropped.
+  /// Dispatched instances of one open (kernel, age): disjoint boxes and
+  /// the instances they hold. `total` is the final candidate-space size,
+  /// set once every binding field extent is sealed (-1 until then); when
+  /// `dispatched` reaches it the age closes and the record is dropped.
   struct AgeDispatch {
-    std::unordered_set<nd::Coord, CoordHash> coords;
+    std::vector<nd::Region> boxes;
+    int64_t dispatched = 0;
     int64_t total = -1;
   };
 
   /// Exactly-once dispatch bookkeeping of one kernel. A *closed* age had
   /// every instance dispatched (or can never dispatch again: completed
-  /// source ages); membership checks treat closed ages as fully dispatched,
-  /// which is what lets the per-coord sets retire. `closed_below` starts at
-  /// the kernel's first feasible age so structurally skipped leading ages
-  /// cannot wedge the watermark.
+  /// source ages); candidate scans skip closed ages, which is what lets the
+  /// per-age box lists retire. `closed_below` starts at the kernel's first
+  /// feasible age so structurally skipped leading ages cannot wedge the
+  /// watermark.
   struct KernelDispatch {
     Age closed_below = 0;
     std::set<Age> closed_sparse;
     std::map<Age, AgeDispatch> open;
-    /// Work items created and not yet reported done, per age (a fused
-    /// downstream counts its upstream's items at the mapped age).
-    std::map<Age, int64_t> running;
+    /// Work items created and not yet reported done, as (age, count)
+    /// pairs with count > 0 (a fused downstream counts its upstream's items
+    /// at the mapped age). Only the few ages in flight have an entry, so a
+    /// flat list beats a tree: no node allocation per age.
+    std::vector<std::pair<Age, int64_t>> running;
+
+    /// The running entry of `age`, or running.end().
+    auto running_at(Age age) {
+      return std::find_if(running.begin(), running.end(),
+                          [age](const auto& entry) {
+                            return entry.first == age;
+                          });
+    }
   };
 
   // --- age reclamation ------------------------------------------------------
@@ -167,6 +175,7 @@ class DependencyAnalyzer {
   /// What keeps one field's ages alive on this node, computed once.
   struct ReclaimPlan {
     bool retained = false;        ///< never released
+    bool elided = false;          ///< every store of it elided by fusion
     std::vector<Age> pinned;      ///< constant fetch / aged-kernel store ages
     /// Enabled kernels' relative fetches and their stores.
     std::vector<AgeLink> touches;
@@ -174,11 +183,13 @@ class DependencyAnalyzer {
   };
 
 
-  /// Instances buffered for chunked dispatch, with the causal context of
-  /// the first store event that made one of them runnable (the chunk's
-  /// WorkItem inherits it).
+  /// Boxes of runnable instances buffered for chunked dispatch, in the
+  /// order they became runnable, with the causal context of the first store
+  /// event that made one of them runnable (the items cut from them inherit
+  /// it).
   struct ChunkBuffer {
-    std::vector<nd::Coord> coords;
+    std::deque<nd::Region> boxes;
+    int64_t instances = 0;
     TraceContext cause;
   };
 
@@ -186,6 +197,9 @@ class DependencyAnalyzer {
   void handle_one(const Event& event);
 
   void handle_store(const StoreEvent& event);
+  /// Seal bookkeeping of a store into an unsealed age: a whole store's
+  /// extents, or an elementwise store's witness lengths.
+  void record_contribution(const StoreEvent& event);
   void handle_done(const InstanceDoneEvent& event);
   void handle_rescan(const RescanEvent& event);
 
@@ -200,23 +214,26 @@ class DependencyAnalyzer {
   void scan_local(FieldId field, Age age, const nd::Region* written);
   void fire_retries(FieldId field, Age age);
 
-  /// Enumerates candidates of one kernel at one age. When `constrain_fetch`
-  /// is set, variable ranges are narrowed by the written region through
-  /// that fetch's slice.
+  /// Enumerates candidates of one kernel at one age as a box. When
+  /// `constrain_fetch` is set, variable ranges are narrowed by the written
+  /// region through that fetch's slice. The part of the box not yet
+  /// dispatched is checked box by box: a satisfied box is dispatched
+  /// whole, a partly satisfied one is split along the outermost index
+  /// variable its blocking fetch addresses, and a box whose blocking fetch
+  /// cannot be split registers a retry.
   void try_enumerate(const KernelDef& def, Age age,
                      std::optional<size_t> constrain_fetch,
                      const nd::Region* written);
 
-  /// All fetch dependencies of a candidate instance are fulfilled.
-  /// `skip_fetch` marks one fetch as certificate-satisfied: the caller
-  /// proved (via an independence certificate plus a just-committed region
-  /// constraining the candidate) that its data is fully written, so its
-  /// fine-grained region check is skipped. On failure `*blocking_fetch`
-  /// (when non-null) names the first unsatisfied fetch, for precise retry
-  /// registration.
-  bool satisfied(const KernelDef& def, Age age, const nd::Coord& coord,
-                 std::optional<size_t> skip_fetch = std::nullopt,
-                 size_t* blocking_fetch = nullptr);
+  /// The first fetch of `def` at `age` whose data is not there for every
+  /// instance of `box` (checked once through the fetch's footprint over
+  /// the box), or nullopt when all are. `skip_fetch` marks one fetch as
+  /// certificate-satisfied: the caller proved (via an independence
+  /// certificate plus a just-committed region constraining the box) that
+  /// its data is fully written, so its region check is skipped.
+  std::optional<size_t> blocking_fetch(const KernelDef& def, Age age,
+                                       const nd::Region& box,
+                                       std::optional<size_t> skip_fetch);
 
   /// Registers (def, age) for retry when the field age behind `fetch_index`
   /// next changes.
@@ -233,20 +250,24 @@ class DependencyAnalyzer {
   bool age_closed(const KernelDispatch& kd, Age age) const {
     return age < kd.closed_below || kd.closed_sparse.count(age) != 0;
   }
-  bool is_dispatched(KernelId kernel, Age age, const nd::Coord& coord) const;
-  /// Marks (kernel, age, coord) dispatched; false when it already was (or
-  /// the age is closed). Auto-closes the age when `total` is reached.
-  bool mark_dispatched(KernelId kernel, Age age, nd::Coord coord);
-  /// Retires an age's coord set: every instance is known dispatched (or
+  /// Records `box` (disjoint from every box recorded before) as dispatched
+  /// at (kernel, age), unless the age is closed. Auto-closes the age when
+  /// `total` is reached.
+  void mark_dispatched(KernelId kernel, Age age, const nd::Region& box);
+  /// Dispatches the one instance of a source kernel's age unless it
+  /// already was.
+  void dispatch_source_age(KernelId kernel, Age age);
+  /// Retires an age's box list: every instance is known dispatched (or
   /// can never dispatch again). Cascades to a fused downstream twin, whose
-  /// coords are exactly the mapped upstream coords.
+  /// instances are exactly the mapped upstream ones.
   void close_age(KernelId kernel, Age age);
 
-  /// Marks dispatched (including a fused downstream twin) and buffers the
-  /// instance for chunked dispatch.
-  void create_instance(const KernelDef& def, Age age, nd::Coord coord);
+  /// Marks a runnable box dispatched (including a fused downstream twin)
+  /// and buffers it for chunked dispatch.
+  void create_instances(const KernelDef& def, Age age, nd::Region box);
 
-  /// Flushes chunk buffers into work items (serial kernels are gated).
+  /// Flushes chunk buffers into work items, cutting the buffered boxes
+  /// into sub-boxes of at most the chunk size (serial kernels are gated).
   /// A kernel with no measured body time sends probes and keeps the rest
   /// of its buffers until the first probe reports back.
   void flush_chunks();
@@ -260,9 +281,9 @@ class DependencyAnalyzer {
 
   /// Builds plans_ (constructor).
   void build_reclaim_plans();
-  /// Counts a new work item of (kernel, age) (and of a fused downstream
-  /// twin) as running.
-  void begin_item(KernelId kernel, Age age);
+  /// Counts `n` new work items of (kernel, age) (and of a fused
+  /// downstream twin) as running.
+  void begin_item(KernelId kernel, Age age, int64_t n = 1);
   /// A work item reported done: uncounts it and queues release checks.
   void finish_item(KernelId kernel, Age age);
   /// True when (kernel, age) will never read or write again: its age is
@@ -273,10 +294,11 @@ class DependencyAnalyzer {
   /// Once (kernel, age) has retired, queues the field ages it fetches and
   /// stores for a release check.
   void note_retired(KernelId kernel, Age age);
-  /// Releases (field, age) when it is sealed and complete, not retained or
-  /// pinned, every local reader and writer of it has retired, and every
-  /// seal that reads its extents has happened. Never releases early: an
-  /// age whose retirement is never known stays.
+  /// Releases (field, age) when it is sealed and complete (sealed alone
+  /// for an elided field), not retained or pinned, every local reader and
+  /// writer of it has retired, and every seal that reads its extents has
+  /// happened. Never releases early: an age whose retirement is never
+  /// known stays.
   void try_release(FieldId field, Age age);
   /// Queues (field, age) for a release check at the end of the batch.
   void queue_release(FieldId field, Age age);

@@ -477,29 +477,40 @@ std::optional<nd::ConstView> FieldStorage::try_fetch_view_whole(Age age) {
 StoreResult FieldStorage::store(Age age, const nd::Region& region,
                                 const std::byte* data,
                                 const StoreOrigin* origin) {
+  return store_by(age, region, data, StoreBy{origin, nullptr});
+}
+
+StoreResult FieldStorage::store_box(Age age, const nd::Region& region,
+                                    const std::byte* data,
+                                    const OriginAt& origin_at) {
+  return store_by(age, region, data, StoreBy{nullptr, &origin_at});
+}
+
+StoreResult FieldStorage::store_by(Age age, const nd::Region& region,
+                                   const std::byte* data, const StoreBy& by) {
   P2G_CHECK_ARGUMENT(age >= 0, "field ages start at 0");
   P2G_CHECK_ARGUMENT(region.rank() == decl_.rank,
                      "store region rank mismatch on field " + decl_.name);
   {
     ReadSection section;
     if (Published* rec = directory_.find(age)) {
-      return store_published(*rec, age, region, data, origin);
+      return store_published(*rec, age, region, data, by);
     }
   }
   std::unique_lock lock(mutex_);
   if (released(age)) {
+    const std::optional<StoreOrigin> writer = by.name_first(region);
     throw_error(ErrorKind::kWriteOnceViolation,
                 "store " + region.to_string() + " into released age " +
                     std::to_string(age) + " of field " + decl_.name +
                     "; writer: " +
-                    (origin != nullptr ? origin->to_string()
-                                       : std::string("unknown")));
+                    (writer ? writer->to_string() : std::string("unknown")));
   }
   AgeData& ad = age_data(age);
   if (ad.sealed) {
     // First store after the seal: publish, then take the lock-free path
     // (the record stays valid while the lock is held).
-    return store_published(publish(ad, age), age, region, data, origin);
+    return store_published(publish(ad, age), age, region, data, by);
   }
   check::write(ad.written, "FieldStorage.age_meta");
 
@@ -509,26 +520,32 @@ StoreResult FieldStorage::store(Age age, const nd::Region& region,
     result.resized = true;
   }
 
-  // Write-once enforcement, then payload scatter.
+  // Write-once enforcement, then payload scatter. A violation names the
+  // instance behind the first conflicting element.
   const nd::Extents& ext = ad.buffer->extents();
+  const auto violation = [&](const nd::Region& conflict,
+                             const nd::Coord& element) {
+    const std::optional<StoreOrigin> writer = by.name(element);
+    throw_write_once(ad.writers, age, conflict, writer ? &*writer : nullptr);
+  };
   if (const auto span = region.contiguous_span(ext)) {
     const auto begin = static_cast<size_t>(span->offset);
     const auto end = begin + static_cast<size_t>(span->length);
-    if (ad.written.set_range(begin, end) !=
-        static_cast<size_t>(span->length)) {
-      throw_write_once(ad.writers, age, region, origin);
+    const size_t first = ad.written.find_first_set(begin, end);
+    if (first != end) {
+      violation(region, ext.unflatten(static_cast<int64_t>(first)));
     }
+    ad.written.set_range(begin, end);
   } else {
     region.for_each([&](const nd::Coord& coord) {
       const auto flat = static_cast<size_t>(ext.flatten(coord));
-      if (!ad.written.set(flat)) {
-        throw_write_once(ad.writers, age, nd::Region::point(coord), origin);
-      }
+      if (!ad.written.set(flat)) violation(nd::Region::point(coord), coord);
     });
   }
   if (track_writers_) {
-    ad.writers.push_back(
-        Writer{region, origin != nullptr ? *origin : StoreOrigin{}});
+    std::optional<StoreOrigin> writer = by.name_first(region);
+    ad.writers.push_back(Writer{region, writer ? std::move(*writer)
+                                               : StoreOrigin{}});
   }
   ad.buffer->scatter(region, data);
   result.extents = ext;
@@ -538,7 +555,7 @@ StoreResult FieldStorage::store(Age age, const nd::Region& region,
 StoreResult FieldStorage::store_published(Published& rec, Age age,
                                           const nd::Region& region,
                                           const std::byte* data,
-                                          const StoreOrigin* origin) {
+                                          const StoreBy& by) {
   if (!region.within(rec.extents)) {
     throw_outside_seal(age, region, rec.extents);
   }
@@ -546,19 +563,23 @@ StoreResult FieldStorage::store_published(Published& rec, Age age,
   // store finds it listed.
   size_t writer_index = SIZE_MAX;
   if (track_writers_) {
+    std::optional<StoreOrigin> writer = by.name_first(region);
     std::scoped_lock lock(rec.writers_mutex);
     writer_index = rec.writers.size();
     rec.writers.push_back(
-        Writer{region, origin != nullptr ? *origin : StoreOrigin{}});
+        Writer{region, writer ? std::move(*writer) : StoreOrigin{}});
   }
-  const auto violation = [&](const nd::Region& conflict) {
+  // A violation names the instance behind the first conflicting element.
+  const auto violation = [&](const nd::Region& conflict,
+                             const nd::Coord& element) {
     std::vector<Writer> earlier;
     if (writer_index != SIZE_MAX) {
       std::scoped_lock lock(rec.writers_mutex);
       rec.writers[writer_index].failed = true;
       earlier = rec.writers;
     }
-    throw_write_once(earlier, age, conflict, origin);
+    const std::optional<StoreOrigin> writer = by.name(element);
+    throw_write_once(earlier, age, conflict, writer ? &*writer : nullptr);
   };
 
   // Claim, copy, commit: one run for a contiguous region, one per row
@@ -568,8 +589,9 @@ StoreResult FieldStorage::store_published(Published& rec, Age age,
   if (const auto span = region.contiguous_span(rec.extents)) {
     const auto begin = static_cast<size_t>(span->offset);
     const auto length = static_cast<size_t>(span->length);
-    if (rec.write_run(begin, length, data) != begin + length) {
-      violation(region);
+    const size_t first = rec.write_run(begin, length, data);
+    if (first != begin + length) {
+      violation(region, rec.extents.unflatten(static_cast<int64_t>(first)));
     }
     committed = span->length;
   } else {
@@ -590,7 +612,7 @@ StoreResult FieldStorage::store_published(Published& rec, Age age,
                  });
     if (conflict) {
       rec.written_count.fetch_add(committed, std::memory_order_release);
-      violation(nd::Region::point(*conflict));
+      violation(nd::Region::point(*conflict), *conflict);
     }
   }
   rec.written_count.fetch_add(committed, std::memory_order_release);

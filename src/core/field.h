@@ -67,6 +67,10 @@ struct StoreOrigin {
   std::string to_string() const;
 };
 
+/// Names the kernel instance that stored a given element (a field
+/// coordinate) of a store covering many instances (a box commit).
+using OriginAt = std::function<StoreOrigin(const nd::Coord& element)>;
+
 /// Runtime storage of one field across all live ages. Thread-safe.
 class FieldStorage {
  public:
@@ -85,6 +89,13 @@ class FieldStorage {
   /// region under track_writers).
   StoreResult store(Age age, const nd::Region& region, const std::byte* data,
                     const StoreOrigin* origin = nullptr);
+
+  /// store() of a box commit, which stores for many kernel instances at
+  /// once: `origin_at` names the instance behind an element. It is called
+  /// only to name the instance of the first conflicting element of a
+  /// write-once violation, or the first element's under track_writers.
+  StoreResult store_box(Age age, const nd::Region& region,
+                        const std::byte* data, const OriginAt& origin_at);
 
   /// Stores a whole array as (age)'s complete content. The age's extents
   /// become at least the buffer's extents.
@@ -229,6 +240,25 @@ class FieldStorage {
 
   struct Published;  // lock-free record of a published age (field.cpp)
 
+  /// The writer of a store as its caller names it: one origin, one per
+  /// element, or none.
+  struct StoreBy {
+    const StoreOrigin* origin = nullptr;
+    const OriginAt* origin_at = nullptr;
+    /// The origin of the instance that stored `element`, if named.
+    std::optional<StoreOrigin> name(const nd::Coord& element) const {
+      if (origin_at != nullptr) return (*origin_at)(element);
+      if (origin != nullptr) return *origin;
+      return std::nullopt;
+    }
+    /// name() of `region`'s first element (the writer a store records).
+    std::optional<StoreOrigin> name_first(const nd::Region& region) const {
+      return region.empty() ? std::nullopt : name(region.first());
+    }
+  };
+  StoreResult store_by(Age age, const nd::Region& region,
+                       const std::byte* data, const StoreBy& by);
+
   /// Locked-path state of one age.
   struct AgeData {
     /// Payload, shared with outstanding views (keepalive) and, once
@@ -321,7 +351,7 @@ class FieldStorage {
   /// Lock-free store into a published age: claim, copy, commit.
   StoreResult store_published(Published& rec, Age age,
                               const nd::Region& region, const std::byte* data,
-                              const StoreOrigin* origin);
+                              const StoreBy& by);
   int64_t store_fill_published(Published& rec, Age age,
                                const nd::Region& region,
                                const std::byte* data);

@@ -429,8 +429,6 @@ FusionVerdict fusion_verdict(const Program& program, const KernelDef& up,
                 "the fetch slice";
     return v;
   }
-  v.legal = true;
-  v.age_delta = matched->age.value - df.age.value;
   // Per-dimension variable correspondence: down's variable at dim i takes
   // the value of up's variable at dim i.
   v.coord_map.assign(down.index_vars.size(), 0);
@@ -440,6 +438,22 @@ FusionVerdict fusion_verdict(const Program& program, const KernelDef& up,
           static_cast<size_t>(matched->slice.dims()[i].var);
     }
   }
+  // The consumer instances a box of producer instances feeds must form a
+  // box too: no two consumer variables may follow one producer variable
+  // (a diagonal store such as [i][i]).
+  for (size_t a = 0; a < v.coord_map.size(); ++a) {
+    for (size_t b = a + 1; b < v.coord_map.size(); ++b) {
+      if (v.coord_map[a] == v.coord_map[b]) {
+        v.blocker = "consumer index variables '" + down.index_vars[a] +
+                    "' and '" + down.index_vars[b] +
+                    "' follow one producer variable";
+        v.coord_map.clear();
+        return v;
+      }
+    }
+  }
+  v.legal = true;
+  v.age_delta = matched->age.value - df.age.value;
   const auto& consumers = program.consumers_of(field);
   v.elidable = consumers.size() == 1 && consumers[0].kernel == down.id;
   return v;

@@ -22,18 +22,20 @@
 #include "check/sync.h"
 #include "core/ids.h"
 #include "core/trace.h"
-#include "nd/extents.h"
+#include "nd/region.h"
 
 namespace p2g {
 
-/// One dispatchable unit: a kernel instance, or a chunk of instances of the
-/// same kernel and age when the scheduler decreased data parallelism.
+/// One dispatchable unit: a box of instances of one kernel at one age (a
+/// range item). A box of one is a single instance; a larger one is how the
+/// scheduler decreases data parallelism.
 struct WorkItem {
   KernelId kernel = kInvalidKernel;
   Age age = 0;
-  /// Index bindings of each body in the chunk; empty Coord for kernels
-  /// without index variables. Always at least one entry.
-  std::vector<nd::Coord> coords;
+  /// The instances' index bindings: one interval per index variable, never
+  /// empty. Kernels without index variables have the rank-0 box, which
+  /// holds one instance.
+  nd::Region box;
   uint64_t seq = 0;
   /// Causal parent: the store event that made this instance runnable
   /// (first one for a chunk; zero when tracing is off). The executed

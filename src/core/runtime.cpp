@@ -417,8 +417,72 @@ void Runtime::worker_loop(int worker_index) {
   }
 }
 
+namespace {
+
+/// Advances `coord` to the next coordinate of `box` in row-major order
+/// (wrapping to the first after the last).
+void advance(nd::Coord& coord, const nd::Region& box) {
+  for (size_t v = coord.size(); v-- > 0;) {
+    if (++coord[v] < box.interval(v).end) return;
+    coord[v] = box.interval(v).begin;
+  }
+}
+
+/// True when the row-major image of `box` through the store slice `slice`
+/// lists the instances' payloads in the box's row-major order, each
+/// payload's all() dimensions innermost: every index variable that varies
+/// over the box addresses exactly one dimension, in variable order, and
+/// all() dimensions come after them.
+bool image_in_box_order(const nd::SliceSpec& slice, const nd::Region& box) {
+  int64_t last = -1;
+  auto next_all = static_cast<int64_t>(box.rank());
+  size_t addressed = 0;
+  for (const nd::SliceDim& d : slice.dims()) {
+    int64_t key;
+    if (d.kind == nd::SliceDim::Kind::kVar) {
+      if (box.interval(static_cast<size_t>(d.var)).length() <= 1) continue;
+      key = d.var;
+      ++addressed;
+    } else if (d.kind == nd::SliceDim::Kind::kAll) {
+      key = next_all++;
+    } else {
+      continue;
+    }
+    if (key <= last) return false;
+    last = key;
+  }
+  size_t varying = 0;
+  for (const nd::Interval& iv : box.intervals()) varying += iv.length() > 1;
+  return addressed == varying;
+}
+
+/// Names the instance of a box whose store with declaration `decl` covers
+/// a given element: the box's first coordinate, moved along every index
+/// variable the declaration addresses to the element's position.
+struct InstanceAt {
+  const KernelDef& def;
+  Age age;
+  const StoreDecl& decl;
+  const nd::Region& box;
+
+  StoreOrigin operator()(const nd::Coord& element) const {
+    StoreOrigin origin{def.name, age, box.first()};
+    if (decl.slice.is_whole()) return origin;
+    const auto& dims = decl.slice.dims();
+    for (size_t i = 0; i < dims.size() && i < element.size(); ++i) {
+      if (dims[i].kind != nd::SliceDim::Kind::kVar) continue;
+      const auto var = static_cast<size_t>(dims[i].var);
+      if (box.interval(var).length() > 1) origin.indices[var] = element[i];
+    }
+    return origin;
+  }
+};
+
+}  // namespace
+
 void Runtime::prepare_fetches(KernelContext& ctx) {
   const KernelDef& def = ctx.def();
+  const nd::Region& box = ctx.box();
   for (size_t i = 0; i < def.fetches.size(); ++i) {
     const FetchDecl& f = def.fetches[i];
     const Age ga = f.age.resolve(ctx.age());
@@ -432,129 +496,213 @@ void Runtime::prepare_fetches(KernelContext& ctx) {
       } else {
         ctx.set_fetch(i, fs.fetch_whole(ga));
       }
-    } else {
-      const nd::Region region = f.slice.resolve(ctx.indices(),
-                                                fs.extents(ga));
-      // Elementwise fetches can be satisfied before the age seals (the
-      // buffer may still be reallocated by implicit resizing) — copy then.
-      if (auto view = fs.try_fetch_view(ga, region)) {
+      continue;
+    }
+    // One view of the footprint over the whole box. Elementwise fetches
+    // can be satisfied before the age seals (the buffer may still be
+    // reallocated by implicit resizing) — copy then, once per box.
+    const nd::Region footprint = f.slice.footprint(box, fs.extents(ga));
+    std::optional<nd::ConstView> view = fs.try_fetch_view(ga, footprint);
+    // A slot whose region is the same for every instance is the footprint
+    // itself; any other sees one instance's window, moved by offset.
+    bool moves = false;
+    std::vector<int64_t> shape(footprint.rank(), 1);
+    for (size_t d = 0; d < shape.size(); ++d) {
+      const nd::SliceDim& sd = f.slice.dims()[d];
+      if (sd.kind == nd::SliceDim::Kind::kAll) {
+        shape[d] = footprint.interval(d).length();
+      } else if (sd.kind == nd::SliceDim::Kind::kVar) {
+        moves = moves || box.interval(static_cast<size_t>(sd.var)).length() > 1;
+      }
+    }
+    if (!moves) {
+      if (view) {
         ctx.set_fetch(i, std::move(*view));
       } else {
-        ctx.set_fetch(i, fs.fetch(ga, region));
+        ctx.set_fetch(i, fs.fetch(ga, footprint));
       }
+    } else if (view) {
+      ctx.set_fetch_window(i, std::move(*view), nd::Extents(std::move(shape)));
+    } else {
+      ctx.set_fetch_window(i, fs.fetch(ga, footprint),
+                           nd::Extents(std::move(shape)));
     }
   }
 }
 
-void Runtime::commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
+void Runtime::check_store_type(const KernelDef& def, const StoreDecl& d,
+                               nd::ElementType type) const {
+  const FieldDecl& fd = program_.field(d.field);
+  P2G_CHECK_ARGUMENT(type == fd.type,
+                     "kernel '" + def.name + "' stored " +
+                         std::string(nd::to_string(type)) + " into field '" +
+                         fd.name + "' of type " +
+                         std::string(nd::to_string(fd.type)));
+}
+
+nd::Region Runtime::store_region(const KernelDef& def, const StoreDecl& d,
+                                 const nd::Region& box,
+                                 const nd::Extents& payload) const {
+  const FieldDecl& fd = program_.field(d.field);
+  // Index variables span the box and constants their one index; all()
+  // dimensions come from the payload's shape.
+  const auto& dims = d.slice.dims();
+  const size_t all_count = static_cast<size_t>(
+      std::count_if(dims.begin(), dims.end(), [](const nd::SliceDim& sd) {
+        return sd.kind == nd::SliceDim::Kind::kAll;
+      }));
+  const bool payload_is_field_shaped = payload.rank() == dims.size();
+  P2G_CHECK_ARGUMENT(
+      all_count == 0 || payload_is_field_shaped || payload.rank() == all_count,
+      "kernel '" + def.name + "': payload rank does not determine the "
+      "all() dimensions of the store to '" + fd.name + "'");
+
+  std::vector<nd::Interval> intervals(dims.size());
+  int64_t per_instance = 1;
+  size_t next_all = 0;
+  for (size_t i = 0; i < dims.size(); ++i) {
+    switch (dims[i].kind) {
+      case nd::SliceDim::Kind::kVar:
+        intervals[i] = box.interval(static_cast<size_t>(dims[i].var));
+        break;
+      case nd::SliceDim::Kind::kConst:
+        intervals[i] = nd::Interval{dims[i].value, dims[i].value + 1};
+        break;
+      case nd::SliceDim::Kind::kAll: {
+        const int64_t len = payload_is_field_shaped
+                                ? payload.dim(i)
+                                : payload.dim(next_all++);
+        intervals[i] = nd::Interval{0, len};
+        per_instance *= len;
+        break;
+      }
+    }
+  }
+  nd::Region region(std::move(intervals));
+  P2G_CHECK_ARGUMENT(per_instance == payload.element_count(),
+                     "kernel '" + def.name + "': payload holds " +
+                         std::to_string(payload.element_count()) +
+                         " elements but the store region " +
+                         region.to_string() + " needs " +
+                         std::to_string(per_instance));
+  return region;
+}
+
+void Runtime::commit_region(const KernelContext& ctx, size_t decl,
+                            const nd::Region& instances,
+                            const nd::Region& region, bool whole,
+                            const std::byte* data,
                             std::vector<StoreEvent>& events,
                             Instrumentation::Slot tally,
                             TraceContext* span_ctx) {
   const KernelDef& def = ctx.def();
+  const StoreDecl& d = def.stores[decl];
+  const Age ga = d.age.resolve(ctx.age());
+  P2G_CHECK_ARGUMENT(ga >= 0, "kernel '" + def.name +
+                                  "' stored to a negative age");
+  FieldStorage& fs = storage(d.field);
+  if (options_.idempotent_stores) {
+    fs.store_fill(ga, region, data);
+  } else {
+    // The writer is named only for a write-once violation, or recorded
+    // per store in checked mode.
+    const InstanceAt writer{def, ctx.age(), d, instances};
+    if (options_.checked) {
+      const StoreOrigin origin = writer({});  // one instance per store
+      fs.store(ga, region, data, &origin);
+    } else {
+      fs.store_box(ga, region, data, [&writer](const nd::Coord& element) {
+        return writer(element);
+      });
+    }
+  }
+
+  StoreEvent event;
+  event.field = d.field;
+  event.age = ga;
+  event.region = region;
+  event.producer = def.id;
+  event.store_decl = decl;
+  event.whole = whole;
+  if (span_ctx != nullptr && span_ctx->span_id != 0) {
+    // A root span (source kernel, no inherited frame) starts a new
+    // frame: its first store names the (field, age) the chain is about.
+    if (span_ctx->trace_id == 0) {
+      span_ctx->trace_id = frame_trace_id(event.field, event.age);
+    }
+    event.ctx = *span_ctx;
+  }
+  if (options_.store_tap) options_.store_tap(event);
+  tally.add_store_bytes(region.element_count() *
+                        static_cast<int64_t>(nd::element_size(
+                            program_.field(d.field).type)));
+  events.push_back(std::move(event));
+}
+
+void Runtime::commit_pending(const KernelContext& ctx,
+                             const ResolvedFusion* fusion,
+                             std::vector<StoreEvent>& events,
+                             Instrumentation::Slot tally,
+                             TraceContext* span_ctx) {
+  const KernelDef& def = ctx.def();
+  const nd::Region instance = nd::Region::point(ctx.indices());
   for (const KernelContext::PendingStore& p : ctx.pending_stores()) {
     if (fusion != nullptr && p.decl == fusion->upstream_store_decl &&
         fusion->elide) {
       continue;  // intermediate field circumvented entirely
     }
     const StoreDecl& d = def.stores[p.decl];
-    const FieldDecl& fd = program_.field(d.field);
-    P2G_CHECK_ARGUMENT(p.data.type() == fd.type,
-                       "kernel '" + def.name + "' stored " +
-                           std::string(nd::to_string(p.data.type())) +
-                           " into field '" + fd.name + "' of type " +
-                           std::string(nd::to_string(fd.type)));
-    const Age ga = d.age.resolve(ctx.age());
-    P2G_CHECK_ARGUMENT(ga >= 0, "kernel '" + def.name +
-                                    "' stored to a negative age");
-    FieldStorage& fs = storage(d.field);
-    StoreOrigin origin;
-    origin.kernel = def.name;
-    origin.age = ctx.age();
-    origin.indices = ctx.indices();
-
-    StoreEvent event;
-    event.field = d.field;
-    event.age = ga;
-    event.producer = def.id;
-    event.store_decl = p.decl;
-
+    check_store_type(def, d, p.data.type());
     if (d.slice.is_whole()) {
+      const FieldDecl& fd = program_.field(d.field);
       P2G_CHECK_ARGUMENT(p.data.extents().rank() == fd.rank,
                          "kernel '" + def.name + "' whole-store rank mismatch "
                          "on field '" + fd.name + "'");
-      if (options_.idempotent_stores) {
-        fs.store_fill(ga, nd::Region::whole(p.data.extents()), p.data.raw());
-      } else {
-        fs.store_whole(ga, p.data, &origin);
-      }
-      event.region = nd::Region::whole(p.data.extents());
-      event.whole = true;
+      commit_region(ctx, p.decl, instance,
+                    nd::Region::whole(p.data.extents()), true, p.data.raw(),
+                    events, tally, span_ctx);
     } else {
-      // Resolve the target region: index variables and constants from the
-      // declaration, all() dimensions from the payload's shape.
-      const auto& dims = d.slice.dims();
-      const size_t all_count = static_cast<size_t>(
-          std::count_if(dims.begin(), dims.end(), [](const nd::SliceDim& sd) {
-            return sd.kind == nd::SliceDim::Kind::kAll;
-          }));
-      const bool payload_is_field_shaped =
-          p.data.extents().rank() == dims.size();
-      P2G_CHECK_ARGUMENT(
-          all_count == 0 || payload_is_field_shaped ||
-              p.data.extents().rank() == all_count,
-          "kernel '" + def.name + "': payload rank does not determine the "
-          "all() dimensions of the store to '" + fd.name + "'");
+      commit_region(ctx, p.decl, instance,
+                    store_region(def, d, instance, p.data.extents()), false,
+                    p.data.raw(), events, tally, span_ctx);
+    }
+  }
+}
 
-      std::vector<nd::Interval> intervals(dims.size());
-      size_t next_all = 0;
-      for (size_t i = 0; i < dims.size(); ++i) {
-        switch (dims[i].kind) {
-          case nd::SliceDim::Kind::kVar: {
-            const int64_t v =
-                ctx.indices()[static_cast<size_t>(dims[i].var)];
-            intervals[i] = nd::Interval{v, v + 1};
-            break;
-          }
-          case nd::SliceDim::Kind::kConst:
-            intervals[i] = nd::Interval{dims[i].value, dims[i].value + 1};
-            break;
-          case nd::SliceDim::Kind::kAll: {
-            const int64_t len =
-                payload_is_field_shaped
-                    ? p.data.extents().dim(i)
-                    : p.data.extents().dim(next_all++);
-            intervals[i] = nd::Interval{0, len};
-            break;
-          }
-        }
-      }
-      nd::Region region(std::move(intervals));
-      P2G_CHECK_ARGUMENT(region.element_count() == p.data.element_count(),
-                         "kernel '" + def.name + "': payload holds " +
-                             std::to_string(p.data.element_count()) +
-                             " elements but the store region " +
-                             region.to_string() + " needs " +
-                             std::to_string(region.element_count()));
-      if (options_.idempotent_stores) {
-        fs.store_fill(ga, region, p.data.raw());
-      } else {
-        fs.store(ga, region, p.data.raw(), &origin);
-      }
-      event.region = std::move(region);
+void Runtime::commit_staged(const KernelContext& ctx,
+                            const ResolvedFusion* fusion,
+                            std::vector<StoreEvent>& events,
+                            Instrumentation::Slot tally,
+                            TraceContext* span_ctx) {
+  const KernelDef& def = ctx.def();
+  const nd::Region& box = ctx.box();
+  for (size_t decl = 0; decl < def.stores.size(); ++decl) {
+    const KernelContext::Staged& st = ctx.staged(decl);
+    if (st.count == 0) continue;
+    if (fusion != nullptr && decl == fusion->upstream_store_decl &&
+        fusion->elide) {
+      continue;  // intermediate field circumvented entirely
     }
-    if (span_ctx != nullptr && span_ctx->span_id != 0) {
-      // A root span (source kernel, no inherited frame) starts a new
-      // frame: its first store names the (field, age) the chain is about.
-      if (span_ctx->trace_id == 0) {
-        span_ctx->trace_id = frame_trace_id(event.field, event.age);
-      }
-      event.ctx = *span_ctx;
+    const StoreDecl& d = def.stores[decl];
+    check_store_type(def, d, st.type);
+    if (!options_.checked && st.count == box.element_count() &&
+        image_in_box_order(d.slice, box)) {
+      // The box's image: one claim/copy/commit and one store event.
+      commit_region(ctx, decl, box, store_region(def, d, box, st.extents),
+                    false, st.image.data(), events, tally, span_ctx);
+      continue;
     }
-    if (options_.store_tap) options_.store_tap(event);
-    tally.add_store_bytes(p.data.element_count() *
-                          static_cast<int64_t>(
-                              nd::element_size(p.data.type())));
-    events.push_back(std::move(event));
+    // Instances that did not store, an image the box order does not lay
+    // out, or checked mode (one writer record per instance): each staged
+    // payload commits on its own.
+    nd::Coord coord = box.first();
+    for (size_t n = 0; n < st.stored.size(); ++n, advance(coord, box)) {
+      if (st.stored[n] == 0) continue;
+      const nd::Region instance = nd::Region::point(coord);
+      commit_region(ctx, decl, instance,
+                    store_region(def, d, instance, st.extents), false,
+                    st.image.data() + n * st.bytes, events, tally, span_ctx);
+    }
   }
 }
 
@@ -604,39 +752,6 @@ std::vector<StoreEvent> Runtime::coalesce_store_events(
   return out;
 }
 
-int64_t Runtime::run_fused_downstream(const KernelContext& up_ctx,
-                                      const ResolvedFusion& fusion,
-                                      std::vector<StoreEvent>& events,
-                                      Instrumentation::Slot tally,
-                                      TraceContext* span_ctx) {
-  const KernelContext::PendingStore* feed =
-      up_ctx.pending_store(fusion.upstream_store_decl);
-  if (feed == nullptr) return 0;  // upstream took an alternate path
-
-  const KernelDef& down = program_.kernel(fusion.downstream);
-  nd::Coord coord(fusion.coord_map.size());
-  for (size_t v = 0; v < fusion.coord_map.size(); ++v) {
-    coord[v] = up_ctx.indices()[fusion.coord_map[v]];
-  }
-  const Age age = up_ctx.age() + fusion.age_delta;
-
-  KernelContext ctx(down, age, std::move(coord), &timers_);
-  // Handed over in memory, no field access and no copy: the pending store
-  // outlives the fused body's context.
-  ctx.set_fetch(0, nd::ConstView(feed->data.type(), feed->data.extents(),
-                                 feed->data.raw(), nullptr));
-  const int64_t body_start = now_ns();
-  down.body(ctx);
-  const int64_t body_end = now_ns();
-  // The fused body runs inside the upstream's span; its stores carry the
-  // same span identity.
-  commit_stores(ctx, kcfg_[static_cast<size_t>(down.id)].fusion, events,
-                tally, span_ctx);
-  const int64_t end = now_ns();
-  tally.add_item(down.id, 1, end - body_end, body_end - body_start);
-  return end - body_start;
-}
-
 int64_t Runtime::execute(const WorkItem& item, int worker_index,
                          int64_t start_ns) {
   const bool tracing = trace_ != nullptr;
@@ -655,34 +770,74 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
       trace_->record_flow_finish(item.cause, start_ns, worker_index);
     }
   }
+  TraceContext* span = tracing ? &span_ctx : nullptr;
+
+  // One context runs the whole box, moving from coordinate to coordinate.
+  KernelContext ctx(def, item.age, item.box, &timers_);
+  prepare_fetches(ctx);
+  // A fused downstream instance runs right after the upstream body that
+  // fed it, in its own context over the mapped box, reading its slice of
+  // the upstream's staged payload.
+  std::optional<KernelContext> down;
+  nd::Coord down_coord;
+  if (fusion != nullptr) {
+    down.emplace(program_.kernel(fusion->downstream),
+                 item.age + fusion->age_delta,
+                 fusion->downstream_box(item.box), &timers_);
+    down_coord = down->indices();
+  }
 
   // Two clock reads per body bound it; everything else the item spends —
   // fetch prep, store commit, event push — is dispatch time, derived from
   // the item's bounds when it ends.
   int64_t kernel_ns = 0;
-  int64_t fused_ns = 0;  // charged to the fused downstream kernel
+  int64_t down_ns = 0;  // fused downstream bodies
+  int64_t down_bodies = 0;
   int64_t last_body_end = start_ns;
-  bool continue_flag = false;
   std::vector<StoreEvent> events;
-
-  for (const nd::Coord& coord : item.coords) {
-    KernelContext ctx(def, item.age, coord, &timers_);
-    prepare_fetches(ctx);
+  const int64_t count = item.box.element_count();
+  nd::Coord coord = ctx.indices();
+  for (int64_t n = 0; n < count; ++n, advance(coord, item.box)) {
+    ctx.enter(coord);
     const int64_t body_start = now_ns();
     def.body(ctx);
     last_body_end = now_ns();
     kernel_ns += last_body_end - body_start;
-    commit_stores(ctx, fusion, events, tally, tracing ? &span_ctx : nullptr);
-    if (fusion != nullptr) {
-      fused_ns += run_fused_downstream(ctx, *fusion, events, tally,
-                                       tracing ? &span_ctx : nullptr);
+    if (!ctx.pending_stores().empty()) {
+      commit_pending(ctx, fusion, events, tally, span);
     }
-    if (ctx.continue_requested()) continue_flag = true;
+    if (!down) continue;
+    const auto feed = ctx.payload(fusion->upstream_store_decl);
+    if (!feed) continue;  // upstream took an alternate path
+    for (size_t v = 0; v < down_coord.size(); ++v) {
+      down_coord[v] = coord[fusion->coord_map[v]];
+    }
+    down->enter(down_coord);
+    // Handed over in memory, no field access and no copy.
+    down->set_fetch(0, feed->type, *feed->extents, feed->data);
+    const int64_t down_start = now_ns();
+    down->def().body(*down);
+    down_ns += now_ns() - down_start;
+    ++down_bodies;
+    if (!down->pending_stores().empty()) {
+      commit_pending(*down, nullptr, events, tally, span);
+    }
   }
+  // Each store declaration's staged payloads commit once for the box.
+  commit_staged(ctx, fusion, events, tally, span);
+  int64_t fused_ns = 0;  // charged to the fused downstream kernel
+  if (down_bodies > 0) {
+    const int64_t commit_start = now_ns();
+    commit_staged(*down, nullptr, events, tally, span);
+    const int64_t commit_ns = now_ns() - commit_start;
+    fused_ns = down_ns + commit_ns;
+    tally.add_item(fusion->downstream, down_bodies, commit_ns, down_ns);
+  }
+
   InstanceDoneEvent done;
   done.kernel = def.id;
   done.age = item.age;
-  done.continue_next_age = continue_flag;
+  done.continue_next_age = ctx.continue_requested();
   done.probe = item.probe;
   done.stores = coalesce_store_events(std::move(events), tally, worker_index,
                                       last_body_end);
@@ -691,8 +846,7 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   // the analyzer when it handles that event.
   const int64_t end_ns = now_ns();
   const int64_t dispatch_ns = end_ns - start_ns - kernel_ns - fused_ns;
-  tally.add_item(def.id, static_cast<int64_t>(item.coords.size()),
-                 dispatch_ns, kernel_ns);
+  tally.add_item(def.id, count, dispatch_ns, kernel_ns);
   tally.record(Instrumentation::kDispatch, dispatch_ns);
   tally.record(Instrumentation::kBody, kernel_ns);
   // One push per item: its stores and its completion.
@@ -703,10 +857,9 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   // worker first.
   if (tracing) {
     trace_->record(TraceCollector::Record{
-        start_ns, end_ns - start_ns, worker_index, item.age,
-        static_cast<int64_t>(item.coords.size()), SpanKind::kWorker,
-        kernel_span_names_[static_cast<size_t>(def.id)], span_ctx.trace_id,
-        span_ctx.span_id, item.cause.span_id});
+        start_ns, end_ns - start_ns, worker_index, item.age, count,
+        SpanKind::kWorker, kernel_span_names_[static_cast<size_t>(def.id)],
+        span_ctx.trace_id, span_ctx.span_id, item.cause.span_id});
   }
   return end_ns;
 }

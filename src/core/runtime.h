@@ -245,6 +245,14 @@ class Runtime {
     int64_t age_delta = 0;  ///< downstream age = upstream age + age_delta
     /// downstream coord[v] = upstream coord[coord_map[v]]
     std::vector<size_t> coord_map;
+    /// The downstream instances a box of upstream instances feeds.
+    nd::Region downstream_box(const nd::Region& upstream) const {
+      std::vector<nd::Interval> box(coord_map.size());
+      for (size_t v = 0; v < box.size(); ++v) {
+        box[v] = upstream.interval(coord_map[v]);
+      }
+      return nd::Region(std::move(box));
+    }
     /// Skip committing the intermediate store (sole consumer is fused).
     bool elide = false;
   };
@@ -291,29 +299,49 @@ class Runtime {
   void worker_loop(int worker_index);
   void analyzer_loop();
 
-  /// Runs all bodies of a work item: fetch prep, body, store commit, fused
-  /// downstream execution, instrumentation, done-event emission.
-  /// `start_ns` is the item's start time and the return value its end
-  /// time (the bounds of its trace span).
+  /// Runs the box of a work item in one context: fetch prep, then per
+  /// instance the body and its fused downstream, then one commit per store
+  /// declaration, instrumentation and the done event. `start_ns` is the
+  /// item's start time and the return value its end time (the bounds of
+  /// its trace span).
   int64_t execute(const WorkItem& item, int worker_index, int64_t start_ns);
+  /// Prepares each fetch slot from one view (or copy) of its footprint
+  /// over the context's box.
   void prepare_fetches(KernelContext& ctx);
-  /// Commits buffered stores into field storage; appends the store events
-  /// to `events` (pushed, possibly coalesced, by execute()). `span_ctx`
-  /// is the executing span's identity: events are stamped with it, and a
-  /// root span (no inherited frame) adopts the first store's frame id.
-  void commit_stores(KernelContext& ctx, const ResolvedFusion* fusion,
+  /// Throws kInvalidArgument when a payload's type is not its field's.
+  void check_store_type(const KernelDef& def, const StoreDecl& d,
+                        nd::ElementType type) const;
+  /// The region a non-whole store of the instances in `box` writes, each
+  /// with a payload of extents `payload`: index variables span the box,
+  /// all() dimensions come from the payload's shape. Throws
+  /// kInvalidArgument when the payload does not fit the declaration.
+  nd::Region store_region(const KernelDef& def, const StoreDecl& d,
+                          const nd::Region& box,
+                          const nd::Extents& payload) const;
+  /// Commits one store of the instances in `instances` into field storage
+  /// and appends its event to `events` (pushed, possibly coalesced, by
+  /// execute()). `span_ctx` is the executing span's identity: events are
+  /// stamped with it, and a root span (no inherited frame) adopts the
+  /// first store's frame id.
+  void commit_region(const KernelContext& ctx, size_t decl,
+                     const nd::Region& instances, const nd::Region& region,
+                     bool whole, const std::byte* data,
                      std::vector<StoreEvent>& events,
                      Instrumentation::Slot tally, TraceContext* span_ctx);
-  /// Runs the fused downstream instance fed by `up_ctx`'s store and
-  /// returns the time it took (its body and store commit).
-  int64_t run_fused_downstream(const KernelContext& up_ctx,
-                               const ResolvedFusion& fusion,
-                               std::vector<StoreEvent>& events,
-                               Instrumentation::Slot tally,
-                               TraceContext* span_ctx);
+  /// Commits the current instance's unstaged stores.
+  void commit_pending(const KernelContext& ctx, const ResolvedFusion* fusion,
+                      std::vector<StoreEvent>& events,
+                      Instrumentation::Slot tally, TraceContext* span_ctx);
+  /// Commits each store declaration's staged payloads: the box's image in
+  /// one store when every instance stored and the image is laid out in
+  /// box order (and the run is not checked), else one store per instance.
+  void commit_staged(const KernelContext& ctx, const ResolvedFusion* fusion,
+                     std::vector<StoreEvent>& events,
+                     Instrumentation::Slot tally, TraceContext* span_ctx);
   /// Merges runs of events from the same store statement whose regions
-  /// tile an exact rectangle (chunked instances over consecutive indices)
-  /// — cutting analyzer load proportionally to the chunk size — and emits
+  /// tile an exact rectangle (instances that committed one by one over
+  /// consecutive indices; a box commit is one event already) — cutting
+  /// analyzer load proportionally to the run length — and emits
   /// one flow-start per traced event, at `flow_ns`, so consumers can draw
   /// the dependency arrow. The result rides in the item's done event.
   std::vector<StoreEvent> coalesce_store_events(std::vector<StoreEvent> events,

@@ -72,6 +72,34 @@ Region Region::bounding_union(const Region& other) const {
   return Region(std::move(out));
 }
 
+void Region::subtract(const Region& other, std::vector<Region>& out) const {
+  P2G_CHECK_ARGUMENT(rank() == other.rank(), "Region::subtract rank mismatch");
+  if (empty()) return;
+  if (intersect(other).empty()) {
+    out.push_back(*this);
+    return;
+  }
+  // Peel off the parts below and above `other` one dimension at a time;
+  // what remains after the last dimension lies inside `other`.
+  Region rest = *this;
+  for (size_t i = 0; i < rank(); ++i) {
+    Interval& r = rest.intervals_[i];
+    const Interval& o = other.intervals_[i];
+    if (r.begin < o.begin) {
+      Region below = rest;
+      below.intervals_[i].end = o.begin;
+      out.push_back(std::move(below));
+      r.begin = o.begin;
+    }
+    if (r.end > o.end) {
+      Region above = rest;
+      above.intervals_[i].begin = o.end;
+      out.push_back(std::move(above));
+      r.end = o.end;
+    }
+  }
+}
+
 bool Region::within(const Extents& extents) const {
   if (rank() != extents.rank()) return false;
   for (size_t i = 0; i < rank(); ++i) {

@@ -54,6 +54,11 @@ class Region {
   /// Smallest box covering both regions.
   Region bounding_union(const Region& other) const;
 
+  /// Appends to `out` disjoint boxes covering exactly the coordinates of
+  /// this region that are not in `other` (this region itself when they do
+  /// not overlap; nothing when `other` covers it).
+  void subtract(const Region& other, std::vector<Region>& out) const;
+
   /// True when this region fits inside `extents`.
   bool within(const Extents& extents) const;
 

@@ -66,6 +66,29 @@ Region SliceSpec::resolve(const Bindings& bindings,
   return Region(std::move(out));
 }
 
+Region SliceSpec::footprint(const Region& box, const Extents& extents) const {
+  if (whole_) return Region::whole(extents);
+  P2G_CHECK_ARGUMENT(dims_.size() == extents.rank(),
+                     "slice rank " + std::to_string(dims_.size()) +
+                         " does not match field rank " +
+                         std::to_string(extents.rank()));
+  std::vector<Interval> out(dims_.size());
+  for (size_t i = 0; i < dims_.size(); ++i) {
+    switch (dims_[i].kind) {
+      case SliceDim::Kind::kAll:
+        out[i] = Interval{0, extents.dim(i)};
+        break;
+      case SliceDim::Kind::kConst:
+        out[i] = Interval{dims_[i].value, dims_[i].value + 1};
+        break;
+      case SliceDim::Kind::kVar:
+        out[i] = box.interval(static_cast<size_t>(dims_[i].var));
+        break;
+    }
+  }
+  return Region(std::move(out));
+}
+
 std::optional<bool> SliceSpec::constrain(
     const Region& written, std::vector<Interval>& var_ranges) const {
   if (whole_) return true;  // whole-field slices constrain no variables

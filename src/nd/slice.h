@@ -70,6 +70,13 @@ class SliceSpec {
   /// extents (used for kAll dimensions). All kVar dims must be bound.
   Region resolve(const Bindings& bindings, const Extents& extents) const;
 
+  /// The region a whole box of bindings addresses: per dimension the box's
+  /// interval of its variable, the constant, or the whole extent. For a
+  /// box of one coordinate this is resolve(); for a larger box it covers
+  /// every instance's region (the smallest box that does when a variable
+  /// addresses two dimensions).
+  Region footprint(const Region& box, const Extents& extents) const;
+
   /// Given a region of the field that was just written, computes for each
   /// index variable the interval of values consistent with the write.
   /// Returns nullopt when the write cannot satisfy this slice at all (a

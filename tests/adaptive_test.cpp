@@ -141,7 +141,9 @@ TEST(AdaptiveChunking, ExplicitScheduleWins) {
   Runtime rt(workload.build(), opts);
   const RunReport report = rt.run();
   const auto* assign = report.instrumentation.find("assign");
-  // With a fixed chunk of 3, dispatches ~ instances / 3 (never below).
+  // A fixed chunk of 3 cuts every box into sub-boxes of at most 3
+  // instances (a row of 10 centroids into 3+3+3+1), so dispatches never
+  // fall below instances / 3.
   EXPECT_GE(assign->dispatches * 3 + 2, assign->instances);
   EXPECT_EQ(workload.snapshots->back(),
             workloads::kmeans_sequential(workload.config));

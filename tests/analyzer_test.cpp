@@ -122,12 +122,12 @@ TEST(Analyzer, StreamingRunRetiresAnalyzerState) {
   rt.run();
 
   // Streaming memory: sealed ages drop their bookkeeping and fully
-  // dispatched ages retire their dedup coordinates, so a long run ends
+  // dispatched ages retire their dispatched boxes, so a long run ends
   // with nothing accumulated.
   const auto stats = rt.analyzer().memory_stats();
   EXPECT_EQ(stats.fa_states, 0u);
   EXPECT_EQ(stats.open_ages, 0u);
-  EXPECT_EQ(stats.open_coords, 0u);
+  EXPECT_EQ(stats.open_boxes, 0u);
   EXPECT_EQ(stats.retry_entries, 0u);
   EXPECT_EQ(stats.running_ages, 0u);
 }

@@ -250,9 +250,11 @@ TEST(ChaosFlightRecorder, CrashDumpIsStitchedIntoMergedTrace) {
   const std::string victim = owner_of("stage1");
 
   ft::FaultPlan plan = ft::FaultPlan::uniform(777, 0.06, 1500);
-  // Crash mid-data-flow (the run carries ~160 data messages among ~750
-  // total) but late enough that several heartbeat cycles precede it.
-  plan.crashes.push_back(ft::CrashTrigger{victim, 150, -1});
+  // Crash mid-data-flow (the run carries ~40 data messages, one per box
+  // commit, among ~550 total; they fall between about the 4th and the
+  // 130th message) but late enough that several heartbeat cycles precede
+  // it.
+  plan.crashes.push_back(ft::CrashTrigger{victim, 60, -1});
 
   MasterOptions options = chaos_options(plan);
   // Ship telemetry on every heartbeat so the victim's periodic snapshot
