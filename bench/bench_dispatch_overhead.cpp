@@ -87,11 +87,9 @@ BENCHMARK(BM_DispatchPerInstanceMetrics)->Arg(16)->Arg(256)->Arg(1024)
 
 /// source -> stage(x) -> relay(x): relay consumes stage's *per-element*
 /// stores, so each of relay's candidates is scanned through a constrained
-/// store event and pays the fine-grained region check (resolve + interval
-/// lookup) per candidate. That is the check independence certificates
-/// eliminate — a whole-field producer like `a` seals on its single store
-/// event and enumerates consumers unconstrained, so `stage` itself never
-/// exercises the certified path (see DependencyAnalyzer::handle_store).
+/// store event. Its fetch is elementwise, so the slice rule skips that
+/// fetch's region check (DependencyAnalyzer::try_enumerate): what is left
+/// per candidate is the scan itself.
 Program chained_program(int elements, int ages) {
   ProgramBuilder pb;
   pb.field("a", nd::ElementType::kInt32, 1);
@@ -122,10 +120,10 @@ Program chained_program(int elements, int ages) {
   return pb.build();
 }
 
-/// Whole-process CPU seconds (all threads). The certificate delta lives in
-/// the analyzer thread, which overlaps with the workers; on small or
+/// Whole-process CPU seconds (all threads). Dispatch cost lives in the
+/// analyzer thread, which overlaps with the workers; on small or
 /// oversubscribed VMs wall time is scheduler noise, while total CPU spent
-/// per run is stable and sums exactly the work the fast path removes.
+/// per run is stable and sums every thread's work.
 double process_cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -133,9 +131,9 @@ double process_cpu_seconds() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Issue 8 baseline: the chained pipeline without certificates — every
-/// relay candidate pays the per-candidate region check. Manual timing
-/// reports process CPU, and excludes program construction.
+/// The chained pipeline with chunks pinned to one instance, so every relay
+/// candidate is its own constrained scan. Manual timing reports process
+/// CPU, and excludes program construction.
 void BM_DispatchChainedPerInstance(benchmark::State& state) {
   const int elements = static_cast<int>(state.range(0));
   const int ages = 50;
@@ -159,43 +157,6 @@ void BM_DispatchChainedPerInstance(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchChainedPerInstance)->Arg(16)->Arg(256)->Arg(1024)
     ->UseManualTime()->Unit(benchmark::kMillisecond);
-
-/// Same pipeline with independence certificates embedded (Issue 8): the
-/// dependence pass proves relay's elementwise fetch pointwise, so the
-/// analyzer skips its region check on every constrained candidate scan.
-/// certify() is a one-shot compile-time pass (it renders full diagnostic
-/// reports) amortized over a whole deployment, so it stays outside the
-/// timed interval along with program construction.
-void BM_DispatchChainedPerInstanceCertified(benchmark::State& state) {
-  const int elements = static_cast<int>(state.range(0));
-  const int ages = 50;
-  int64_t instances = 0;
-  int64_t skips = 0;
-  for (auto _ : state) {
-    Program program = chained_program(elements, ages);
-    program.certify();
-    RunOptions opts;
-    opts.workers = 2;
-    opts.kernel_schedules["stage"].chunk = 1;
-    opts.kernel_schedules["relay"].chunk = 1;
-    const double cpu0 = process_cpu_seconds();
-    Runtime rt(std::move(program), opts);
-    const RunReport report = rt.run();
-    state.SetIterationTime(process_cpu_seconds() - cpu0);
-    instances += report.instrumentation.find("relay")->instances;
-    skips += rt.certified_skips();
-  }
-  state.SetItemsProcessed(instances);
-  state.counters["cpu_per_instance"] = benchmark::Counter(
-      static_cast<double>(instances),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-  // Deterministic proof the fast path engaged: fine-grained region checks
-  // eliminated, per executed relay instance (~1.0 for this pipeline).
-  state.counters["skips_per_instance"] =
-      static_cast<double>(skips) / static_cast<double>(instances);
-}
-BENCHMARK(BM_DispatchChainedPerInstanceCertified)->Arg(16)->Arg(256)
-    ->Arg(1024)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 void BM_DispatchChunked(benchmark::State& state) {
   const int64_t chunk = state.range(0);

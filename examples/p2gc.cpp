@@ -5,11 +5,6 @@
 //              [--lint]  refuse to run a program with lint errors
 //              [--checked]  record writer provenance (double-write errors
 //                           name both offending kernel instances)
-//   p2gc lint  <file.p2g> [--json]              static analysis only
-//   p2gc dep   <file.p2g> [--json]              symbolic dependence &
-//                                               footprint report
-//                                               (accesses, edges,
-//                                               certificates)
 //   p2gc emit  <file.p2g> [out.cpp]             generate C++ (with main)
 //   p2gc build <file.p2g> [binary]              generate + invoke g++,
 //                                               producing a complete
@@ -17,6 +12,9 @@
 //                                               P2G libraries
 //   p2gc graph <file.p2g>                       print the implicit static
 //                                               dependency graphs as DOT
+//
+// Static analysis alone is tools/p2glint (lint) and tools/p2gdep
+// (dependence and footprint report).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,40 +35,15 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: p2gc run <file.p2g> [max_age] [workers] "
-               "[--lint] [--checked] [--no-certs]\n"
-               "       p2gc lint <file.p2g> [--json]\n"
-               "       p2gc dep <file.p2g> [--json]\n"
+               "[--lint] [--checked]\n"
                "       p2gc emit <file.p2g> [out.cpp]\n"
                "       p2gc build <file.p2g> [binary]\n"
                "       p2gc graph <file.p2g>\n");
   return 2;
 }
 
-int cmd_lint(const std::string& path, bool json) {
-  const analysis::LintReport report = analysis::lint_file(path);
-  if (json) {
-    std::printf("%s\n", report.to_json().c_str());
-  } else if (report.empty()) {
-    std::printf("%s: clean\n", path.c_str());
-  } else {
-    std::printf("%s", report.to_text().c_str());
-  }
-  return report.has_errors() ? 1 : 0;
-}
-
-int cmd_dep(const std::string& path, bool json) {
-  const analysis::DependenceReport report = analysis::dep_file(path);
-  if (json) {
-    std::printf("%s\n", report.to_json().c_str());
-  } else {
-    std::printf("%s", report.to_text().c_str());
-  }
-  return report.diagnostics.has_errors() ? 1 : 0;
-}
-
 int cmd_run(const std::string& path, int argc, char** argv) {
   bool lint = false;
-  bool certify = true;
   RunOptions options;
   std::vector<const char*> positional;
   for (int i = 0; i < argc; ++i) {
@@ -79,8 +52,6 @@ int cmd_run(const std::string& path, int argc, char** argv) {
       lint = true;
     } else if (arg == "--checked") {
       options.checked = true;
-    } else if (arg == "--no-certs") {
-      certify = false;
     } else {
       positional.push_back(argv[i]);
     }
@@ -96,9 +67,6 @@ int cmd_run(const std::string& path, int argc, char** argv) {
   lang::CompiledModule compiled = lang::compile_file(path);
   if (positional.size() > 0) options.max_age = std::atoll(positional[0]);
   if (positional.size() > 1) options.workers = std::atoi(positional[1]);
-  // Embed independence certificates: statically proven (field, fetch)
-  // independence lets the analyzer skip fine-grained region checks.
-  const size_t certificates = certify ? compiled.program.certify() : 0;
   Runtime runtime(std::move(compiled.program), options);
   const RunReport report = runtime.run();
   for (const std::string& line : compiled.printed->snapshot()) {
@@ -106,9 +74,6 @@ int cmd_run(const std::string& path, int argc, char** argv) {
   }
   std::printf("\nwall time: %.3f s\n%s", report.wall_s,
               report.instrumentation.to_table().c_str());
-  std::printf("certificates: %zu embedded, %lld region checks skipped\n",
-              certificates,
-              static_cast<long long>(runtime.certified_skips()));
   return report.timed_out ? 1 : 0;
 }
 
@@ -179,14 +144,6 @@ int main(int argc, char** argv) {
   const std::string path = argv[2];
   try {
     if (command == "run") return cmd_run(path, argc - 3, argv + 3);
-    if (command == "lint") {
-      return cmd_lint(path,
-                      argc > 3 && std::string(argv[3]) == "--json");
-    }
-    if (command == "dep") {
-      return cmd_dep(path,
-                     argc > 3 && std::string(argv[3]) == "--json");
-    }
     if (command == "emit") {
       return cmd_emit(path, argc > 3 ? argv[3] : "out.cpp");
     }

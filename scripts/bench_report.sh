@@ -107,81 +107,6 @@ PY
   exit 0
 fi
 
-# ISSUE=8: independence-certificate fast path. Baseline is the identical
-# program without embedded certificates (the pre-PR analyzer path: a full
-# fine-grained region check on every satisfied-candidate scan).
-if [ "$issue" = 8 ]; then
-  cmake --build "$build_dir" -j"$(nproc)" --target bench_dispatch_overhead
-
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-
-  # Random interleaving: on small VMs sequential A/B runs inherit
-  # allocator/thermal state from whoever ran first; interleaved repetition
-  # order removes that bias from the medians.
-  "$build_dir/bench/bench_dispatch_overhead" \
-    --benchmark_out="$tmp/dispatch.json" --benchmark_out_format=json \
-    --benchmark_min_time="${P2G_BENCH_MIN_TIME:-0.2}" \
-    --benchmark_repetitions="${P2G_BENCH_REPS:-5}" \
-    --benchmark_enable_random_interleaving=true \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_filter='BM_DispatchChainedPerInstance(Certified)?/'
-
-  python3 - "$tmp/dispatch.json" "$out" <<'PY'
-import json, sys
-
-dispatch_path, out_path = sys.argv[1:3]
-doc = json.load(open(dispatch_path))
-by_name = {b["name"]: b for b in doc["benchmarks"]}
-
-
-def median(name):
-    return by_name[f"{name}_median"]
-
-
-dispatch = {}
-for width in (16, 256, 1024):
-    plain = median(f"BM_DispatchChainedPerInstance/{width}/manual_time")[
-        "cpu_per_instance"
-    ]
-    certified = median(
-        f"BM_DispatchChainedPerInstanceCertified/{width}/manual_time"
-    )
-    cert = certified["cpu_per_instance"]
-    dispatch[str(width)] = {
-        "baseline": plain * 1e9,
-        "certified": cert * 1e9,
-        "speedup": round(plain / cert, 3) if cert else None,
-        "region_checks_skipped_per_instance": round(
-            certified["skips_per_instance"], 3
-        ),
-        "unit": "process-cpu-ns/instance",
-    }
-
-report = {
-    "issue": 8,
-    "generated_by": "scripts/bench_report.sh",
-    "context": doc.get("context", {}),
-    "baseline_definition": {
-        "dispatch": "identical program without Program::certify() — every "
-                    "satisfied-candidate scan pays the fine-grained "
-                    "region check (pre-PR analyzer path)",
-    },
-    "acceptance": "certified cpu_per_instance <= baseline (measurable "
-                  "improvement in total process CPU, the stable metric "
-                  "on single-vCPU runners where wall time is scheduler "
-                  "noise; skips_per_instance ~1.0 proves the fast path "
-                  "engaged)",
-    "dispatch_per_instance_ns": dispatch,
-}
-with open(out_path, "w") as fh:
-    json.dump(report, fh, indent=2)
-    fh.write("\n")
-print(f"wrote {out_path}")
-PY
-  exit 0
-fi
-
 # ISSUE=10: out-of-process transport + shared-memory data plane. The
 # metric is data-plane economics, not time: bytes_copied_per_frame for the
 # same multi-process pipeline run over the socket transport (baseline:

@@ -338,68 +338,6 @@ void report_field_bounds(const std::vector<FieldBound>& bounds,
   }
 }
 
-// --- independence certificates ---------------------------------------------
-
-bool has_error_at_fetch(const LintReport& report, const std::string& kernel,
-                        size_t statement) {
-  for (const Diagnostic& d : report.diagnostics) {
-    if (d.severity == Severity::kError &&
-        d.primary.kind == Anchor::Kind::kFetch &&
-        d.primary.name == kernel && d.primary.statement == statement) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<IndependenceCertificate> derive_certificates(
-    const Program& program, const std::vector<Age>& first,
-    const LintReport& diagnostics) {
-  std::vector<IndependenceCertificate> certs;
-  // A program that fails validation gets no fast path: the proofs below
-  // assume the write-once and coverage invariants lint enforces.
-  if (diagnostics.has_errors()) return certs;
-  for (const KernelDef& def : program.kernels()) {
-    if (first[static_cast<size_t>(def.id)] >= kInfeasible) continue;
-    for (size_t fi = 0; fi < def.fetches.size(); ++fi) {
-      const FetchDecl& f = def.fetches[fi];
-      if (has_error_at_fetch(diagnostics, def.name, fi)) continue;
-      const std::string& field_name = program.field(f.field).name;
-      if (!f.slice.is_whole() && f.slice.is_elementwise()) {
-        IndependenceCertificate c;
-        c.kind = IndependenceCertificate::Kind::kPointwise;
-        c.field = f.field;
-        c.consumer = def.id;
-        c.fetch = fi;
-        c.reason = "fetch slice " +
-                   slice_to_string(def, f.slice) + " of field '" +
-                   field_name + "' is elementwise: every candidate a " +
-                   "committed region admits reads only elements inside "
-                   "that region";
-        certs.push_back(std::move(c));
-        continue;
-      }
-      const auto& producers = program.producers_of(f.field);
-      if (producers.size() != 1) continue;
-      const KernelDef& up = program.kernel(producers[0].kernel);
-      const StoreDecl& s = up.stores[producers[0].statement];
-      if (!s.slice.is_whole() || !up.index_vars.empty()) continue;
-      IndependenceCertificate c;
-      c.kind = IndependenceCertificate::Kind::kWholeCover;
-      c.field = f.field;
-      c.consumer = def.id;
-      c.fetch = fi;
-      c.reason = "field '" + field_name +
-                 "' has a single producer statement ('" + up.name +
-                 "' store #" + std::to_string(producers[0].statement) +
-                 "), a whole-field store: one store event covers the "
-                 "age's entire content";
-      certs.push_back(std::move(c));
-    }
-  }
-  return certs;
-}
-
 }  // namespace
 
 std::string_view to_string(AccessPattern pattern) {
@@ -551,8 +489,6 @@ DependenceReport analyze_dependences(const Program& program) {
   report.diagnostics = lint(program);
   report_fusion_legality(program, report.edges, report.diagnostics);
   report_field_bounds(report.bounds, report.diagnostics);
-  report.certificates =
-      derive_certificates(program, first, report.diagnostics);
   return report;
 }
 
@@ -592,22 +528,6 @@ std::string DependenceReport::to_text() const {
       out += " = " + std::to_string(*b.bytes) + " bytes";
     }
     out += "\n";
-  }
-  out += "== independence certificates (" +
-         std::to_string(certificates.size()) + ") ==\n";
-  for (const IndependenceCertificate& c : certificates) {
-    const AccessInfo* access = nullptr;
-    for (const AccessInfo& a : accesses) {
-      if (a.is_fetch && a.kernel == c.consumer && a.statement == c.fetch) {
-        access = &a;
-        break;
-      }
-    }
-    out += "  " + std::string(p2g::to_string(c.kind)) + ": " +
-           (access != nullptr ? access->kernel_name + " fetch #" +
-                                    std::to_string(c.fetch)
-                              : "fetch #" + std::to_string(c.fetch)) +
-           " — " + c.reason + "\n";
   }
   const std::string diag_text = diagnostics.to_text();
   if (!diag_text.empty()) {
@@ -664,41 +584,8 @@ std::string DependenceReport::to_json() const {
     if (b.bytes.has_value()) os << ",\"bytes\":" << *b.bytes;
     os << "}";
   }
-  os << "],\"certificates\":[";
-  for (size_t i = 0; i < certificates.size(); ++i) {
-    const IndependenceCertificate& c = certificates[i];
-    if (i > 0) os << ",";
-    std::string consumer_name;
-    for (const AccessInfo& a : accesses) {
-      if (a.is_fetch && a.kernel == c.consumer && a.statement == c.fetch) {
-        consumer_name = a.kernel_name;
-        break;
-      }
-    }
-    std::string field_name;
-    for (const AccessInfo& a : accesses) {
-      if (a.field == c.field) {
-        field_name = a.field_name;
-        break;
-      }
-    }
-    os << "{\"kind\":\"" << p2g::to_string(c.kind) << "\",\"field\":\""
-       << json_escape(field_name) << "\",\"consumer\":\""
-       << json_escape(consumer_name) << "\",\"fetch\":" << c.fetch
-       << ",\"reason\":\"" << json_escape(c.reason) << "\"}";
-  }
   os << "],\"diagnostics\":" << diagnostics.to_json() << "}";
   return os.str();
 }
 
 }  // namespace p2g::analysis
-
-namespace p2g {
-
-size_t Program::certify() {
-  analysis::DependenceReport report = analysis::analyze_dependences(*this);
-  certificates_ = std::move(report.certificates);
-  return certificates_.size();
-}
-
-}  // namespace p2g

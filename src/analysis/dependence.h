@@ -4,17 +4,13 @@
 // For every fetch/store statement the pass builds a symbolic footprint
 // (footprint.h) of the elements it may touch, classifies its access
 // pattern, and derives producer -> consumer dependence edges with age
-// distances and per-dimension element distances. Three consumers:
+// distances and per-dimension element distances. Two consumers:
 //
 //  1. Lint diagnostics: P2G-W008 (slice out of declared bounds) and
 //     P2G-W009 (dead store) are real findings wired into lint();
 //     P2G-W010 (fusion legality) and P2G-W011 (per-age footprint bound)
 //     are kInfo reports emitted only through this pass.
-//  2. Independence certificates (core/program.h): statically proven
-//     (field, consumer fetch) independence facts the DependencyAnalyzer
-//     uses to skip fine-grained region checks once Program::certify()
-//     embeds them (an uncertified program runs every check).
-//  3. The p2gdep CLI (tools/p2gdep.cpp): text and JSON renderings.
+//  2. The p2gdep CLI (tools/p2gdep.cpp): text and JSON renderings.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +104,6 @@ struct DependenceReport {
   std::vector<AccessInfo> accesses;
   std::vector<DependenceEdge> edges;
   std::vector<FieldBound> bounds;
-  std::vector<IndependenceCertificate> certificates;
   /// Full lint report (including W008/W009) plus the kInfo reports
   /// W010 (fusion legality, one per connected kernel pair and field) and
   /// W011 (one per bounded field).
@@ -118,10 +113,7 @@ struct DependenceReport {
   std::string to_json() const;
 };
 
-/// Runs the full pass: footprints, patterns, edges, bounds, certificates,
-/// diagnostics. Certificates are derived only when the lint report carries
-/// no errors (a program that fails validation gets an empty certificate
-/// set).
+/// Runs the full pass: footprints, patterns, edges, bounds, diagnostics.
 DependenceReport analyze_dependences(const Program& program);
 
 /// P2G-W008: constant slice indices outside a field's *declared* extents

@@ -137,17 +137,6 @@ DependencyAnalyzer::DependencyAnalyzer(Runtime& runtime)
     }
   }
 
-  // Resolve embedded independence certificates (Program::certify) into a
-  // per-kernel per-fetch bitmap for the try_enumerate hot path. Computed
-  // once, read-only afterwards.
-  certified_.resize(nk);
-  for (const IndependenceCertificate& cert : program_.certificates()) {
-    auto& flags = certified_[static_cast<size_t>(cert.consumer)];
-    const size_t nfetches = program_.kernel(cert.consumer).fetches.size();
-    if (flags.empty()) flags.assign(nfetches, 0);
-    if (cert.fetch < flags.size()) flags[cert.fetch] = 1;
-  }
-
   fused_into_.assign(nk, nullptr);
   for (const Runtime::ResolvedFusion& fu : runtime_.fusions_) {
     fused_into_[static_cast<size_t>(fu.downstream)] = &fu;
@@ -581,9 +570,9 @@ void DependencyAnalyzer::register_retry(const KernelDef& def, Age age,
   // Relative-age fetches (and run-once consumers) are already re-driven by
   // the direct consumer scan of every store/seal event on (field, ga) —
   // indexing them too would re-enumerate the whole candidate space per
-  // store event, bypassing the constrained certificate fast path and
-  // turning per-store work quadratic. Only constant-age fetches of aged
-  // kernels escape the direct scans and need the index.
+  // store event, bypassing the constrained scan and turning per-store
+  // work quadratic. Only constant-age fetches of aged kernels escape the
+  // direct scans and need the index.
   if (f.age.kind == AgeExpr::Kind::kRelative || def.is_run_once()) return;
   retry_[{f.field, ga}].insert({def.id, age});
 }
@@ -599,14 +588,6 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
   KernelDispatch& kd = dispatch_[static_cast<size_t>(def.id)];
   if (age_closed(kd, age)) return;  // every instance already dispatched
 
-  // Certificate fast path: when the event region arrives through a
-  // certified fetch, that fetch's data is statically known to be fully
-  // written for every candidate the region admits (see
-  // IndependenceCertificate), so both its age-level gate and its
-  // per-box region check below are skipped.
-  const bool cert_skip = constrain_fetch && written != nullptr &&
-                         certified(def.id, *constrain_fetch);
-
   // Age-level gates shared by every candidate of this (kernel, age): a
   // whole fetch needs its age complete, an all() fetch its age sealed. A
   // failed gate registers a retry on the exact (field, age) that blocks.
@@ -619,7 +600,6 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
   const size_t first = constrain_fetch ? *constrain_fetch : 0;
   for (size_t n = 0; n < nfetches; ++n) {
     const size_t fi = (first + n) % nfetches;
-    if (cert_skip && fi == *constrain_fetch) continue;
     const FetchDecl& f = def.fetches[fi];
     const Age ga = f.age.resolve(age);
     const bool open = f.slice.is_whole() ? storage(f.field).is_complete(ga)
@@ -665,9 +645,16 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
     }
   }
 
+  // The slice rule: an elementwise constraining fetch narrows every
+  // variable it addresses to the written interval and rejects a constant
+  // the region misses, so every box cut from the candidates below reads
+  // that fetch only inside the just-written region, and its per-box check
+  // is skipped.
+  std::optional<size_t> covered;
   if (constrain_fetch && written != nullptr) {
     const nd::SliceSpec& slice = def.fetches[*constrain_fetch].slice;
     if (!slice.constrain(*written, ranges)) return;  // region cannot help
+    if (slice.is_elementwise()) covered = constrain_fetch;
   }
 
   for (size_t v = 0; v < nvars; ++v) {
@@ -697,14 +684,12 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
   }
   std::reverse(todo.begin(), todo.end());
 
-  const std::optional<size_t> skip =
-      cert_skip ? constrain_fetch : std::nullopt;
   uint64_t blocked_fetches = 0;
   while (!todo.empty()) {
     nd::Region box = std::move(todo.back());
     todo.pop_back();
     const std::optional<size_t> blocking =
-        blocking_fetch(def, age, box, skip);
+        blocking_fetch(def, age, box, covered);
     if (!blocking) {
       create_instances(def, age, std::move(box));
       if (age_closed(kd, age)) break;  // auto-closed: nothing left
@@ -733,21 +718,12 @@ void DependencyAnalyzer::try_enumerate(const KernelDef& def, Age age,
 
 std::optional<size_t> DependencyAnalyzer::blocking_fetch(
     const KernelDef& def, Age age, const nd::Region& box,
-    std::optional<size_t> skip_fetch) {
+    std::optional<size_t> covered) {
   for (size_t fi = 0; fi < def.fetches.size(); ++fi) {
     const FetchDecl& f = def.fetches[fi];
+    if (f.slice.is_whole() || fi == covered) continue;
     const Age ga = f.age.resolve(age);
-    if (ga < 0) return fi;
-    if (skip_fetch && fi == *skip_fetch) {
-      ++certified_skips_;
-      continue;
-    }
     FieldStorage& fs = storage(f.field);
-    if (f.slice.is_whole()) {
-      if (!fs.is_complete(ga)) return fi;
-      continue;
-    }
-    if (has_all_dim(f.slice) && !fs.is_sealed(ga)) return fi;
     if (!fs.region_written(ga, f.slice.footprint(box, fs.extents(ga)))) {
       return fi;
     }

@@ -60,10 +60,6 @@ class DependencyAnalyzer {
   /// quiescence).
   int64_t dispatched_count() const { return dispatched_total_; }
 
-  /// Per-candidate dependence checks skipped via independence certificates
-  /// (0 unless Program::certify() embedded any).
-  int64_t certified_skip_count() const { return certified_skips_; }
-
   /// Analyzer-state footprint. Streaming runs retire
   /// seal bookkeeping on seal and dispatched-box lists once an age closes,
   /// so these stay bounded by the in-flight age window instead of growing
@@ -227,24 +223,18 @@ class DependencyAnalyzer {
 
   /// The first fetch of `def` at `age` whose data is not there for every
   /// instance of `box` (checked once through the fetch's footprint over
-  /// the box), or nullopt when all are. `skip_fetch` marks one fetch as
-  /// certificate-satisfied: the caller proved (via an independence
-  /// certificate plus a just-committed region constraining the box) that
-  /// its data is fully written, so its region check is skipped.
+  /// the box), or nullopt when all are. Only per-box checks run here: the
+  /// age gates of try_enumerate already passed every whole and all() fetch
+  /// for this age. `covered` is a fetch not checked at all: an elementwise
+  /// fetch whose slice narrowed the box to a just-committed region, which
+  /// therefore holds the fetch's whole footprint over the box (DESIGN §10).
   std::optional<size_t> blocking_fetch(const KernelDef& def, Age age,
                                        const nd::Region& box,
-                                       std::optional<size_t> skip_fetch);
+                                       std::optional<size_t> covered);
 
   /// Registers (def, age) for retry when the field age behind `fetch_index`
   /// next changes.
   void register_retry(const KernelDef& def, Age age, size_t fetch_index);
-
-  /// True when (consumer kernel, fetch) carries an independence
-  /// certificate (embedded by Program::certify()).
-  bool certified(KernelId kernel, size_t fetch) const {
-    const auto& flags = certified_[static_cast<size_t>(kernel)];
-    return fetch < flags.size() && flags[fetch] != 0;
-  }
 
   // --- exactly-once dispatch bookkeeping ------------------------------------
   bool age_closed(const KernelDispatch& kd, Age age) const {
@@ -333,16 +323,11 @@ class DependencyAnalyzer {
   /// Context of the store event currently being handled; stamps instances
   /// it (transitively) makes runnable.
   TraceContext current_cause_;
-  int64_t certified_skips_ = 0;
   int64_t dispatched_total_ = 0;
 
   std::vector<Age> first_feasible_;
   std::vector<KernelDispatch> dispatch_;
   std::vector<SerialState> serial_;
-
-  /// Per-kernel per-fetch certificate bitmap, resolved once from
-  /// Program::certificates() (empty vectors when certificates are off).
-  std::vector<std::vector<char>> certified_;
 
   /// Per field: its reclaim plan.
   std::vector<ReclaimPlan> plans_;

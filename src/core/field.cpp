@@ -474,27 +474,26 @@ std::optional<nd::ConstView> FieldStorage::try_fetch_view_whole(Age age) {
   return make_view(rec.buffer, nd::Region::whole(rec.extents));
 }
 
-StoreResult FieldStorage::store(Age age, const nd::Region& region,
-                                const std::byte* data,
-                                const StoreOrigin* origin) {
-  return store_by(age, region, data, StoreBy{origin, nullptr});
+void FieldStorage::store(Age age, const nd::Region& region,
+                         const std::byte* data, const StoreOrigin* origin) {
+  store_by(age, region, data, StoreBy{origin, nullptr});
 }
 
-StoreResult FieldStorage::store_box(Age age, const nd::Region& region,
-                                    const std::byte* data,
-                                    const OriginAt& origin_at) {
-  return store_by(age, region, data, StoreBy{nullptr, &origin_at});
+void FieldStorage::store_box(Age age, const nd::Region& region,
+                             const std::byte* data, const OriginAt& origin_at) {
+  store_by(age, region, data, StoreBy{nullptr, &origin_at});
 }
 
-StoreResult FieldStorage::store_by(Age age, const nd::Region& region,
-                                   const std::byte* data, const StoreBy& by) {
+void FieldStorage::store_by(Age age, const nd::Region& region,
+                            const std::byte* data, const StoreBy& by) {
   P2G_CHECK_ARGUMENT(age >= 0, "field ages start at 0");
   P2G_CHECK_ARGUMENT(region.rank() == decl_.rank,
                      "store region rank mismatch on field " + decl_.name);
   {
     ReadSection section;
     if (Published* rec = directory_.find(age)) {
-      return store_published(*rec, age, region, data, by);
+      store_published(*rec, age, region, data, by);
+      return;
     }
   }
   std::unique_lock lock(mutex_);
@@ -510,14 +509,13 @@ StoreResult FieldStorage::store_by(Age age, const nd::Region& region,
   if (ad.sealed) {
     // First store after the seal: publish, then take the lock-free path
     // (the record stays valid while the lock is held).
-    return store_published(publish(ad, age), age, region, data, by);
+    store_published(publish(ad, age), age, region, data, by);
+    return;
   }
   check::write(ad.written, "FieldStorage.age_meta");
 
-  StoreResult result;
   if (!region.within(ad.buffer->extents())) {
     grow(ad, ad.buffer->extents().max_with(region.required_extents()));
-    result.resized = true;
   }
 
   // Write-once enforcement, then payload scatter. A violation names the
@@ -548,14 +546,11 @@ StoreResult FieldStorage::store_by(Age age, const nd::Region& region,
                                                : StoreOrigin{}});
   }
   ad.buffer->scatter(region, data);
-  result.extents = ext;
-  return result;
 }
 
-StoreResult FieldStorage::store_published(Published& rec, Age age,
-                                          const nd::Region& region,
-                                          const std::byte* data,
-                                          const StoreBy& by) {
+void FieldStorage::store_published(Published& rec, Age age,
+                                   const nd::Region& region,
+                                   const std::byte* data, const StoreBy& by) {
   if (!region.within(rec.extents)) {
     throw_outside_seal(age, region, rec.extents);
   }
@@ -616,9 +611,6 @@ StoreResult FieldStorage::store_published(Published& rec, Age age,
     }
   }
   rec.written_count.fetch_add(committed, std::memory_order_release);
-  StoreResult result;
-  result.extents = rec.extents;
-  return result;
 }
 
 int64_t FieldStorage::store_fill(Age age, const nd::Region& region,
@@ -685,14 +677,13 @@ int64_t FieldStorage::store_fill_published(Published& rec, Age age,
   return fresh;
 }
 
-StoreResult FieldStorage::store_whole(Age age, const nd::AnyBuffer& data,
-                                      const StoreOrigin* origin) {
+void FieldStorage::store_whole(Age age, const nd::AnyBuffer& data,
+                               const StoreOrigin* origin) {
   P2G_CHECK_ARGUMENT(data.type() == decl_.type,
                      "store_whole type mismatch on field " + decl_.name);
   P2G_CHECK_ARGUMENT(data.extents().rank() == decl_.rank,
                      "store_whole rank mismatch on field " + decl_.name);
-  const nd::Region region = nd::Region::whole(data.extents());
-  return store(age, region, data.raw(), origin);
+  store(age, nd::Region::whole(data.extents()), data.raw(), origin);
 }
 
 void FieldStorage::seal(Age age, const nd::Extents& extents) {

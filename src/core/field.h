@@ -49,12 +49,6 @@ struct FieldDecl {
   }
 };
 
-/// Result of a store operation, consumed by the runtime to build events.
-struct StoreResult {
-  bool resized = false;       ///< extents grew as part of this store
-  nd::Extents extents;        ///< extents after the store
-};
-
 /// Identity of the kernel instance performing a store, passed down so a
 /// write-once violation names the offending writer (and, in checked mode,
 /// the previous writer of the same elements).
@@ -87,20 +81,20 @@ class FieldStorage {
   /// the age is not sealed; throws kOutOfRange if it is. `origin`, when
   /// given, is named in the write-once violation error (and recorded per
   /// region under track_writers).
-  StoreResult store(Age age, const nd::Region& region, const std::byte* data,
-                    const StoreOrigin* origin = nullptr);
+  void store(Age age, const nd::Region& region, const std::byte* data,
+             const StoreOrigin* origin = nullptr);
 
   /// store() of a box commit, which stores for many kernel instances at
   /// once: `origin_at` names the instance behind an element. It is called
   /// only to name the instance of the first conflicting element of a
   /// write-once violation, or the first element's under track_writers.
-  StoreResult store_box(Age age, const nd::Region& region,
-                        const std::byte* data, const OriginAt& origin_at);
+  void store_box(Age age, const nd::Region& region, const std::byte* data,
+                 const OriginAt& origin_at);
 
   /// Stores a whole array as (age)'s complete content. The age's extents
   /// become at least the buffer's extents.
-  StoreResult store_whole(Age age, const nd::AnyBuffer& data,
-                          const StoreOrigin* origin = nullptr);
+  void store_whole(Age age, const nd::AnyBuffer& data,
+                   const StoreOrigin* origin = nullptr);
 
   /// Fill-mode store: writes only the elements of `region` that have not
   /// been written yet and silently skips the rest. Returns the number of
@@ -256,8 +250,8 @@ class FieldStorage {
       return region.empty() ? std::nullopt : name(region.first());
     }
   };
-  StoreResult store_by(Age age, const nd::Region& region,
-                       const std::byte* data, const StoreBy& by);
+  void store_by(Age age, const nd::Region& region, const std::byte* data,
+                const StoreBy& by);
 
   /// Locked-path state of one age.
   struct AgeData {
@@ -349,9 +343,8 @@ class FieldStorage {
   Published& publish(AgeData& data, Age age);
 
   /// Lock-free store into a published age: claim, copy, commit.
-  StoreResult store_published(Published& rec, Age age,
-                              const nd::Region& region, const std::byte* data,
-                              const StoreBy& by);
+  void store_published(Published& rec, Age age, const nd::Region& region,
+                       const std::byte* data, const StoreBy& by);
   int64_t store_fill_published(Published& rec, Age age,
                                const nd::Region& region,
                                const std::byte* data);

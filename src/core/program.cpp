@@ -122,11 +122,6 @@ ProgramBuilder& ProgramBuilder::field(std::string name, nd::ElementType type,
   return *this;
 }
 
-std::string_view to_string(IndependenceCertificate::Kind kind) {
-  return kind == IndependenceCertificate::Kind::kPointwise ? "pointwise"
-                                                           : "whole-cover";
-}
-
 KernelBuilder& ProgramBuilder::kernel(std::string name) {
   for (const auto& k : kernels_) {
     if (k->name_ == name) {

@@ -31,35 +31,6 @@ namespace analysis {
 struct LintReport;
 }
 
-/// A statically proven independence fact about one (field, consumer fetch)
-/// pair, produced by the dependence pass (src/analysis/dependence.h) and
-/// consumed by the DependencyAnalyzer as a dispatch fast path: when a
-/// store event arrives through a certified fetch, every candidate instance
-/// the event's region admits is guaranteed to have that fetch's data fully
-/// written, so the per-candidate fine-grained region_written check can be
-/// skipped.
-struct IndependenceCertificate {
-  enum class Kind {
-    /// The fetch slice is elementwise (every dimension a variable or
-    /// constant): any candidate consistent with a committed region reads
-    /// only elements inside that region.
-    kPointwise,
-    /// The field has exactly one producer statement — a whole-field store
-    /// from a kernel without index variables — so a single store event
-    /// covers the age's entire content.
-    kWholeCover,
-  };
-
-  Kind kind = Kind::kPointwise;
-  FieldId field = kInvalidField;
-  KernelId consumer = kInvalidKernel;
-  size_t fetch = 0;  ///< fetch statement index within the consumer
-  /// Human-readable proof sketch, embedded in serialized reports.
-  std::string reason;
-};
-
-std::string_view to_string(IndependenceCertificate::Kind kind);
-
 /// Builder-side slice: dimensions address index variables by *name*;
 /// ProgramBuilder::build() resolves names to variable ids.
 class Slice {
@@ -167,20 +138,6 @@ class Program {
   /// src/analysis/lint.cpp — callers must link p2g_analysis.
   analysis::LintReport validate(bool throw_on_error = true) const;
 
-  /// Runs the symbolic dependence pass (src/analysis/dependence.h) and
-  /// embeds the resulting independence certificates into this program for
-  /// the runtime's analyzer fast path: a store event arriving through a
-  /// certified (consumer, fetch) pair skips that fetch's fine-grained
-  /// region_written check. Not calling it runs every check.
-  /// Returns the number of certificates. Defined in
-  /// src/analysis/dependence.cpp — callers must link p2g_analysis.
-  size_t certify();
-
-  /// Certificates embedded by certify() (empty before it runs).
-  const std::vector<IndependenceCertificate>& certificates() const {
-    return certificates_;
-  }
-
  private:
   friend class ProgramBuilder;
 
@@ -188,7 +145,6 @@ class Program {
   std::vector<KernelDef> kernels_;
   std::vector<std::vector<Use>> consumers_;  // indexed by FieldId
   std::vector<std::vector<Use>> producers_;
-  std::vector<IndependenceCertificate> certificates_;
 };
 
 /// Whether `down` may be fused into the pipeline after `up` over `field`

@@ -209,10 +209,6 @@ InstrumentationReport Runtime::instrumentation() const {
   return instr_.snapshot(program_);
 }
 
-int64_t Runtime::certified_skips() const {
-  return analyzer_ ? analyzer_->certified_skip_count() : 0;
-}
-
 void Runtime::complete_outstanding(int64_t n) {
   if (outstanding_.fetch_sub(n) == n && !options_.keep_alive) {
     begin_shutdown();

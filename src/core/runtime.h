@@ -199,10 +199,6 @@ class Runtime {
   /// Instrumentation snapshot (also embedded in the RunReport).
   InstrumentationReport instrumentation() const;
 
-  /// Number of per-candidate dependence checks the analyzer skipped via
-  /// independence certificates (0 unless the program was certified).
-  int64_t certified_skips() const;
-
   /// The dependency analyzer (tests: memory stats, dispatch count).
   DependencyAnalyzer& analyzer() { return *analyzer_; }
 

@@ -2,9 +2,8 @@
 // the footprint algebra under it (src/analysis/footprint.h): strided
 // interval normalization, the conservative may_overlap / contains
 // predicates over symbolic extents, access-pattern classification,
-// dependence edges, the W008/W009 lint checks, independence-certificate
-// derivation, the certified fast path in the runtime, and the one fusion
-// legality check the runtime and W010 share.
+// dependence edges, the W008/W009 lint checks, the report renderings, and
+// the one fusion legality check the runtime and W010 share.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -103,7 +102,7 @@ TEST(Footprint, WholeFieldFootprints) {
   EXPECT_EQ(whole.to_string(), "whole");
 }
 
-// ------------------------------------------------- patterns & certificates
+// ------------------------------------------------------------- patterns
 
 // A miniature MJPEG-shaped pipeline: init seeds the clock; gen (no index
 // variables) emits a whole frame per age and advances the clock; scale
@@ -216,48 +215,6 @@ TEST(Dependence, EdgesCarryAgeAndElementDistances) {
   }
 }
 
-TEST(Dependence, DerivesPointwiseAndWholeCoverCertificates) {
-  Program program = pipeline_program();
-  EXPECT_EQ(program.certify(), 2u);
-  const KernelId scale = program.find_kernel("scale");
-  const KernelId sink = program.find_kernel("sink");
-  bool pointwise = false;
-  bool whole_cover = false;
-  for (const IndependenceCertificate& c : program.certificates()) {
-    if (c.consumer == scale) {
-      pointwise = true;
-      EXPECT_EQ(c.kind, IndependenceCertificate::Kind::kPointwise);
-      EXPECT_EQ(c.fetch, 0u);
-    }
-    if (c.consumer == sink) {
-      whole_cover = true;
-      EXPECT_EQ(c.kind, IndependenceCertificate::Kind::kWholeCover);
-    }
-  }
-  EXPECT_TRUE(pointwise);
-  EXPECT_TRUE(whole_cover);
-}
-
-TEST(Dependence, NoCertificatesForProgramsWithLintErrors) {
-  // Two kernels double-writing dst: W001 makes every static fact suspect,
-  // so certification must yield nothing.
-  ProgramBuilder pb;
-  pb.field("src", nd::ElementType::kInt32, 1);
-  pb.field("dst", nd::ElementType::kInt32, 1);
-  nop_kernel(pb, "seed").store("out", "src", AgeExpr::relative(0), Slice());
-  nop_kernel(pb, "a")
-      .index("x")
-      .fetch("in", "src", AgeExpr::relative(0), Slice().var("x"))
-      .store("out", "dst", AgeExpr::relative(0), Slice().var("x"));
-  nop_kernel(pb, "b")
-      .index("x")
-      .fetch("in", "src", AgeExpr::relative(0), Slice().var("x"))
-      .store("out", "dst", AgeExpr::relative(0), Slice().var("x"));
-  Program program = pb.build();
-  EXPECT_EQ(program.certify(), 0u);
-  EXPECT_TRUE(program.certificates().empty());
-}
-
 // ------------------------------------------------------------ W008 / W009
 
 TEST(Dependence, OutOfBoundsSliceAgainstDeclaredExtents) {
@@ -318,15 +275,11 @@ TEST(Dependence, TextAndJsonRenderings) {
   const std::string text = report.to_text();
   EXPECT_NE(text.find("== accesses =="), std::string::npos);
   EXPECT_NE(text.find("== dependence edges =="), std::string::npos);
-  EXPECT_NE(text.find("== independence certificates (2) =="),
-            std::string::npos);
-  EXPECT_NE(text.find("whole-cover"), std::string::npos);
 
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"accesses\""), std::string::npos);
   EXPECT_NE(json.find("\"edges\""), std::string::npos);
   EXPECT_NE(json.find("\"bounds\""), std::string::npos);
-  EXPECT_NE(json.find("\"certificates\""), std::string::npos);
   EXPECT_NE(json.find("\"pattern\":\"pointwise\""), std::string::npos);
 }
 
@@ -357,33 +310,6 @@ TEST(Dependence, GoldenDiagnosticJsonFromSource) {
       "\"name\":\"probe\",\"statement\":0,\"line\":11},\"secondary\":{"
       "\"kind\":\"field\",\"name\":\"data\",\"line\":1}}],\"errors\":1,"
       "\"warnings\":0,\"infos\":0}");
-}
-
-// --------------------------------------------------- certified fast path
-
-TEST(Certificates, CertifiedRunMatchesUncertifiedRun) {
-  workloads::Mul2Plus5 certified;
-  Program with = certified.build();
-  EXPECT_GT(with.certify(), 0u);
-  RunOptions on;
-  on.max_age = 4;
-  on.workers = 2;
-  Runtime rt_on(std::move(with), on);
-  EXPECT_FALSE(rt_on.run().timed_out);
-  EXPECT_GT(rt_on.certified_skips(), 0);
-
-  workloads::Mul2Plus5 plain;
-  Program without = plain.build();  // never certified
-  EXPECT_TRUE(without.certificates().empty());
-  RunOptions off;
-  off.max_age = 4;
-  off.workers = 2;
-  Runtime rt_off(std::move(without), off);
-  EXPECT_FALSE(rt_off.run().timed_out);
-  EXPECT_EQ(rt_off.certified_skips(), 0);
-
-  // The fast path must not change a single produced value.
-  EXPECT_EQ(*certified.printed, *plain.printed);
 }
 
 // ------------------------------------------------ fusion legality, once

@@ -3,16 +3,20 @@
 // once. These tests check that results stay bit-exact across worker counts
 // and chunk sizes, that boxes fall back to per-instance commits where an
 // image cannot be one store, that a partly written footprint still
-// dispatches every coordinate exactly once, and that write-once violations
-// still name the offending instance.
+// dispatches every coordinate exactly once, that write-once violations
+// still name the offending instance, and that the slice rule (the
+// constraining fetch's check is skipped only when that fetch is
+// elementwise) never dispatches an instance before its data is there.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <regex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -363,6 +367,227 @@ TEST(RangeDispatch, MjpegDctBoxStoresGiveTheSameBytes) {
       EXPECT_EQ(workload.output->stream(), reference)
           << workers << " workers, " << chunk_name(chunk);
     }
+  }
+}
+
+// ---------------------------------------------------------------- slice rule
+
+// A store event constrains its consumers' candidates through the fetch it
+// arrives by, and that fetch's footprint check is skipped when its slice
+// is elementwise. Each program below has a consumer input that arrives
+// late, so a skip where the rule does not hold dispatches an instance
+// before its data is there, and its output differs from the reference.
+
+constexpr int kLen = 8;
+constexpr Age kLastAge = 3;
+
+int32_t input_at(Age a, int i) { return static_cast<int32_t>(a * 100 + i); }
+
+/// Adds `source`, storing in(a)[i] = input_at(a, i) whole for ages
+/// 0..kLastAge.
+void add_input(ProgramBuilder& pb) {
+  pb.field("in", nd::ElementType::kInt32, 1);
+  pb.kernel("source")
+      .store("v", "in", AgeExpr::relative(0), Slice::whole())
+      .body([](KernelContext& ctx) {
+        if (ctx.age() > kLastAge) return;
+        nd::AnyBuffer v(nd::ElementType::kInt32, nd::Extents({kLen}));
+        for (int i = 0; i < kLen; ++i) {
+          v.data<int32_t>()[i] = input_at(ctx.age(), i);
+        }
+        ctx.store_array("v", std::move(v));
+        ctx.continue_next_age();
+      });
+}
+
+/// Delays the body of the producer whose data is meant to arrive last.
+void arrive_late() {
+  std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+/// Runs `build()` at workers {1, 4} x chunk {1, auto} (the chunk applies
+/// to every kernel named in `kernels`) and hands each finished runtime to
+/// `check` with a label naming the configuration.
+void for_each_config(
+    const std::function<Program()>& build,
+    const std::vector<std::string>& kernels,
+    const std::function<void(Runtime&, const std::string&)>& check) {
+  for (const int workers : {1, 4}) {
+    for (const std::optional<int64_t> chunk :
+         {std::optional<int64_t>(1), std::optional<int64_t>()}) {
+      RunOptions opts;
+      opts.workers = workers;
+      opts.max_age = kLastAge;
+      opts.watchdog = std::chrono::seconds(30);
+      for (const std::string& k : kernels) {
+        opts.kernel_schedules[k].chunk = chunk;
+      }
+      Runtime rt(build(), opts);
+      const RunReport report = rt.run();
+      ASSERT_FALSE(report.timed_out);
+      check(rt, std::to_string(workers) + " workers, " + chunk_name(chunk));
+    }
+  }
+}
+
+/// The int32 content of a terminal field's age, flattened.
+std::vector<int32_t> ints_of(Runtime& rt, const std::string& field, Age a) {
+  const nd::AnyBuffer buf = rt.storage(field).fetch_whole(a);
+  const int32_t* p = buf.data<int32_t>();
+  return std::vector<int32_t>(p, p + buf.element_count());
+}
+
+TEST(SliceRule, ConstantAndRowFetchesWaitForTheLateColumn) {
+  // grid(a)[r][0] and grid(a)[r][1] come from two producers, one slow.
+  // `pick` reads column 1 through a constant dimension (elementwise: a
+  // column-1 store covers it, a column-0 store cannot constrain it);
+  // `rowsum` reads the row through all() and must wait for both columns.
+  for (const int late : {0, 1}) {
+    const auto build = [late] {
+      ProgramBuilder pb;
+      add_input(pb);
+      pb.field("grid", nd::ElementType::kInt32, 2);
+      pb.field("picked", nd::ElementType::kInt32, 1);
+      pb.field("sums", nd::ElementType::kInt32, 1);
+      for (const int col : {0, 1}) {
+        pb.kernel(col == 0 ? "left" : "right")
+            .index("r")
+            .fetch("v", "in", AgeExpr::relative(0), Slice().var("r"))
+            .store("g", "grid", AgeExpr::relative(0),
+                   Slice().var("r").at(col))
+            .body([late, col](KernelContext& ctx) {
+              if (col == late) arrive_late();
+              const int32_t v = ctx.fetch_scalar<int32_t>("v");
+              ctx.store_scalar<int32_t>("g", col == 0 ? v * 2 : v * 3 + 1);
+            });
+      }
+      pb.kernel("pick")
+          .index("r")
+          .fetch("c", "grid", AgeExpr::relative(0), Slice().var("r").at(1))
+          .store("o", "picked", AgeExpr::relative(0), Slice().var("r"))
+          .body([](KernelContext& ctx) {
+            ctx.store_scalar<int32_t>("o", ctx.fetch_scalar<int32_t>("c") + 7);
+          });
+      pb.kernel("rowsum")
+          .index("r")
+          .fetch("row", "grid", AgeExpr::relative(0), Slice().var("r").all())
+          .store("o", "sums", AgeExpr::relative(0), Slice().var("r"))
+          .body([](KernelContext& ctx) {
+            const nd::ConstView& row = ctx.fetch_view("row");
+            ctx.store_scalar<int32_t>(
+                "o", row.at_flat<int32_t>(0) + row.at_flat<int32_t>(1));
+          });
+      return pb.build();
+    };
+    for_each_config(
+        build, {"left", "right", "pick", "rowsum"},
+        [late](Runtime& rt, const std::string& label) {
+          for (Age a = 0; a <= kLastAge; ++a) {
+            std::vector<int32_t> picked(kLen);
+            std::vector<int32_t> sums(kLen);
+            for (int r = 0; r < kLen; ++r) {
+              const int32_t v = input_at(a, r);
+              picked[static_cast<size_t>(r)] = v * 3 + 1 + 7;
+              sums[static_cast<size_t>(r)] = v * 2 + v * 3 + 1;
+            }
+            EXPECT_EQ(ints_of(rt, "picked", a), picked)
+                << "age " << a << ", late column " << late << ", " << label;
+            EXPECT_EQ(ints_of(rt, "sums", a), sums)
+                << "age " << a << ", late column " << late << ", " << label;
+          }
+        });
+  }
+}
+
+TEST(SliceRule, DiagonalFetchReadsOnlyWrittenCells) {
+  // `outer` writes sq(a)[i][j] cell by cell or box by box; `diag` reads
+  // sq(a)[x][x]. A store of a box I x J admits x in I and J only, so
+  // each diagonal cell is read once it is there.
+  const auto build = [] {
+    ProgramBuilder pb;
+    add_input(pb);
+    pb.field("sq", nd::ElementType::kInt32, 2);
+    pb.field("diag", nd::ElementType::kInt32, 1);
+    pb.kernel("outer")
+        .index("i")
+        .index("j")
+        .fetch("u", "in", AgeExpr::relative(0), Slice().var("i"))
+        .fetch("w", "in", AgeExpr::relative(0), Slice().var("j"))
+        .store("c", "sq", AgeExpr::relative(0), Slice().var("i").var("j"))
+        .body([](KernelContext& ctx) {
+          if (ctx.index(1) == ctx.index(0)) arrive_late();
+          ctx.store_scalar<int32_t>("c", ctx.fetch_scalar<int32_t>("u") * 1000 +
+                                             ctx.fetch_scalar<int32_t>("w"));
+        });
+    pb.kernel("diag")
+        .index("x")
+        .fetch("d", "sq", AgeExpr::relative(0), Slice().var("x").var("x"))
+        .store("o", "diag", AgeExpr::relative(0), Slice().var("x"))
+        .body([](KernelContext& ctx) {
+          ctx.store_scalar<int32_t>("o", ctx.fetch_scalar<int32_t>("d"));
+        });
+    return pb.build();
+  };
+  for_each_config(build, {"outer", "diag"},
+                  [](Runtime& rt, const std::string& label) {
+                    for (Age a = 0; a <= kLastAge; ++a) {
+                      std::vector<int32_t> diag(kLen);
+                      for (int x = 0; x < kLen; ++x) {
+                        diag[static_cast<size_t>(x)] =
+                            input_at(a, x) * 1000 + input_at(a, x);
+                      }
+                      EXPECT_EQ(ints_of(rt, "diag", a), diag)
+                          << "age " << a << ", " << label;
+                    }
+                  });
+}
+
+TEST(SliceRule, TwoElementwiseFetchesWaitForTheLateField) {
+  // `add` fetches p(a)[x] and q(a)[x]. The store of whichever arrives
+  // first covers only its own fetch; the other is checked and blocks.
+  for (const std::string late : {"p", "q"}) {
+    const auto build = [late] {
+      ProgramBuilder pb;
+      add_input(pb);
+      pb.field("p", nd::ElementType::kInt32, 1);
+      pb.field("q", nd::ElementType::kInt32, 1);
+      pb.field("sum", nd::ElementType::kInt32, 1);
+      for (const std::string field : {"p", "q"}) {
+        const int32_t scale = field == "p" ? 2 : 5;
+        pb.kernel("make_" + field)
+            .index("x")
+            .fetch("v", "in", AgeExpr::relative(0), Slice().var("x"))
+            .store("o", field, AgeExpr::relative(0), Slice().var("x"))
+            .body([slow = field == late, scale](KernelContext& ctx) {
+              if (slow) arrive_late();
+              ctx.store_scalar<int32_t>(
+                  "o", ctx.fetch_scalar<int32_t>("v") * scale + 3);
+            });
+      }
+      pb.kernel("add")
+          .index("x")
+          .fetch("a", "p", AgeExpr::relative(0), Slice().var("x"))
+          .fetch("b", "q", AgeExpr::relative(0), Slice().var("x"))
+          .store("o", "sum", AgeExpr::relative(0), Slice().var("x"))
+          .body([](KernelContext& ctx) {
+            ctx.store_scalar<int32_t>("o", ctx.fetch_scalar<int32_t>("a") +
+                                               ctx.fetch_scalar<int32_t>("b"));
+          });
+      return pb.build();
+    };
+    for_each_config(
+        build, {"make_p", "make_q", "add"},
+        [&late](Runtime& rt, const std::string& label) {
+          for (Age a = 0; a <= kLastAge; ++a) {
+            std::vector<int32_t> sum(kLen);
+            for (int x = 0; x < kLen; ++x) {
+              const int32_t v = input_at(a, x);
+              sum[static_cast<size_t>(x)] = (v * 2 + 3) + (v * 5 + 3);
+            }
+            EXPECT_EQ(ints_of(rt, "sum", a), sum)
+                << "age " << a << ", " << late << " late, " << label;
+          }
+        });
   }
 }
 

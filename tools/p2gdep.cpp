@@ -2,9 +2,8 @@
 // programs from the command line. For every file it prints the access
 // classification (pointwise / stencil / stream / reduction / broadcast),
 // producer -> consumer dependence edges with age and element distances,
-// per-age footprint bounds, the independence certificates the runtime can
-// use as a dispatch fast path, and the full diagnostic report (including
-// the kInfo fusion-legality and footprint-bound reports p2glint omits).
+// per-age footprint bounds, and the full diagnostic report (including the
+// kInfo fusion-legality and footprint-bound reports p2glint omits).
 //
 //   p2gdep [--json] [--werror] file.p2g...
 //
