@@ -71,8 +71,10 @@ fi
 # telemetry tests, whose per-thread tallies and flight rings are read by
 # the analyzer and the heartbeat thread while workers write them, and the
 # transport-counter test, whose node transport runs a hub reader thread,
-# the age-reclamation tests, whose releases race workers' views, and the
-# range-dispatch tests, whose box splitting meets the same probe hand-off.
+# the age-reclamation tests, whose releases race workers' views, the
+# range-dispatch tests, whose box splitting meets the same probe hand-off,
+# and the in-process distributed runs and traces, whose stores cross nodes
+# on worker threads (direct delivery) and so race the termination probe.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
@@ -81,6 +83,7 @@ if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
   flake_tests="$flake_tests|RuntimeMetrics\\.|FlightTrace\\.|RuntimeTally\\."
   flake_tests="$flake_tests|Socket\\.NodeDeadLetterCountersMatchBusStats"
   flake_tests="$flake_tests|AgeReclaim|RangeDispatch\\."
+  flake_tests="$flake_tests|DistributedRun\\.|DistributedTrace\\."
   ctest --test-dir "$build_dir" --output-on-failure -R "$flake_tests" \
     --repeat until-fail:"$flake_repeat" -j"$(nproc)" || rc=$?
   if [ "$rc" -ne 0 ]; then

@@ -3,8 +3,11 @@
 // The paper's data distribution uses an event-based, distributed
 // publish-subscribe model with direct communication between nodes (§IV).
 // This bus gives every registered endpoint a mailbox; senders address
-// endpoints by name or broadcast. In-process, but all payloads cross the
-// "wire" as serialized bytes.
+// endpoints by name or broadcast. In-process, but every message crosses the
+// "wire" as serialized bytes. Store payloads between in-process nodes skip
+// it unless the run is fault-tolerant: the thread launcher hands them over
+// by direct call (ExecutionNode::deliver_local), so the bus carries the
+// control traffic and the reliable channel's data.
 //
 // Since ISSUE 10 the bus is one implementation of the pluggable
 // net::Transport interface; the socket/shared-memory backends in src/net

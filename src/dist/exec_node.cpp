@@ -142,6 +142,29 @@ void ExecutionNode::end_wire_span(const StoreEvent& event,
   trace.record_flow_start(wire, t1, kNetLane);
 }
 
+TraceContext ExecutionNode::begin_recv_span(const TraceContext& wire,
+                                            int64_t* t0) {
+  if (!wire.valid() || runtime_->trace() == nullptr) return {};
+  *t0 = now_ns();
+  return TraceContext{wire.trace_id, runtime_->next_span_id()};
+}
+
+void ExecutionNode::end_recv_span(const TraceContext& wire,
+                                  const TraceContext& recv, FieldId field,
+                                  Age age, int64_t t0, bool fresh) {
+  if (!recv.valid()) return;
+  const int64_t t1 = now_ns();
+  TraceCollector& trace = *runtime_->mutable_trace();
+  trace.record_flow_finish(wire, t0, kNetLane);
+  trace.record(TraceCollector::Record{
+      t0, t1 - t0, kNetLane, age, 1, SpanKind::kRemoteStore,
+      recv_span_names_[static_cast<size_t>(field)], recv.trace_id,
+      recv.span_id, wire.span_id});
+  // Duplicate fill applies push no event, so nothing downstream will
+  // ever pick this flow up — skip the dangling arrow.
+  if (fresh) trace.record_flow_start(recv, t1, kNetLane);
+}
+
 void ExecutionNode::announce(const std::string& master_endpoint) {
   master_endpoint_ = master_endpoint;
   TopologyReport report;
@@ -226,9 +249,8 @@ void ExecutionNode::apply_remote_store(const Message& message) {
   // A traced message carries {frame id, sending wire span}; the apply
   // becomes a remote-store span parented on that wire span, and whatever
   // work the injected event triggers is parented on the apply.
-  const bool traced =
-      message.trace.valid() && runtime_->trace() != nullptr;
-  const int64_t t0 = traced ? now_ns() : 0;
+  int64_t t0 = 0;
+  const TraceContext recv = begin_recv_span(message.trace, &t0);
   const RemoteStore remote = RemoteStore::decode(message.payload);
   const Program& prog = runtime_->program();
   if (remote.field < 0 ||
@@ -243,27 +265,14 @@ void ExecutionNode::apply_remote_store(const Message& message) {
     throw_error(ErrorKind::kProtocol,
                 "remote store payload size does not match its region");
   }
-  TraceContext recv;
-  if (traced) {
-    recv = TraceContext{message.trace.trace_id, runtime_->next_span_id()};
-  }
   const int64_t fresh = runtime_->inject_store(
       remote.field, remote.age, remote.region, remote.producer,
       remote.store_decl, remote.whole,
       reinterpret_cast<const std::byte*>(remote.payload.data()),
       /*fill=*/ft_.enabled, recv);
   stores_received_.fetch_add(1);
-  if (!traced) return;
-  const int64_t t1 = now_ns();
-  TraceCollector& trace = *runtime_->mutable_trace();
-  trace.record_flow_finish(message.trace, t0, kNetLane);
-  trace.record(TraceCollector::Record{
-      t0, t1 - t0, kNetLane, remote.age, 1, SpanKind::kRemoteStore,
-      recv_span_names_[static_cast<size_t>(remote.field)], recv.trace_id,
-      recv.span_id, message.trace.span_id});
-  // Duplicate fill applies push no event, so nothing downstream will
-  // ever pick this flow up — skip the dangling arrow.
-  if (fresh > 0) trace.record_flow_start(recv, t1, kNetLane);
+  end_recv_span(message.trace, recv, remote.field, remote.age, t0,
+                fresh > 0);
 }
 
 void ExecutionNode::set_store_forwarder(StoreForwarder* forwarder) {
@@ -287,7 +296,7 @@ void ExecutionNode::apply_plane_store(FieldId field, Age age,
                                       const nd::Region& region,
                                       KernelId producer, uint32_t store_decl,
                                       bool whole, const nd::ConstView& view,
-                                      bool* adopted) {
+                                      bool* adopted, const TraceContext& wire) {
   const Program& prog = runtime_->program();
   if (field < 0 || static_cast<size_t>(field) >= prog.fields().size()) {
     throw_error(ErrorKind::kProtocol, "plane store for unknown field id " +
@@ -297,9 +306,33 @@ void ExecutionNode::apply_plane_store(FieldId field, Age age,
     throw_error(ErrorKind::kProtocol,
                 "plane store element type does not match the field");
   }
+  int64_t t0 = 0;
+  const TraceContext recv = begin_recv_span(wire, &t0);
   runtime_->inject_store_view(field, age, region, producer, store_decl,
-                              whole, view, adopted);
+                              whole, view, adopted, recv);
   stores_received_.fetch_add(1);
+  end_recv_span(wire, recv, field, age, t0, /*fresh=*/true);
+}
+
+void ExecutionNode::deliver_local(const StoreEvent& event,
+                                  ExecutionNode& target) {
+  int64_t t0 = 0;
+  const TraceContext wire = begin_wire_span(event, &t0);
+  FieldStorage& storage = runtime_->storage(event.field);
+  std::optional<nd::ConstView> view =
+      storage.try_fetch_view(event.age, event.region);
+  if (!view) {
+    // Unsealed age (its buffer may still grow): one packed copy, owned
+    // by the view so the target may adopt it.
+    const auto copy = std::make_shared<const nd::AnyBuffer>(
+        storage.fetch(event.age, event.region));
+    view.emplace(copy->type(), copy->extents(), copy->raw(), copy);
+  }
+  end_wire_span(event, wire, target.name(), t0);
+  target.apply_plane_store(event.field, event.age, event.region,
+                           event.producer,
+                           static_cast<uint32_t>(event.store_decl),
+                           event.whole, *view, /*adopted=*/nullptr, wire);
 }
 
 void ExecutionNode::apply_reassign(const ReassignMsg& reassign) {

@@ -2,10 +2,14 @@
 //
 // Each node owns a full Runtime but only *enables* the kernels of its
 // partition. Stores produced locally on fields that remote kernels consume
-// are serialized and forwarded over the message bus; incoming remote
-// stores are injected into local field storage, feeding the local
-// dependency analyzer exactly like a local store. Every node also reports
-// its local topology to the master.
+// are forwarded to the nodes hosting those kernels and injected into their
+// field storage, feeding the remote dependency analyzer exactly like a
+// local store. How a store travels depends on where the target lives: a
+// node in the same process gets it by direct call (a view of the committed
+// bytes, no message; see deliver_local), a node in another process over
+// the shared-memory data plane or as a serialized kRemoteStore message,
+// and every store of a fault-tolerant run through the reliable channel.
+// Every node also reports its local topology to the master.
 //
 // A node with a heartbeat period beats to the master from its heartbeat
 // thread (fault-tolerant runs and every out-of-process node). Fault-tolerant
@@ -52,10 +56,11 @@ struct NodeFtOptions {
   ft::ReliableChannel::Options channel;
 };
 
-/// Out-of-band data plane hook (the shared-memory lane of src/net). When
-/// installed, forward_store offers every outgoing store to the forwarder
-/// first; a `true` return means the store is on its way to `target` and
-/// the serialized message path is skipped for that target.
+/// Out-of-band data plane hook: the in-process direct hand-off of
+/// ThreadLauncher, or the shared-memory lane of src/net. When installed,
+/// forward_store offers every outgoing store to the forwarder first; a
+/// `true` return means the store is on its way to `target` and the
+/// serialized message path is skipped for that target.
 class StoreForwarder {
  public:
   virtual ~StoreForwarder() = default;
@@ -135,10 +140,20 @@ class ExecutionNode {
   /// Applies a store that arrived over an out-of-band data plane: the
   /// counterpart of apply_remote_store for payloads that are already
   /// mapped into this process. Sets *adopted to true when the storage
-  /// aliased the view's pages instead of copying.
+  /// aliased the view's pages instead of copying. A valid `wire` (the
+  /// sender's wire span) records the remote-store span and its flow
+  /// arrows, as a traced kRemoteStore message does.
   void apply_plane_store(FieldId field, Age age, const nd::Region& region,
                          KernelId producer, uint32_t store_decl, bool whole,
-                         const nd::ConstView& view, bool* adopted);
+                         const nd::ConstView& view, bool* adopted,
+                         const TraceContext& wire = {});
+
+  /// Hands one locally committed store to `target`, a node in this
+  /// process, by direct call: no message and no serialization. The target
+  /// gets a view of the committed bytes when storage yields one (a whole
+  /// store is then adopted with zero copies), one fetch() copy otherwise.
+  /// A traced store records the same wire span as the bus path.
+  void deliver_local(const StoreEvent& event, ExecutionNode& target);
 
   /// The flight dump written by crash() (set only when the node crashed
   /// with flight_dir configured).
@@ -161,6 +176,14 @@ class ExecutionNode {
   TraceContext begin_wire_span(const StoreEvent& event, int64_t* t0);
   void end_wire_span(const StoreEvent& event, const TraceContext& wire,
                      const std::string& target, int64_t t0);
+  /// Remote-store span bracket around one traced incoming store: `recv`
+  /// gets a fresh span id on `wire`'s frame before the apply; the span
+  /// and its flow endpoints are recorded after it (the outgoing arrow
+  /// only when the apply wrote fresh elements, i.e. pushed an event).
+  /// Both are no-ops when tracing is off or `wire` is invalid.
+  TraceContext begin_recv_span(const TraceContext& wire, int64_t* t0);
+  void end_recv_span(const TraceContext& wire, const TraceContext& recv,
+                     FieldId field, Age age, int64_t t0, bool fresh);
   /// Encodes the RemoteStore wire payload for one store event (fetches the
   /// freshly written bytes back out of local storage).
   std::vector<uint8_t> encode_store_payload(const StoreEvent& event);

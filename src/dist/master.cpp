@@ -42,6 +42,26 @@ void append_spans(const TraceCollector& trace, const std::string& node,
   }
 }
 
+/// The in-process data plane: hands each store of `source` straight to
+/// the target node by direct call.
+class LocalForwarder final : public StoreForwarder {
+ public:
+  LocalForwarder(ExecutionNode& source,
+                 const std::map<std::string, ExecutionNode*>& nodes)
+      : source_(source), nodes_(nodes) {}
+
+  bool forward(const StoreEvent& event, const std::string& target) override {
+    const auto it = nodes_.find(target);
+    if (it == nodes_.end()) return false;
+    source_.deliver_local(event, *it->second);
+    return true;
+  }
+
+ private:
+  ExecutionNode& source_;
+  const std::map<std::string, ExecutionNode*>& nodes_;
+};
+
 }  // namespace
 
 bool ThreadLauncher::start(const NodePlan& plan, net::Transport& bus) {
@@ -49,6 +69,14 @@ bool ThreadLauncher::start(const NodePlan& plan, net::Transport& bus) {
     nodes_.push_back(std::make_unique<ExecutionNode>(
         name, plan.program_factory(), plan.kernel_owner, bus, plan.options,
         plan.ft, plan.capture_fields));
+    by_name_.emplace(name, nodes_.back().get());
+  }
+  // The reliable channel owns the data plane of a fault-tolerant run.
+  if (!plan.ft.enabled) {
+    for (auto& node : nodes_) {
+      forwarders_.push_back(std::make_unique<LocalForwarder>(*node, by_name_));
+      node->set_store_forwarder(forwarders_.back().get());
+    }
   }
   for (auto& node : nodes_) node->announce("master");
   for (auto& node : nodes_) node->start();
@@ -89,9 +117,9 @@ std::vector<ExecutionNode*> ThreadLauncher::local_nodes() {
 }
 
 ExecutionNode& ThreadLauncher::find(const std::string& name) {
-  return **std::find_if(nodes_.begin(), nodes_.end(), [&](const auto& n) {
-    return n->name() == name;
-  });
+  const auto it = by_name_.find(name);
+  P2G_CHECK_INTERNAL(it != by_name_.end(), "unknown node '" + name + "'");
+  return *it->second;
 }
 
 Master::Master(MasterOptions options)

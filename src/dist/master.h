@@ -233,8 +233,11 @@ class Launcher {
 };
 
 /// In-process nodes: one ExecutionNode per name on this process's threads,
-/// answering the master by direct calls instead of wire messages. The
-/// nodes stay alive after the run, for inspection through local_nodes().
+/// answering the master by direct calls instead of wire messages. Without
+/// fault tolerance the nodes also hand stores to each other by direct call
+/// (ExecutionNode::deliver_local), so the bus carries control messages
+/// only. The nodes stay alive after the run, for inspection through
+/// local_nodes().
 class ThreadLauncher final : public Launcher {
  public:
   bool in_process() const override { return true; }
@@ -248,10 +251,14 @@ class ThreadLauncher final : public Launcher {
   std::vector<ExecutionNode*> local_nodes() override;
 
  private:
+  /// The node named `name`; throws kInternal for an unknown name.
   ExecutionNode& find(const std::string& name);
 
   MessageBus bus_;
+  /// One in-process forwarder per node (FT off); outlives the nodes.
+  std::vector<std::unique_ptr<StoreForwarder>> forwarders_;
   std::vector<std::unique_ptr<ExecutionNode>> nodes_;
+  std::map<std::string, ExecutionNode*> by_name_;
 };
 
 class Master {

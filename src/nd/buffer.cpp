@@ -124,11 +124,6 @@ AnyBuffer& AnyBuffer::operator=(const AnyBuffer& other) {
   return *this;
 }
 
-std::byte* AnyBuffer::mutable_base() {
-  if (ext_ != nullptr && !ext_writable_) materialize_owned();
-  return ext_ != nullptr ? ext_ : bytes_.data();
-}
-
 void AnyBuffer::materialize_owned() {
   const size_t nbytes = static_cast<size_t>(extents_.element_count()) *
                         element_size(type_);
@@ -331,21 +326,15 @@ void AnyBuffer::gather(const Region& region, std::byte* dst) const {
   });
 }
 
-void AnyBuffer::require_type(ElementType expected) const {
-  if (type_ != expected) {
-    throw_error(ErrorKind::kTypeMismatch,
-                "buffer holds " + std::string(to_string(type_)) +
-                    " but was accessed as " + std::string(to_string(expected)));
-  }
+namespace detail {
+
+void throw_type_mismatch(const char* holder, ElementType held,
+                         ElementType accessed) {
+  throw_error(ErrorKind::kTypeMismatch,
+              std::string(holder) + " holds " + std::string(to_string(held)) +
+                  " but was accessed as " + std::string(to_string(accessed)));
 }
 
-int64_t AnyBuffer::check_flat(int64_t flat) const {
-  if (flat < 0 || flat >= extents_.element_count()) {
-    throw_error(ErrorKind::kOutOfRange,
-                "flat index " + std::to_string(flat) + " outside " +
-                    extents_.to_string());
-  }
-  return flat;
-}
+}  // namespace detail
 
 }  // namespace p2g::nd

@@ -59,6 +59,14 @@ int64_t load_as_int(ElementType type, const std::byte* p);
 /// by tests asserting that the zero-copy fetch path really is zero-copy.
 int64_t buffer_alloc_count();
 
+namespace detail {
+/// Cold kTypeMismatch path of the inline typed accessors (see
+/// throw_flat_out_of_range); `holder` ("buffer", "view") starts the message.
+[[noreturn]] [[gnu::cold]] void throw_type_mismatch(const char* holder,
+                                                    ElementType held,
+                                                    ElementType accessed);
+}  // namespace detail
+
 /// Maps C++ arithmetic types to ElementType at compile time.
 template <typename T>
 constexpr ElementType element_type_of();
@@ -122,12 +130,12 @@ class AnyBuffer {
   /// Typed pointer to the full buffer; throws kTypeMismatch on wrong T.
   template <typename T>
   T* data() {
-    require_type(element_type_of<T>());
+    check_type(element_type_of<T>());
     return reinterpret_cast<T*>(mutable_base());
   }
   template <typename T>
   const T* data() const {
-    require_type(element_type_of<T>());
+    check_type(element_type_of<T>());
     return reinterpret_cast<const T*>(base());
   }
 
@@ -155,12 +163,24 @@ class AnyBuffer {
   void gather(const Region& region, std::byte* dst) const;
 
  private:
-  void require_type(ElementType expected) const;
-  int64_t check_flat(int64_t flat) const;
+  void check_type(ElementType expected) const {
+    if (type_ != expected) [[unlikely]] {
+      detail::throw_type_mismatch("buffer", type_, expected);
+    }
+  }
+  int64_t check_flat(int64_t flat) const {
+    if (!in_bounds(flat, extents_.element_count())) [[unlikely]] {
+      detail::throw_flat_out_of_range(flat, extents_);
+    }
+    return flat;
+  }
 
   const std::byte* base() const { return ext_ != nullptr ? ext_ : bytes_.data(); }
   /// Writable base; copies an alias into owned storage first.
-  std::byte* mutable_base();
+  std::byte* mutable_base() {
+    if (ext_ != nullptr && !ext_writable_) [[unlikely]] materialize_owned();
+    return ext_ != nullptr ? ext_ : bytes_.data();
+  }
   /// Copies external bytes into the owned vector and drops the external
   /// reference (and its keepalive/allocator).
   void materialize_owned();

@@ -9,6 +9,7 @@ namespace p2g::nd {
 Extents::Extents(std::vector<int64_t> dims) : dims_(std::move(dims)) {
   for (int64_t d : dims_) {
     P2G_CHECK_ARGUMENT(d >= 0, "extent dimensions must be non-negative");
+    count_ *= d;
   }
 }
 
@@ -20,12 +21,6 @@ int64_t Extents::dim(size_t i) const {
   return dims_[i];
 }
 
-int64_t Extents::element_count() const {
-  int64_t count = 1;
-  for (int64_t d : dims_) count *= d;
-  return count;
-}
-
 std::vector<int64_t> Extents::strides() const {
   std::vector<int64_t> out(dims_.size(), 1);
   for (size_t i = dims_.size(); i-- > 1;) {
@@ -35,11 +30,7 @@ std::vector<int64_t> Extents::strides() const {
 }
 
 int64_t Extents::flatten(const Coord& coord) const {
-  if (!contains(coord)) {
-    throw_error(ErrorKind::kOutOfRange,
-                "coordinate " + nd::to_string(coord) +
-                    " outside extents " + to_string());
-  }
+  if (!contains(coord)) detail::throw_coord_out_of_range(coord, *this);
   int64_t offset = 0;
   int64_t stride = 1;
   for (size_t i = dims_.size(); i-- > 0;) {
@@ -108,5 +99,20 @@ std::string to_string(const Coord& coord) {
   os << ")";
   return os.str();
 }
+
+namespace detail {
+
+void throw_flat_out_of_range(int64_t flat, const Extents& extents) {
+  throw_error(ErrorKind::kOutOfRange, "flat index " + std::to_string(flat) +
+                                          " outside " + extents.to_string());
+}
+
+void throw_coord_out_of_range(const Coord& coord, const Extents& extents) {
+  throw_error(ErrorKind::kOutOfRange, "coordinate " + nd::to_string(coord) +
+                                          " outside extents " +
+                                          extents.to_string());
+}
+
+}  // namespace detail
 
 }  // namespace p2g::nd

@@ -26,8 +26,9 @@ class Extents {
   int64_t dim(size_t i) const;
   const std::vector<int64_t>& dims() const { return dims_; }
 
-  /// Product of all dimensions (0 when any dimension is 0; 1 when rank 0).
-  int64_t element_count() const;
+  /// Product of all dimensions (0 when any dimension is 0; 1 when rank 0),
+  /// computed once at construction.
+  int64_t element_count() const { return count_; }
 
   bool empty() const { return element_count() == 0; }
 
@@ -55,8 +56,23 @@ class Extents {
 
  private:
   std::vector<int64_t> dims_;
+  int64_t count_ = 1;  ///< product of dims_
 };
 
 std::string to_string(const Coord& coord);
+
+/// True when 0 <= index < count (one unsigned compare).
+inline bool in_bounds(int64_t index, int64_t count) {
+  return static_cast<uint64_t>(index) < static_cast<uint64_t>(count);
+}
+
+namespace detail {
+// Cold kOutOfRange paths of the inline element accessors, out of line so
+// that a passing check costs one compare and no call.
+[[noreturn]] [[gnu::cold]] void throw_flat_out_of_range(
+    int64_t flat, const Extents& extents);
+[[noreturn]] [[gnu::cold]] void throw_coord_out_of_range(
+    const Coord& coord, const Extents& extents);
+}  // namespace detail
 
 }  // namespace p2g::nd

@@ -39,20 +39,19 @@ ConstView ConstView::window(Extents extents) const {
   return ConstView(type_, std::move(extents), strides_, base_, keepalive_);
 }
 
-const std::byte* ConstView::raw() const {
-  P2G_CHECK_INTERNAL(contiguous_,
-                     "ConstView::raw() on a strided view; materialize() first");
-  return base_;
+int64_t ConstView::strided_offset(int64_t flat) const {
+  const std::vector<int64_t>& dims = extents_.dims();
+  int64_t offset = 0;
+  for (size_t i = dims.size(); i-- > 0;) {
+    offset += (flat % dims[i]) * strides_[i];
+    flat /= dims[i];
+  }
+  return offset;
 }
 
 const std::byte* ConstView::element_ptr(int64_t flat) const {
-  if (contiguous_) {
-    return base_ + static_cast<size_t>(flat) * element_size(type_);
-  }
-  const Coord coord = extents_.unflatten(flat);
-  int64_t off = 0;
-  for (size_t i = 0; i < coord.size(); ++i) off += coord[i] * strides_[i];
-  return base_ + static_cast<size_t>(off) * element_size(type_);
+  const int64_t offset = contiguous_ ? flat : strided_offset(flat);
+  return base_ + static_cast<size_t>(offset) * element_size(type_);
 }
 
 double ConstView::get_as_double(int64_t flat) const {
@@ -92,24 +91,6 @@ AnyBuffer ConstView::materialize() const {
     }
   }
   return out;
-}
-
-void ConstView::require_type(ElementType expected) const {
-  if (type_ != expected) {
-    throw_error(ErrorKind::kTypeMismatch,
-                "view holds " + std::string(to_string(type_)) +
-                    " but was accessed as " +
-                    std::string(to_string(expected)));
-  }
-}
-
-int64_t ConstView::check_flat(int64_t flat) const {
-  if (flat < 0 || flat >= element_count()) {
-    throw_error(ErrorKind::kOutOfRange,
-                "flat index " + std::to_string(flat) + " outside " +
-                    extents_.to_string());
-  }
-  return flat;
 }
 
 }  // namespace p2g::nd

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/error.h"
 #include "nd/buffer.h"
 #include "nd/extents.h"
 
@@ -39,27 +40,33 @@ class ConstView {
 
   /// Base pointer of a contiguous view; throws kInternal on strided views
   /// (use materialize() or the element accessors there).
-  const std::byte* raw() const;
+  const std::byte* raw() const {
+    P2G_CHECK_INTERNAL(
+        contiguous_, "ConstView::raw() on a strided view; materialize() first");
+    return base_;
+  }
 
   /// Typed pointer to a contiguous view; throws kTypeMismatch on wrong T.
   template <typename T>
   const T* data() const {
-    require_type(element_type_of<T>());
+    check_type(element_type_of<T>());
     return reinterpret_cast<const T*>(raw());
   }
 
   /// Element at a coordinate (stride-aware).
   template <typename T>
   T at(const Coord& coord) const {
-    require_type(element_type_of<T>());
-    return *reinterpret_cast<const T*>(element_ptr(extents_.flatten(coord)));
+    check_type(element_type_of<T>());
+    return reinterpret_cast<const T*>(base_)[coord_offset(coord)];
   }
 
   /// Element at a logical row-major position (stride-aware).
   template <typename T>
   T at_flat(int64_t flat) const {
-    require_type(element_type_of<T>());
-    return *reinterpret_cast<const T*>(element_ptr(check_flat(flat)));
+    check_type(element_type_of<T>());
+    check_flat(flat);
+    const T* base = reinterpret_cast<const T*>(base_);
+    return contiguous_ ? base[flat] : base[strided_offset(flat)];
   }
 
   /// Generic scalar accessors (used by the language interpreter and
@@ -87,8 +94,36 @@ class ConstView {
   const std::shared_ptr<const void>& keepalive() const { return keepalive_; }
 
  private:
-  void require_type(ElementType expected) const;
-  int64_t check_flat(int64_t flat) const;
+  void check_type(ElementType expected) const {
+    if (type_ != expected) [[unlikely]] {
+      detail::throw_type_mismatch("view", type_, expected);
+    }
+  }
+  int64_t check_flat(int64_t flat) const {
+    if (!in_bounds(flat, extents_.element_count())) [[unlikely]] {
+      detail::throw_flat_out_of_range(flat, extents_);
+    }
+    return flat;
+  }
+  /// Element offset (in the underlying layout) of an in-bounds coordinate;
+  /// throws kOutOfRange for any other.
+  int64_t coord_offset(const Coord& coord) const {
+    const std::vector<int64_t>& dims = extents_.dims();
+    if (coord.size() != dims.size()) [[unlikely]] {
+      detail::throw_coord_out_of_range(coord, extents_);
+    }
+    int64_t offset = 0;
+    for (size_t i = 0; i < dims.size(); ++i) {
+      if (!in_bounds(coord[i], dims[i])) [[unlikely]] {
+        detail::throw_coord_out_of_range(coord, extents_);
+      }
+      offset += coord[i] * strides_[i];
+    }
+    return offset;
+  }
+  /// Element offset of logical row-major position `flat` in a strided
+  /// view (no allocation).
+  int64_t strided_offset(int64_t flat) const;
   /// Byte address of the element at logical row-major position `flat`.
   const std::byte* element_ptr(int64_t flat) const;
 

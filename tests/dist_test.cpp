@@ -13,6 +13,7 @@
 #include "net/wire.h"
 #include "workloads/kmeans.h"
 #include "workloads/mul2plus5.h"
+#include "workloads/pipeline.h"
 
 namespace p2g::dist {
 namespace {
@@ -603,6 +604,62 @@ TEST(DistributedRun, Mul2Plus5AcrossTwoNodes) {
   ASSERT_EQ(report.bus.per_endpoint.count("master"), 1u);
   EXPECT_GT(report.bus.per_endpoint.at("master").bytes, 0)
       << "topology + metrics reports flow to the master";
+}
+
+TEST(DistributedRun, InProcessStoresBypassTheBus) {
+  workloads::PipelineConfig config;
+  config.frame_bytes = 4096;
+  config.frames = 12;
+  config.seed = 7;
+  const auto options_for = [config](int nodes) {
+    MasterOptions options;
+    options.nodes = nodes;
+    options.workers_per_node = 1;
+    workloads::PipelineWorkload{config}.apply_schedule(options.base_options);
+    options.capture_fields = {"out"};
+    options.program_factory = [config] {
+      return workloads::PipelineWorkload{config}.build();
+    };
+    return options;
+  };
+  Master single(options_for(1));
+  const DistributedRunReport reference = single.run();
+  ASSERT_FALSE(reference.timed_out);
+  ASSERT_EQ(reference.captured.at("out").size(),
+            static_cast<size_t>(config.frames + 1));
+
+  // In-process nodes without fault tolerance hand stores over by direct
+  // call: the bus carries the control traffic only, which for a node is
+  // far less than one frame.
+  ThreadLauncher launcher;
+  Master master(options_for(3));
+  const DistributedRunReport report = master.run(launcher);
+  ASSERT_FALSE(report.timed_out);
+  ASSERT_GT(report.partition.cut_weight(master.final_graph()), 0.0);
+  int64_t sent = 0;
+  int64_t received = 0;
+  for (ExecutionNode* node : launcher.local_nodes()) {
+    const IdleReport idle = node->idle_report();
+    sent += idle.stores_sent;
+    received += idle.stores_received;
+    const auto it = report.bus.per_endpoint.find(node->name());
+    const int64_t bytes =
+        it != report.bus.per_endpoint.end() ? it->second.bytes : 0;
+    EXPECT_LT(bytes, config.frame_bytes)
+        << node->name() << " received a store over the bus";
+  }
+  EXPECT_GT(sent, 0);
+  EXPECT_EQ(sent, received);
+  EXPECT_EQ(report.captured.at("out"), reference.captured.at("out"));
+
+  // Fault tolerance keeps its data on the reliable channel.
+  MasterOptions ft_options = options_for(3);
+  ft_options.ft.enabled = true;
+  Master ft_master(ft_options);
+  const DistributedRunReport ft_report = ft_master.run();
+  ASSERT_FALSE(ft_report.timed_out);
+  EXPECT_GT(ft_report.ft.data_sent, 0);
+  EXPECT_EQ(ft_report.captured.at("out"), reference.captured.at("out"));
 }
 
 TEST(DistributedRun, KmeansMatchesSequential) {

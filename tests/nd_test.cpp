@@ -1,10 +1,12 @@
 // Unit tests for the multi-dimensional array substrate (src/nd).
 #include <gtest/gtest.h>
 
+#include "dist/message.h"
 #include "nd/buffer.h"
 #include "nd/extents.h"
 #include "nd/region.h"
 #include "nd/slice.h"
+#include "nd/view.h"
 
 namespace p2g::nd {
 namespace {
@@ -151,6 +153,194 @@ TEST(AnyBuffer, ScatterGatherRoundTrip) {
   AnyBuffer out(ElementType::kInt32, Extents({4}));
   buf.gather(region, out.raw());
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out.at<int32_t>(i), 100 + i);
+}
+
+// --- element accessor checks ---------------------------------------------
+//
+// The typed accessors check inline and throw from a cold path; these pin
+// the error kinds (and the element count they bound against) on dense and
+// strided views and on buffers.
+
+/// The ErrorKind `f` throws; fails the test when it throws nothing.
+template <typename F>
+ErrorKind thrown_kind(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.kind();
+  }
+  ADD_FAILURE() << "no error thrown";
+  return ErrorKind::kInternal;
+}
+
+/// A 4x5 int32 buffer holding its flat index at every element.
+AnyBuffer iota_4x5() {
+  AnyBuffer buf(ElementType::kInt32, Extents({4, 5}));
+  for (int32_t i = 0; i < 20; ++i) buf.set<int32_t>(i, i);
+  return buf;
+}
+
+TEST(ElementAccess, BufferBoundsAndTypeChecks) {
+  AnyBuffer buf = iota_4x5();
+  EXPECT_EQ(buf.at<int32_t>(19), 19);
+  EXPECT_EQ(thrown_kind([&] { buf.at<int32_t>(-1); }), ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { buf.at<int32_t>(20); }), ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { buf.set<int32_t>(-1, 0); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { buf.set<int32_t>(20, 0); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { buf.data<float>(); }), ErrorKind::kTypeMismatch);
+  const AnyBuffer& cbuf = buf;
+  EXPECT_EQ(thrown_kind([&] { cbuf.data<int64_t>(); }),
+            ErrorKind::kTypeMismatch);
+  EXPECT_EQ(thrown_kind([&] { buf.at<uint8_t>(0); }),
+            ErrorKind::kTypeMismatch);
+  EXPECT_EQ(thrown_kind([&] { buf.set<double>(0, 1.0); }),
+            ErrorKind::kTypeMismatch);
+  try {
+    buf.at<int32_t>(20);
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("flat index 20 outside [4x5]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ElementAccess, AliasBufferChecksBeforeAndAfterCopyOnWrite) {
+  const AnyBuffer owner = iota_4x5();
+  AnyBuffer alias = AnyBuffer::alias(ElementType::kInt32, owner.extents(),
+                                     owner.raw(), nullptr);
+  EXPECT_EQ(thrown_kind([&] { alias.at<int32_t>(20); }),
+            ErrorKind::kOutOfRange);
+  alias.set<int32_t>(3, -3);  // materializes into owned storage
+  EXPECT_FALSE(alias.external());
+  EXPECT_EQ(alias.at<int32_t>(3), -3);
+  EXPECT_EQ(owner.at<int32_t>(3), 3) << "writes never touch aliased bytes";
+  EXPECT_EQ(thrown_kind([&] { alias.set<int32_t>(-1, 0); }),
+            ErrorKind::kOutOfRange);
+}
+
+TEST(ElementAccess, DenseViewBoundsAndTypeChecks) {
+  const AnyBuffer buf = iota_4x5();
+  const ConstView view(ElementType::kInt32, buf.extents(), buf.raw(),
+                       nullptr);
+  ASSERT_TRUE(view.is_contiguous());
+  EXPECT_EQ(view.element_count(), 20);
+  for (int64_t i = 0; i < 20; ++i) EXPECT_EQ(view.at_flat<int32_t>(i), i);
+  EXPECT_EQ(view.at<int32_t>({3, 4}), 19);
+  EXPECT_EQ(thrown_kind([&] { view.at_flat<int32_t>(-1); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.at_flat<int32_t>(20); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.at<int32_t>({-1, 0}); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.at<int32_t>({4, 0}); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.at<int32_t>({0, 5}); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.at<int32_t>({0}); }),
+            ErrorKind::kOutOfRange);  // rank mismatch
+  EXPECT_EQ(thrown_kind([&] { view.get_as_int(20); }),
+            ErrorKind::kOutOfRange);
+  EXPECT_EQ(thrown_kind([&] { view.data<float>(); }),
+            ErrorKind::kTypeMismatch);
+  EXPECT_EQ(thrown_kind([&] { view.at_flat<int64_t>(0); }),
+            ErrorKind::kTypeMismatch);
+  EXPECT_EQ(thrown_kind([&] { view.at<uint8_t>({0, 0}); }),
+            ErrorKind::kTypeMismatch);
+}
+
+TEST(ElementAccess, StridedViewAddressesThroughStrides) {
+  const AnyBuffer buf = iota_4x5();
+  // The 2x3 window at (1, 1): rows 5 elements apart.
+  const ConstView window(ElementType::kInt32, Extents({2, 3}), {5, 1},
+                         buf.raw() + 6 * sizeof(int32_t), nullptr);
+  // Every other column of rows 0 and 2: no dimension is dense.
+  const ConstView sparse(ElementType::kInt32, Extents({2, 3}), {10, 2},
+                         buf.raw(), nullptr);
+  for (const ConstView* view : {&window, &sparse}) {
+    ASSERT_FALSE(view->is_contiguous());
+    EXPECT_EQ(view->element_count(), 6);
+    EXPECT_EQ(thrown_kind([&] { view->at_flat<int32_t>(-1); }),
+              ErrorKind::kOutOfRange);
+    EXPECT_EQ(thrown_kind([&] { view->at_flat<int32_t>(6); }),
+              ErrorKind::kOutOfRange);
+    EXPECT_EQ(thrown_kind([&] { view->at<int32_t>({2, 0}); }),
+              ErrorKind::kOutOfRange);
+    EXPECT_EQ(thrown_kind([&] { view->at<int32_t>({0, -1}); }),
+              ErrorKind::kOutOfRange);
+    EXPECT_EQ(thrown_kind([&] { view->get_as_double(6); }),
+              ErrorKind::kOutOfRange);
+    EXPECT_EQ(thrown_kind([&] { view->at_flat<float>(0); }),
+              ErrorKind::kTypeMismatch);
+    EXPECT_EQ(thrown_kind([&] { view->data<int32_t>(); }),
+              ErrorKind::kInternal);  // raw() of a strided view
+  }
+  for (int64_t r = 0; r < 2; ++r) {
+    for (int64_t c = 0; c < 3; ++c) {
+      const int64_t flat = r * 3 + c;
+      EXPECT_EQ(window.at_flat<int32_t>(flat), (1 + r) * 5 + 1 + c);
+      EXPECT_EQ(window.at<int32_t>({r, c}), (1 + r) * 5 + 1 + c);
+      EXPECT_EQ(window.get_as_int(flat), (1 + r) * 5 + 1 + c);
+      EXPECT_EQ(sparse.at_flat<int32_t>(flat), r * 10 + c * 2);
+      EXPECT_EQ(sparse.at<int32_t>({r, c}), r * 10 + c * 2);
+      EXPECT_DOUBLE_EQ(sparse.get_as_double(flat),
+                       static_cast<double>(r * 10 + c * 2));
+    }
+  }
+  const AnyBuffer packed = sparse.materialize();
+  EXPECT_EQ(packed.at<int32_t>(5), 14);
+}
+
+TEST(ElementAccess, ElementCountFollowsEveryShape) {
+  // Growing resize.
+  AnyBuffer buf(ElementType::kInt32, Extents({2, 3}));
+  buf.resize(Extents({4, 5}));
+  EXPECT_EQ(buf.element_count(), 20);
+  EXPECT_EQ(buf.extents().element_count(), 20);
+  buf.set<int32_t>(19, 7);
+  EXPECT_EQ(thrown_kind([&] { buf.at<int32_t>(20); }),
+            ErrorKind::kOutOfRange);
+  // A zero dimension: nothing to access, until a resize gives it room.
+  AnyBuffer empty(ElementType::kUInt8, Extents({3, 0}));
+  EXPECT_EQ(empty.element_count(), 0);
+  EXPECT_EQ(thrown_kind([&] { empty.at<uint8_t>(0); }),
+            ErrorKind::kOutOfRange);
+  const ConstView empty_view(ElementType::kUInt8, empty.extents(),
+                             empty.raw(), nullptr);
+  EXPECT_EQ(thrown_kind([&] { empty_view.at_flat<uint8_t>(0); }),
+            ErrorKind::kOutOfRange);
+  empty.resize(Extents({3, 2}));
+  EXPECT_EQ(empty.element_count(), 6);
+  empty.set<uint8_t>(5, 1);
+  // Rank 0: one element, addressed by flat 0 or the empty coordinate.
+  AnyBuffer scalar(ElementType::kFloat64, Extents());
+  EXPECT_EQ(scalar.element_count(), 1);
+  scalar.set<double>(0, 2.5);
+  EXPECT_EQ(thrown_kind([&] { scalar.at<double>(1); }),
+            ErrorKind::kOutOfRange);
+  const ConstView scalar_view(ElementType::kFloat64, scalar.extents(),
+                              scalar.raw(), nullptr);
+  EXPECT_EQ(scalar_view.at_flat<double>(0), 2.5);
+  EXPECT_EQ(scalar_view.at<double>({}), 2.5);
+  EXPECT_EQ(thrown_kind([&] { scalar_view.at_flat<double>(1); }),
+            ErrorKind::kOutOfRange);
+  // Extents rebuilt from a decoded wire store.
+  dist::RemoteStore remote;
+  remote.region = Region({Interval{1, 4}, Interval{2, 7}});
+  remote.payload.resize(15);
+  const dist::RemoteStore decoded = dist::RemoteStore::decode(remote.encode());
+  const Extents shape = decoded.region.required_extents();
+  EXPECT_EQ(shape, Extents({4, 7}));
+  EXPECT_EQ(shape.element_count(), 28);
+  std::vector<int64_t> dims;
+  for (size_t d = 0; d < decoded.region.rank(); ++d) {
+    dims.push_back(decoded.region.interval(d).end -
+                   decoded.region.interval(d).begin);
+  }
+  const Extents payload_shape(std::move(dims));
+  EXPECT_EQ(payload_shape.element_count(), 15);
+  EXPECT_EQ(payload_shape.element_count(), decoded.region.element_count());
 }
 
 TEST(SliceSpec, WholeResolvesToFullExtents) {
