@@ -120,8 +120,8 @@ Program chained_program(int elements, int ages) {
   return pb.build();
 }
 
-/// Whole-process CPU seconds (all threads). Dispatch cost lives in the
-/// analyzer thread, which overlaps with the workers; on small or
+/// Whole-process CPU seconds (all threads). Dispatch cost includes the
+/// analysis, which overlaps with other workers' bodies; on small or
 /// oversubscribed VMs wall time is scheduler noise, while total CPU spent
 /// per run is stable and sums every thread's work.
 double process_cpu_seconds() {

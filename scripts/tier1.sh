@@ -73,11 +73,13 @@ fi
 # transport-counter test, whose node transport runs a hub reader thread,
 # the age-reclamation tests, whose releases race workers' views, the
 # range-dispatch tests, whose box splitting meets the same probe hand-off,
-# and the in-process distributed runs and traces, whose stores cross nodes
-# on worker threads (direct delivery) and so race the termination probe.
+# the in-process distributed runs and traces, whose stores cross nodes
+# on worker threads (direct delivery) and so race the termination probe,
+# and the lossy chaos smoke, whose counters must repeat run to run.
 flake_repeat="${P2G_FLAKE_REPEAT:-0}"
 if [ "$rc" -eq 0 ] && [ "$flake_repeat" -gt 0 ]; then
-  flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|FieldStorageConcurrency"
+  flake_tests="ChaosFlightRecorder|ChaosCrashRecovery|ChaosSmoke\\."
+  flake_tests="$flake_tests|FieldStorageConcurrency"
   flake_tests="$flake_tests|FieldStorageStress|TraceCollector.Concurrent"
   flake_tests="$flake_tests|Cluster\\.|AdaptiveChunking\\.|DeterminismSweep"
   flake_tests="$flake_tests|RuntimeMetrics\\.|FlightTrace\\.|RuntimeTally\\."

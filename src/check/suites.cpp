@@ -10,6 +10,7 @@
 // stack is gone by the time run() schedules them.
 #include "check/registry.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -20,6 +21,7 @@
 
 #include "check/sync.h"
 #include "common/blocking_queue.h"
+#include "common/combining_queue.h"
 #include "common/mpsc_queue.h"
 #include "core/field.h"
 #include "core/ready_queue.h"
@@ -64,30 +66,64 @@ void suite_ready_queue(CheckSession& session) {
   });
   session.spawn("worker-b", [queue] {
     std::optional<WorkItem> bonus;
-    while (queue->pop(bonus).has_value()) {
+    while (queue->pop(&bonus).has_value()) {
       bonus.reset();
     }
   });
   session.spawn("closer", [queue] { queue->close(); });
 }
 
-void suite_mpsc_queue(CheckSession& session) {
-  // The workers-to-analyzer event queue: lock-free multi-producer push
-  // racing a parked pop_all consumer and shutdown. Verifies the Vyukov publish
-  // protocol (release before exchange, acquire before reading payloads)
-  // and the seq_cst sleeping_ Dekker against lost wakeups.
-  auto queue = std::make_shared<MpscQueue<int>>();
-  session.spawn("producer-a", [queue] {
-    queue->push(1);
-    queue->push(2);
-  });
-  session.spawn("producer-b", [queue] { queue->push(3); });
-  session.spawn("consumer", [queue] {
-    std::deque<int> batch;
-    while (queue->pop_all(batch)) {
+/// The event gate as Runtime::push_event uses it: two pushers, and handling
+/// event 0 pushes event 3 (re-entry). pusher-b pushes once event 1 is
+/// handled, so it can land while pusher-a holds the gate after its last
+/// drain. Two handlers at once race on `handled` (P2G-C001); the last to
+/// finish throws unless each event was handled once (stranded: P2G-C004).
+template <typename Gate>
+void combine_protocol(CheckSession& session) {
+  struct Shared {
+    Shared() : gate([this](const std::deque<int>& batch) {
+      for (const int event : batch) {
+        check::write(handled, "analyzer.combine.handled");
+        ++handled[static_cast<size_t>(event)];
+        if (event == 0) gate.push(3);
+        if (event != 1) continue;
+        std::scoped_lock lock(mutex);
+        one_handled = true;
+        cv.notify_one();
+      }
+    }) {
+      gate.open();
     }
+    void finish() {
+      check::release(&finished);
+      if (finished.fetch_add(1) != 1) return;
+      check::acquire(&finished);
+      check::read(handled, "analyzer.combine.handled");
+      for (const int times : handled) {
+        if (times != 1) throw std::logic_error("an event was not handled once");
+      }
+    }
+    std::array<int, 4> handled{};
+    std::atomic<int> finished{0};
+    sync::Mutex mutex{"analyzer.combine.mutex"};
+    sync::CondVar cv{"analyzer.combine.cv"};
+    bool one_handled = false;
+    Gate gate;  // last: its handler uses the members above
+  };
+  auto shared = std::make_shared<Shared>();
+  session.spawn("pusher-a", [shared] {
+    shared->gate.push(0);
+    shared->gate.push(1);
+    shared->finish();
   });
-  session.spawn("closer", [queue] { queue->close(); });
+  session.spawn("pusher-b", [shared] {
+    {
+      std::unique_lock lock(shared->mutex);
+      shared->cv.wait(lock, [&] { return shared->one_handled; });
+    }
+    shared->gate.push(2);
+    shared->finish();
+  });
 }
 
 void suite_field_seal_publish(CheckSession& session) {
@@ -159,7 +195,7 @@ void release_protocol(CheckSession& session, bool release_at_dispatch) {
     explicit Shared(FieldDecl decl) : field(std::move(decl)) {}
     FieldStorage field;
     ReadyQueue ready;
-    MpscQueue<Age> done;
+    BlockingQueue<Age> done;
   };
   FieldDecl decl;
   decl.id = 0;
@@ -344,11 +380,9 @@ void suite_known_race(CheckSession& session) {
 }
 
 void suite_broken_mpsc(CheckSession& session) {
-  // Bug under test: a deliberately broken handoff through the workers-to-
-  // analyzer event queue that publishes the out-of-band payload *after*
-  // the queue push, so the consumer can read it before (or concurrently
-  // with) the write — the mistake the real protocol avoids by completing
-  // every payload write before the publishing exchange.
+  // Bug under test: a handoff through the event queue that publishes the
+  // out-of-band payload *after* the push, so the consumer can read it
+  // concurrently with the write (the real protocol writes first).
   struct Shared {
     MpscQueue<int> queue;
     int64_t payload = 0;
@@ -361,13 +395,36 @@ void suite_broken_mpsc(CheckSession& session) {
   });
   session.spawn("consumer", [shared] {
     std::deque<int> batch;
-    if (shared->queue.pop_all(batch)) {
+    if (shared->queue.try_pop_all(batch) > 0) {
       check::read(shared->payload, "demo.broken_mpsc.payload");
       (void)shared->payload;
     }
   });
-  session.spawn("closer", [shared] { shared->queue.close(); });
 }
+
+/// Bug under test: a combining gate left without the re-check. An event
+/// pushed while another thread holds the gate, after its last drain, stays
+/// in the queue with nobody to drain it.
+class BrokenCombine {
+ public:
+  explicit BrokenCombine(CombiningQueue<int>::Handler handle)
+      : handle_(std::move(handle)) {}
+  void open() {}
+  void push(int event) {
+    queue_.push(event);
+    if (gate_.exchange(true, std::memory_order_seq_cst)) return;
+    check::acquire(&gate_);
+    while (queue_.try_pop_all(batch_) > 0) handle_(batch_);
+    check::release(&gate_);
+    gate_.store(false, std::memory_order_seq_cst);  // no re-check
+  }
+
+ private:
+  const CombiningQueue<int>::Handler handle_;
+  MpscQueue<int> queue_;
+  std::deque<int> batch_;
+  std::atomic<bool> gate_{false};
+};
 
 void suite_broken_ring(CheckSession& session) {
   // Bug under test: an SPSC ring whose producer publishes the new tail
@@ -482,9 +539,10 @@ void register_builtin_suites() {
     add("ready_queue.shutdown",
         "ReadyQueue batch push, two workers (bonus pop), close",
         suite_ready_queue);
-    add("mpsc.pop_all_shutdown",
-        "MpscQueue lock-free multi-producer push / parked pop_all / close",
-        suite_mpsc_queue);
+    add("analyzer.combine",
+        "combining gate: two pushers and a push from inside the handler, "
+        "each event handled once by one handler at a time",
+        combine_protocol<CombiningQueue<int>>);
     add("field.seal_publish",
         "FieldStorage store-after-seal (lock-free claim/copy/commit vs "
         "region_written/is_complete readers) and store-then-seal "
@@ -514,6 +572,10 @@ void register_builtin_suites() {
         "fixture: queue payload published after the push (must find "
         "P2G-C001)",
         suite_broken_mpsc, "P2G-C001");
+    add("demo.broken_combine",
+        "fixture: gate left without the re-check strands an event (must "
+        "find P2G-C004)",
+        combine_protocol<BrokenCombine>, "P2G-C004");
     add("demo.broken_ring",
         "fixture: ring tail published before the slot write (must find "
         "P2G-C001)",

@@ -1,6 +1,5 @@
-// Unbounded MPSC/MPMC blocking queue used for the dependency analyzer's
-// event stream. The paper's runtime pushes store/resize events from worker
-// threads into a dedicated analyzer thread; this queue is that channel.
+// Unbounded MPSC/MPMC blocking queue: the message bus mailboxes
+// (dist::MessageBus, net::Transport::Mailbox).
 //
 // Built on the instrumented sync primitives (check/sync.h): under a
 // p2gcheck session every lock/wait is reported to the race checker and, in

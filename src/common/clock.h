@@ -16,7 +16,6 @@ inline int64_t now_ns() {
       .count();
 }
 
-inline double ns_to_us(int64_t ns) { return static_cast<double>(ns) / 1e3; }
 inline double ns_to_ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 inline double ns_to_s(int64_t ns) { return static_cast<double>(ns) / 1e9; }
 

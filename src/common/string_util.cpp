@@ -28,10 +28,6 @@ std::string_view trim(std::string_view text) {
   return text.substr(first, last - first + 1);
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.substr(0, prefix.size()) == prefix;
-}
-
 bool ends_with(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;

@@ -14,7 +14,6 @@ std::vector<std::string> split(std::string_view text, char sep);
 /// Strips ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 
-bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
 
 /// Joins pieces with a separator.

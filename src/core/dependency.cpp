@@ -350,8 +350,8 @@ void DependencyAnalyzer::handle_done(const InstanceDoneEvent& event) {
 
 void DependencyAnalyzer::handle_rescan(const RescanEvent& event) {
   const KernelDef& def = program_.kernel(event.kernel);
-  // `enabled` is only ever read on the analyzer thread (try_enumerate) or
-  // before threads start (bootstrap), so the flip needs no synchronization.
+  // `enabled` is only read by the analysis (serialized by the event gate)
+  // or before threads start (bootstrap): the gate orders the flip.
   runtime_.kcfg_[static_cast<size_t>(def.id)].enabled = true;
 
   if (def.is_source()) {

@@ -1,10 +1,10 @@
 // The dependency analyzer (paper §VI-B).
 //
-// Each execution node runs one analyzer thread. Workers (and remote-store
-// injection) push store, done and rescan events onto one lock-free MPSC
-// queue (common/mpsc_queue.h); the analyzer drains the whole backlog at
-// once, discovers newly runnable kernel instances and dispatches each
-// exactly once into the ReadyQueue.
+// Each execution node runs one analyzer and no analyzer thread. Workers
+// (and remote-store injection) push store, done and rescan events onto one
+// combining queue (common/combining_queue.h); its gate holder drains the
+// whole backlog at once, and the analyzer discovers newly runnable kernel
+// instances and dispatches each exactly once into the ReadyQueue.
 //
 // Range dispatch: the unit the analyzer reasons about is a box of index
 // coordinates (nd::Region), not a coordinate. An event narrows a kernel
@@ -51,7 +51,7 @@ class DependencyAnalyzer {
   /// the first age of every source kernel. Single-threaded (pre-run).
   void bootstrap();
 
-  /// Processes a drained event backlog in order (analyzer thread only),
+  /// Processes a drained event backlog in order (the gate holder only),
   /// flushing chunk buffers once per batch instead of once per event: a
   /// batch often fills a chunk that single events would have split.
   void handle_batch(const std::deque<Event>& events);

@@ -1,7 +1,7 @@
 // Events flowing from worker threads into the dependency analyzer.
 //
 // The runtime is push-based (paper §VI-B): kernel instances produce store
-// events which the analyzer thread consumes to discover newly runnable
+// events which the analyzer consumes to discover newly runnable
 // instances.
 #pragma once
 

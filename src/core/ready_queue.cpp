@@ -36,7 +36,8 @@ WorkItem ReadyQueue::take_top() {
   return item;
 }
 
-std::optional<WorkItem> ReadyQueue::pop() {
+std::optional<WorkItem> ReadyQueue::pop(std::optional<WorkItem>* bonus) {
+  if (bonus != nullptr) bonus->reset();
   std::unique_lock lock(mutex_);
   ++waiters_;
   cv_.wait(lock, [&] { return !items_.empty() || closed_; });
@@ -44,28 +45,13 @@ std::optional<WorkItem> ReadyQueue::pop() {
   check::read(closed_, "ReadyQueue.closed");
   if (items_.empty()) return std::nullopt;
   WorkItem item = take_top();
-  // More work and somebody is parked: pass the wakeup along so the chain
-  // keeps draining even though push only ever notifies one worker.
-  const bool handoff = !items_.empty() && waiters_ > 0;
-  lock.unlock();
-  if (handoff) cv_.notify_one();
-  return item;
-}
-
-std::optional<WorkItem> ReadyQueue::pop(std::optional<WorkItem>& bonus) {
-  bonus.reset();
-  std::unique_lock lock(mutex_);
-  ++waiters_;
-  cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-  --waiters_;
-  check::read(closed_, "ReadyQueue.closed");
-  if (items_.empty()) return std::nullopt;
-  WorkItem item = take_top();
-  if (!items_.empty() && waiters_ == 0) {
+  if (bonus != nullptr && !items_.empty() && waiters_ == 0) {
     // Nobody else wants work right now: take a second unit and save this
     // worker its next lock round trip.
-    bonus = take_top();
+    *bonus = take_top();
   }
+  // More work and somebody is parked: pass the wakeup along so the chain
+  // keeps draining even though push only ever notifies one worker.
   const bool handoff = !items_.empty() && waiters_ > 0;
   lock.unlock();
   if (handoff) cv_.notify_one();

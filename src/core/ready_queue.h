@@ -56,13 +56,11 @@ class ReadyQueue {
   /// items and the rest remain claimable by peers finishing their bodies.)
   void push_batch(std::vector<WorkItem> items);
 
-  /// Blocks for the lowest-age item; nullopt after close() drains.
-  std::optional<WorkItem> pop();
-
-  /// Like pop(), but when more work is queued and no other worker is
-  /// waiting for it, also moves the next item into `bonus` — a second unit
-  /// for the same worker at no extra lock round trip.
-  std::optional<WorkItem> pop(std::optional<WorkItem>& bonus);
+  /// Blocks for the lowest-age item; nullopt after close() drains. With
+  /// `bonus`, when more work is queued and no other worker is waiting for
+  /// it, also moves the next item there — a second unit for the same
+  /// worker at no extra lock round trip.
+  std::optional<WorkItem> pop(std::optional<WorkItem>* bonus = nullptr);
 
   void close();
   size_t size() const;

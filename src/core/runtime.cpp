@@ -21,6 +21,14 @@ int resolve_workers(int requested) {
   return hardware > 0 ? hardware : 2;
 }
 
+/// Names the writer of an injected store in write-once errors.
+StoreOrigin injected_origin(const Program& program, KernelId producer,
+                            Age age) {
+  return StoreOrigin{producer != kInvalidKernel ? program.kernel(producer).name
+                                                : std::string("injected"),
+                     age, {}};
+}
+
 }  // namespace
 
 Runtime::Runtime(Program program, RunOptions options)
@@ -227,23 +235,11 @@ int64_t Runtime::inject_store(FieldId field, Age age,
     // already covered) changes nothing: the analyzer has seen this event.
     if (fresh == 0) return 0;
   } else {
-    StoreOrigin origin;
-    origin.kernel = producer != kInvalidKernel
-                        ? program_.kernel(producer).name
-                        : std::string("injected");
-    origin.age = age;
+    const StoreOrigin origin = injected_origin(program_, producer, age);
     storage(field).store(age, region, payload, &origin);
     fresh = region.element_count();
   }
-  StoreEvent event;
-  event.field = field;
-  event.age = age;
-  event.region = region;
-  event.producer = producer;
-  event.store_decl = store_decl;
-  event.whole = whole;
-  event.ctx = ctx;
-  push_event(std::move(event));
+  push_event(StoreEvent{field, age, region, producer, store_decl, whole, ctx});
   return fresh;
 }
 
@@ -258,11 +254,7 @@ int64_t Runtime::inject_store_view(FieldId field, Age age,
     did_adopt = storage(field).adopt_whole(age, view);
   }
   if (!did_adopt) {
-    StoreOrigin origin;
-    origin.kernel = producer != kInvalidKernel
-                        ? program_.kernel(producer).name
-                        : std::string("injected");
-    origin.age = age;
+    const StoreOrigin origin = injected_origin(program_, producer, age);
     if (view.is_contiguous()) {
       storage(field).store(age, region, view.raw(), &origin);
     } else {
@@ -271,15 +263,7 @@ int64_t Runtime::inject_store_view(FieldId field, Age age,
     }
   }
   if (adopted != nullptr) *adopted = did_adopt;
-  StoreEvent event;
-  event.field = field;
-  event.age = age;
-  event.region = region;
-  event.producer = producer;
-  event.store_decl = store_decl;
-  event.whole = whole;
-  event.ctx = ctx;
-  push_event(std::move(event));
+  push_event(StoreEvent{field, age, region, producer, store_decl, whole, ctx});
   return region.element_count();
 }
 
@@ -345,45 +329,31 @@ void Runtime::fail(std::exception_ptr error) {
   begin_shutdown();
 }
 
-// GCC 12 falsely flags the moved-from variant inside the inlined
-// MpscQueue::pop (-Wmaybe-uninitialized, PR 105562 family).
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-void Runtime::analyzer_loop() {
-  Instrumentation::Slot tally = instr_.analyzer();
-  // Drain the whole backlog at once, handle it, then settle accounting
-  // once. The outstanding units are released only after the batch is fully
-  // handled — and the work it created added its units first — so the count
-  // never undershoots the real amount of pending work (quiescence stays
-  // sound).
-  std::deque<Event> batch;
-  while (events_.pop_all(batch)) {
-    const int64_t start = now_ns();
-    const auto n = static_cast<int64_t>(batch.size());
-    try {
-      analyzer_->handle_batch(batch);
-    } catch (...) {
-      fail(std::current_exception());
-    }
-    const int64_t end = now_ns();
-    if (trace_) {
-      trace_->record(TraceCollector::Record{start, end - start, -1, 0, n,
-                                            SpanKind::kAnalyzer,
-                                            analyze_span_name_});
-    }
-    tally.record(Instrumentation::kAnalyzerHandle, end - start);
-    tally.add_events(n);
-    if (!series_.empty() && end - sampled_at_ns_ >= kSamplePeriodNs) {
-      sample_gauges(end);
-    }
-    complete_outstanding(n);
+void Runtime::analyze(const std::deque<Event>& batch) {
+  // The batch's units are released only after it is handled, and the work
+  // it created added its units first: the count never undershoots pending
+  // work, so quiescence stays sound.
+  const int64_t start = now_ns();
+  const auto n = static_cast<int64_t>(batch.size());
+  try {
+    analyzer_->handle_batch(batch);
+  } catch (...) {
+    fail(std::current_exception());
   }
+  const int64_t end = now_ns();
+  if (trace_) {
+    trace_->record(TraceCollector::Record{start, end - start, -1, 0, n,
+                                          SpanKind::kAnalyzer,
+                                          analyze_span_name_});
+  }
+  Instrumentation::Slot tally = instr_.analyzer();
+  tally.record(Instrumentation::kAnalyzerHandle, end - start);
+  tally.add_events(n);
+  if (!series_.empty() && end - sampled_at_ns_ >= kSamplePeriodNs) {
+    sample_gauges(end);
+  }
+  complete_outstanding(n);
 }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 void Runtime::worker_loop(int worker_index) {
   // One pair of timestamps per work item splits worker time into busy and
@@ -392,7 +362,7 @@ void Runtime::worker_loop(int worker_index) {
   Instrumentation::Slot tally = instr_.worker(worker_index);
   int64_t wait_start = now_ns();
   std::optional<WorkItem> bonus;
-  while (auto item = ready_.pop(bonus)) {
+  while (auto item = ready_.pop(&bonus)) {
     // The queue hands over a second item when no other worker is waiting;
     // run both before going back to the lock.
     while (item) {
@@ -845,7 +815,8 @@ int64_t Runtime::execute(const WorkItem& item, int worker_index,
   tally.add_item(def.id, count, dispatch_ns, kernel_ns);
   tally.record(Instrumentation::kDispatch, dispatch_ns);
   tally.record(Instrumentation::kBody, kernel_ns);
-  // One push per item: its stores and its completion.
+  // One push per item: its stores and its completion. Analysis it runs on
+  // this thread falls after the item's bounds (worker idle time).
   push_event(std::move(done));
   complete_outstanding();
 
@@ -878,12 +849,13 @@ RunReport Runtime::run() {
   }
 
   if (!series_.empty()) sample_gauges(now_ns());
-  std::thread analyzer_thread([this] { analyzer_loop(); });
   std::vector<std::thread> worker_threads;
   worker_threads.reserve(static_cast<size_t>(workers_));
   for (int i = 0; i < workers_; ++i) {
     worker_threads.emplace_back([this, i] { worker_loop(i); });
   }
+  // Events pushed before bootstrap (injected stores) waited at the gate.
+  events_.open();
 
   {
     std::unique_lock lock(done_mutex_);
@@ -899,8 +871,9 @@ RunReport Runtime::run() {
   }
   if (report.timed_out) begin_shutdown();
 
-  analyzer_thread.join();
   for (std::thread& t : worker_threads) t.join();
+  // Waits out analysis on other threads; none happens after this.
+  events_.join();
 
   // Flush all telemetry *before* propagating a worker error or returning
   // the watchdog-timeout report: failed and hung runs are exactly the

@@ -1,17 +1,17 @@
 // Runtime: a P2G execution node for multi-core machines (paper §VI-B).
 //
-// The runtime owns field storage, one dependency-analyzer thread fed by one
-// lock-free event queue, an age-ordered ready queue and a pool of worker
+// The runtime owns field storage, one dependency analyzer behind a
+// combining event queue, an age-ordered ready queue and a pool of worker
 // threads. Kernel instances run on workers and emit store events; the
-// analyzer consumes them, discovers newly runnable instances and dispatches
-// each instance exactly once (write-once semantics make this sound). The
-// run terminates at quiescence: no pending events, no ready or running
+// thread that pushes an event runs the analysis unless another thread is
+// (there is no analyzer thread), which discovers newly runnable instances
+// and dispatches each exactly once (write-once semantics make this sound).
+// The run terminates at quiescence: no pending events, no ready or running
 // instances.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
 #include <map>
 #include <memory>
@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/mpsc_queue.h"
+#include "common/combining_queue.h"
 #include "common/rng.h"
 #include "core/events.h"
 #include "core/field.h"
@@ -177,7 +177,7 @@ class Runtime {
 
   /// Re-enables a disabled kernel and re-enumerates its instances from
   /// surviving field data (failover: the kernel's previous owner died).
-  /// Thread-safe; the rescan runs on the analyzer thread.
+  /// Thread-safe; the rescan is analyzed like any other event.
   void enable_kernel(const std::string& name);
 
   /// Ends a keep-alive run (or aborts a normal one). Thread-safe.
@@ -265,7 +265,7 @@ class Runtime {
   };
 
   /// Appends one sample at `t_ns` to every gauge series (run() before the
-  /// threads start, then the analyzer thread, then run() after the join).
+  /// threads start, then the analysis, then run() after the join).
   void sample_gauges(int64_t t_ns);
   /// Takes the closing sample, copies the series into Perfetto counter
   /// tracks (with tracing on) and releases them to metrics_snapshot().
@@ -286,14 +286,15 @@ class Runtime {
   /// Enqueues a batch of work items under one ready-queue lock.
   void submit_batch(std::vector<WorkItem> items);
 
-  /// Enqueues an event for the analyzer thread.
+  /// Enqueues an event; analyzes the backlog unless another thread is.
   void push_event(Event event);
 
   void begin_shutdown();
   void fail(std::exception_ptr error);
 
   void worker_loop(int worker_index);
-  void analyzer_loop();
+  /// Handles one drained batch of events and settles its accounting.
+  void analyze(const std::deque<Event>& batch);
 
   /// Runs the box of a work item in one context: fetch prep, then per
   /// instance the body and its fused downstream, then one commit per store
@@ -362,9 +363,9 @@ class Runtime {
   int workers_ = 1;
 
   ReadyQueue ready_;
-  /// The lock-free MPSC event queue (producers: workers and remote-store
-  /// injection; consumer: the analyzer thread).
-  MpscQueue<Event> events_;
+  /// Events; the gate holder runs analyze(). run() opens it after bootstrap.
+  CombiningQueue<Event> events_{
+      [this](const std::deque<Event>& batch) { analyze(batch); }};
   Instrumentation instr_;
   TimerSet timers_;
   std::unique_ptr<TraceCollector> trace_;

@@ -85,12 +85,15 @@ namespace {
 
 std::atomic<uint64_t> g_next_collector_id{1};
 
-/// Last collector this thread recorded into and its buffer there. Keyed by
-/// the never-reused collector id, so a destroyed collector's entry can
-/// never be hit again, even by a collector built at the same address.
+/// The last few collectors this thread recorded into (a worker delivering
+/// stores by direct call records into its peers' too) and its buffers
+/// there, replaced in turn. Keyed by the never-reused collector id, so a
+/// destroyed collector's entry can never be hit again.
 struct BufferCache {
-  uint64_t collector = 0;
-  void* buffer = nullptr;
+  static constexpr size_t kWays = 4;
+  uint64_t collector[kWays] = {};
+  void* buffer[kWays] = {};
+  size_t next = 0;
 };
 thread_local BufferCache t_buffer_cache;
 
@@ -244,7 +247,11 @@ TraceCollector::~TraceCollector() {
 
 TraceCollector::ThreadBuffer& TraceCollector::local_buffer() {
   BufferCache& cache = t_buffer_cache;
-  if (cache.collector == id_) return *static_cast<ThreadBuffer*>(cache.buffer);
+  for (size_t way = 0; way < BufferCache::kWays; ++way) {
+    if (cache.collector[way] == id_) {
+      return *static_cast<ThreadBuffer*>(cache.buffer[way]);
+    }
+  }
   std::scoped_lock lock(mutex_);
   ThreadBuffer*& buffer = buffer_of_[std::this_thread::get_id()];
   if (buffer == nullptr) {
@@ -253,8 +260,9 @@ TraceCollector::ThreadBuffer& TraceCollector::local_buffer() {
                        std::memory_order_relaxed);
     buffers_.store(buffer, std::memory_order_release);
   }
-  cache.collector = id_;
-  cache.buffer = buffer;
+  const size_t way = cache.next++ % BufferCache::kWays;
+  cache.collector[way] = id_;
+  cache.buffer[way] = buffer;
   return *buffer;
 }
 

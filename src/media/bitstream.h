@@ -28,7 +28,6 @@ class BitWriter {
   bool aligned() const { return bit_count_ == 0; }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> take() { return std::move(bytes_); }
-  size_t bit_position() const { return bytes_.size() * 8 + static_cast<size_t>(bit_count_); }
 
  private:
   void emit(uint8_t byte);
@@ -50,9 +49,6 @@ class BitReader {
 
   /// Single bit.
   int get_bit();
-
-  /// Byte offset of the next unread byte (after aligning).
-  size_t byte_position() const { return pos_; }
 
   /// True when fewer than `count` bits remain.
   bool exhausted() const { return pos_ >= size_ && bit_count_ == 0; }

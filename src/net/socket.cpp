@@ -350,11 +350,6 @@ SocketNodeTransport::SocketNodeTransport(const std::string& host,
 
 SocketNodeTransport::~SocketNodeTransport() { close_all(); }
 
-bool SocketNodeTransport::hub_dead() const {
-  std::scoped_lock lock(mutex_);
-  return hub_dead_;
-}
-
 void SocketNodeTransport::reader_loop() {
   FrameReader frames;
   uint8_t buf[64 * 1024];

@@ -112,9 +112,6 @@ class SocketNodeTransport : public Transport {
   SocketNodeTransport(const SocketNodeTransport&) = delete;
   SocketNodeTransport& operator=(const SocketNodeTransport&) = delete;
 
-  /// True once the hub connection failed or was shut down.
-  bool hub_dead() const;
-
   // --- Transport ------------------------------------------------------------
   /// Idempotent: registering the same name twice returns the same mailbox
   /// (the node driver registers before ExecutionNode's constructor does).

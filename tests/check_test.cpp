@@ -389,7 +389,8 @@ TEST_P(BuiltinSuiteSweep, TwoHundredSeedsClean) {
 INSTANTIATE_TEST_SUITE_P(
     Converted, BuiltinSuiteSweep,
     ::testing::Values("blocking_queue.pop_all_shutdown",
-                      "ready_queue.shutdown", "field.seal_publish",
+                      "ready_queue.shutdown", "analyzer.combine",
+                      "field.seal_publish",
                       "field.release_on_done", "bus.shutdown",
                       "reliable.stop", "flight_recorder.ring"),
     [](const ::testing::TestParamInfo<const char*>& info) {

@@ -132,12 +132,12 @@ TEST(ReadyQueueTest, BonusPopHandsOverSecondItemWhenAlone) {
 
   // Single consumer: pop grants the best item plus the next-best bonus.
   std::optional<WorkItem> bonus;
-  const auto first = queue.pop(bonus);
+  const auto first = queue.pop(&bonus);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->kernel, 1);  // age 0
   ASSERT_TRUE(bonus.has_value());
   EXPECT_EQ(bonus->kernel, 0);  // age 1
-  const auto last = queue.pop(bonus);
+  const auto last = queue.pop(&bonus);
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->kernel, 2);
   EXPECT_FALSE(bonus.has_value()) << "no bonus when the queue runs dry";
@@ -153,7 +153,7 @@ TEST(ReadyQueueTest, BatchedPushWakesBlockedConsumers) {
   for (int t = 0; t < kConsumers; ++t) {
     consumers.emplace_back([&queue, &popped] {
       std::optional<WorkItem> bonus;
-      while (auto w = queue.pop(bonus)) {
+      while (auto w = queue.pop(&bonus)) {
         popped.fetch_add(1);
         if (bonus) {
           popped.fetch_add(1);

@@ -1,15 +1,21 @@
-// Unit tests for the lock-free MPSC event queue backing analyzer shards
-// (common/mpsc_queue.h): FIFO order, batched drain, close semantics,
-// consumer parking, and multi-producer delivery with per-producer order.
+// Unit tests for the lock-free MPSC event queue (common/mpsc_queue.h):
+// FIFO order, batched drain and multi-producer delivery with per-producer
+// order; and for the combining gate over it (common/combining_queue.h):
+// items pushed before open() wait for it, a push from inside the handler
+// is handled by the same loop, close() ends combining, and racing pushers
+// get every item handled exactly once by one handler at a time.
 #include "common/mpsc_queue.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <thread>
 #include <vector>
+
+#include "common/combining_queue.h"
 
 namespace p2g {
 namespace {
@@ -19,72 +25,31 @@ TEST(MpscQueue, FifoOrderSingleProducer) {
   q.push(1);
   q.push(2);
   q.push(3);
-  q.close();
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_FALSE(q.pop().has_value());
+  std::deque<int> batch;
+  ASSERT_EQ(q.try_pop_all(batch), 3u);
+  EXPECT_EQ(batch, (std::deque<int>{1, 2, 3}));
 }
 
 TEST(MpscQueue, PopAllDrainsEverythingAtOnce) {
   MpscQueue<int> q;
   for (int i = 0; i < 5; ++i) q.push(i);
   std::deque<int> batch;
-  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(q.try_pop_all(batch), 5u);
   EXPECT_EQ(batch, (std::deque<int>{0, 1, 2, 3, 4}));
-  q.close();
-  EXPECT_FALSE(q.pop_all(batch));
+  // An empty queue returns at once, and a stale batch is cleared.
+  EXPECT_EQ(q.try_pop_all(batch), 0u);
   EXPECT_TRUE(batch.empty());
-}
-
-TEST(MpscQueue, CloseDeliversItemsPushedBeforeClose) {
-  MpscQueue<int> q;
-  q.push(7);
-  q.push(8);
-  q.close();
-  std::deque<int> batch;
-  ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_EQ(batch, (std::deque<int>{7, 8}));
-  EXPECT_FALSE(q.pop_all(batch));
 }
 
 TEST(MpscQueue, ApproximateSizeTracksBacklog) {
   MpscQueue<int> q;
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   q.push(1);
   q.push(2);
   EXPECT_EQ(q.size(), 2u);
   std::deque<int> batch;
-  ASSERT_TRUE(q.pop_all(batch));
-  EXPECT_TRUE(q.empty());
-  q.close();
-}
-
-TEST(MpscQueue, ParkedConsumerIsWokenByPush) {
-  MpscQueue<int> q;
-  std::thread consumer([&q] {
-    std::deque<int> batch;
-    EXPECT_TRUE(q.pop_all(batch));
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch.front(), 42);
-  });
-  // Give the consumer time to park on the empty queue before pushing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.push(42);
-  consumer.join();
-  q.close();
-}
-
-TEST(MpscQueue, ParkedConsumerIsWokenByClose) {
-  MpscQueue<int> q;
-  std::thread consumer([&q] {
-    std::deque<int> batch;
-    EXPECT_FALSE(q.pop_all(batch));
-    EXPECT_TRUE(batch.empty());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  consumer.join();
+  ASSERT_EQ(q.try_pop_all(batch), 2u);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(MpscQueue, MultiProducerDeliversEverythingPerProducerFifo) {
@@ -104,7 +69,7 @@ TEST(MpscQueue, MultiProducerDeliversEverythingPerProducerFifo) {
   got.reserve(static_cast<size_t>(kProducers) * kItems);
   std::deque<int64_t> batch;
   while (got.size() < static_cast<size_t>(kProducers) * kItems) {
-    ASSERT_TRUE(q.pop_all(batch));
+    if (q.try_pop_all(batch) == 0) std::this_thread::yield();
     got.insert(got.end(), batch.begin(), batch.end());
   }
   for (std::thread& t : producers) t.join();
@@ -120,16 +85,88 @@ TEST(MpscQueue, MultiProducerDeliversEverythingPerProducerFifo) {
     EXPECT_EQ(seq, next[p]);
     ++next[p];
   }
-  q.close();
 }
 
 TEST(MpscQueue, MovesNonCopyablePayloads) {
   MpscQueue<std::unique_ptr<int>> q;
   q.push(std::make_unique<int>(5));
+  std::deque<std::unique_ptr<int>> batch;
+  ASSERT_EQ(q.try_pop_all(batch), 1u);
+  EXPECT_EQ(*batch.front(), 5);
+}
+
+TEST(CombiningQueue, ItemsPushedBeforeOpenWaitForIt) {
+  std::vector<int> handled;
+  CombiningQueue<int> q([&](const std::deque<int>& batch) {
+    handled.insert(handled.end(), batch.begin(), batch.end());
+  });
+  q.push(1);
+  q.push(2);
+  EXPECT_TRUE(handled.empty());
+  EXPECT_EQ(q.size(), 2u);
+  q.open();
+  EXPECT_EQ(handled, (std::vector<int>{1, 2}));
+  q.push(3);  // the gate is free: handled on this thread, at once
+  EXPECT_EQ(handled, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(CombiningQueue, PushFromInsideTheHandlerIsHandledByTheSameLoop) {
+  std::vector<int> handled;
+  std::unique_ptr<CombiningQueue<int>> q;
+  q = std::make_unique<CombiningQueue<int>>([&](const std::deque<int>& batch) {
+    for (const int item : batch) {
+      handled.push_back(item);
+      if (item < 3) q->push(item + 1);
+    }
+  });
+  q->open();
+  q->push(0);
+  EXPECT_EQ(handled, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CombiningQueue, CloseEndsCombiningAndLaterPushesOnlyQueue) {
+  int handled = 0;
+  std::unique_ptr<CombiningQueue<int>> q;
+  q = std::make_unique<CombiningQueue<int>>([&](const std::deque<int>&) {
+    ++handled;
+    q->close();  // from inside the handler: never blocks
+  });
+  q->open();
+  q->push(1);
+  EXPECT_EQ(handled, 1);
+  q->push(2);
+  EXPECT_EQ(handled, 1);
+  EXPECT_EQ(q->size(), 1u);
+  q->join();  // nobody else holds the gate
+}
+
+TEST(CombiningQueue, RacingPushersGetEveryItemHandledOnceSerially) {
+  constexpr int kProducers = 4;
+  constexpr int kItems = 5000;
+  std::atomic<int> inside{0};
+  std::atomic<bool> overlapped{false};
+  std::vector<int> count(static_cast<size_t>(kProducers) * kItems, 0);
+  CombiningQueue<int> q([&](const std::deque<int>& batch) {
+    if (inside.fetch_add(1) != 0) overlapped = true;
+    for (const int item : batch) ++count[static_cast<size_t>(item)];
+    inside.fetch_sub(1);
+  });
+  q.open();
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kItems; ++i) q.push(p * kItems + i);
+    });
+  }
+  for (std::thread& t : producers) t.join();
   q.close();
-  auto item = q.pop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(**item, 5);
+  q.join();
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_EQ(q.size(), 0u);
+  for (size_t i = 0; i < count.size(); ++i) {
+    ASSERT_EQ(count[i], 1) << "item " << i;
+  }
 }
 
 }  // namespace

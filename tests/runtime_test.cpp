@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -383,6 +389,229 @@ TEST(Runtime, EmptyProgramReturnsImmediately) {
   Runtime rt(std::move(p), RunOptions{});
   RunReport report = rt.run();
   EXPECT_FALSE(report.timed_out);
+}
+
+// --- run-to-completion analysis ---------------------------------------------
+//
+// There is no analyzer thread: the thread that pushes an event analyzes
+// the backlog unless another thread is analyzing already.
+
+/// `init` stores data(0) = {1, 2, 3, 4}; `agg` sums it into sum(0).
+Program init_and_sum() {
+  ProgramBuilder pb;
+  pb.field("data", nd::ElementType::kInt32, 1);
+  pb.field("sum", nd::ElementType::kInt32, 1);
+  pb.kernel("init")
+      .run_once()
+      .store("v", "data", AgeExpr::constant(0), Slice::whole())
+      .body([](KernelContext& ctx) {
+        nd::AnyBuffer v(nd::ElementType::kInt32, nd::Extents({4}));
+        for (int i = 0; i < 4; ++i) v.data<int32_t>()[i] = i + 1;
+        ctx.store_array("v", std::move(v));
+      });
+  pb.kernel("agg")
+      .run_once()
+      .fetch("in", "data", AgeExpr::constant(0), Slice::whole())
+      .store("out", "sum", AgeExpr::constant(0), Slice::whole())
+      .body([](KernelContext& ctx) {
+        const nd::AnyBuffer& in = ctx.fetch_array("in");
+        nd::AnyBuffer out(nd::ElementType::kInt32, nd::Extents({1}));
+        out.data<int32_t>()[0] = 0;
+        for (int64_t i = 0; i < in.element_count(); ++i) {
+          out.data<int32_t>()[0] += in.at<int32_t>(i);
+        }
+        ctx.store_array("out", std::move(out));
+      });
+  return pb.build();
+}
+
+int64_t analyzer_events(const obs::MetricsSnapshot& snapshot) {
+  const obs::CounterValue* c = snapshot.find_counter("analyzer_events_total");
+  return c != nullptr ? c->value : 0;
+}
+
+TEST(RunToCompletion, StoreInjectedBeforeRunIsHandledOnceAfterBootstrap) {
+  // `init` runs elsewhere: its store arrives from another thread before
+  // run(), as a peer node's would. It waits for run() to bootstrap.
+  RunOptions options;
+  options.disabled_kernels = {"init"};
+  options.metrics.enabled = true;
+  Runtime rt(init_and_sum(), options);
+  const KernelId init = rt.program().find_kernel("init");
+  std::thread peer([&rt, init] {
+    const std::vector<int32_t> data{1, 2, 3, 4};
+    rt.inject_store(rt.program().find_field("data"), 0,
+                    nd::Region::whole(nd::Extents({4})), init, 0, true,
+                    reinterpret_cast<const std::byte*>(data.data()));
+  });
+  peer.join();
+  EXPECT_EQ(analyzer_events(rt.metrics_snapshot()), 0);
+  EXPECT_FALSE(rt.idle());
+
+  const RunReport report = rt.run();
+  EXPECT_EQ(rt.storage("sum").fetch_whole(0).at<int32_t>(0), 10);
+  ASSERT_NE(report.instrumentation.find("agg"), nullptr);
+  EXPECT_EQ(report.instrumentation.find("agg")->instances, 1);
+  // The injected store and agg's done event, each handled once.
+  EXPECT_EQ(analyzer_events(report.metrics), 2);
+}
+
+TEST(RunToCompletion, KernelThrowingInsideACombinedBatchFailsWithItsError) {
+  // Four workers push done events and analyze while one instance throws:
+  // the run ends promptly with that instance's own error, because shutdown
+  // closes the event gate and the stream is analyzed no further.
+  auto highest = std::make_shared<std::atomic<Age>>(0);
+  ProgramBuilder pb;
+  pb.field("a", nd::ElementType::kInt32, 1);
+  pb.field("b", nd::ElementType::kInt32, 1);
+  pb.kernel("gen")
+      .store("v", "a", AgeExpr::relative(0), Slice::whole())
+      .body([highest](KernelContext& ctx) {
+        Age seen = highest->load();
+        while (ctx.age() > seen &&
+               !highest->compare_exchange_weak(seen, ctx.age())) {
+        }
+        nd::AnyBuffer v(nd::ElementType::kInt32, nd::Extents({64}));
+        for (int i = 0; i < 64; ++i) v.data<int32_t>()[i] = i;
+        ctx.store_array("v", std::move(v));
+        ctx.continue_next_age();
+      });
+  pb.kernel("step")
+      .index("x")
+      .fetch("in", "a", AgeExpr::relative(0), Slice().var("x"))
+      .store("out", "b", AgeExpr::relative(0), Slice().var("x"))
+      .body([](KernelContext& ctx) {
+        const int32_t v = ctx.fetch_scalar<int32_t>("in");
+        if (ctx.age() == 5 && v == 37) {
+          throw std::runtime_error("step failed at age 5, x 37");
+        }
+        ctx.store_scalar<int32_t>("out", v + 1);
+      });
+  RunOptions options;
+  options.workers = 4;
+  options.max_age = 100000;
+  options.kernel_schedules["step"].chunk = 1;
+  options.watchdog = std::chrono::milliseconds(20000);
+  Runtime rt(pb.build(), options);
+  try {
+    rt.run();
+    FAIL() << "expected the kernel's error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "step failed at age 5, x 37");
+  }
+  EXPECT_LT(highest->load(), 100) << "the stream was analyzed on after the "
+                                     "failure";
+}
+
+TEST(RunToCompletion, TwoRuntimesDeliveringToEachOtherByDirectCallQuiesce) {
+  // mul2 runs on `a`, plus5 on `b`; each store the other reads is handed
+  // over by direct call from the producing worker, which then analyzes
+  // the consumer's events itself. The cycle crosses both ways every age.
+  static constexpr Age kMaxAge = 40;
+  const auto options_for = [](std::set<std::string> disabled) {
+    RunOptions options;
+    options.workers = 2;
+    options.max_age = kMaxAge;
+    options.keep_alive = true;
+    options.disabled_kernels = std::move(disabled);
+    options.retain_fields = {"m_data", "p_data"};
+    return options;
+  };
+  Mul2Plus5 wa;
+  Mul2Plus5 wb;
+  RunOptions oa = options_for({"plus5", "print"});
+  RunOptions ob = options_for({"init", "mul2", "print"});
+  Runtime* a_ptr = nullptr;
+  Runtime* b_ptr = nullptr;
+  std::atomic<int64_t> forwarded{0};
+  const auto forward = [&forwarded](Runtime*& from, Runtime*& to,
+                                    const char* field) {
+    return [&forwarded, &from, &to, field](const StoreEvent& event) {
+      if (from->program().field(event.field).name != field) return;
+      forwarded.fetch_add(1);
+      const nd::AnyBuffer data =
+          from->storage(event.field).fetch(event.age, event.region);
+      to->inject_store(event.field, event.age, event.region, event.producer,
+                       event.store_decl, event.whole, data.raw());
+    };
+  };
+  oa.store_tap = forward(a_ptr, b_ptr, "p_data");
+  ob.store_tap = forward(b_ptr, a_ptr, "m_data");
+  Runtime a(wa.build(), oa);
+  Runtime b(wb.build(), ob);
+  a_ptr = &a;
+  b_ptr = &b;
+
+  std::thread run_b([&b] { b.run(); });
+  std::thread run_a([&a] { a.run(); });
+  // Two rounds: both idle, and no store crossed between the rounds.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  bool quiet = false;
+  while (!quiet && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (!a.idle() || !b.idle()) continue;
+    const int64_t crossed = forwarded.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    quiet = a.idle() && b.idle() && forwarded.load() == crossed;
+  }
+  a.stop();
+  b.stop();
+  run_a.join();
+  run_b.join();
+  ASSERT_TRUE(quiet) << "the two runtimes never quiesced";
+
+  RunOptions ro;
+  ro.max_age = kMaxAge;
+  ro.retain_fields = {"m_data", "p_data"};
+  Mul2Plus5 wr;
+  Runtime reference(wr.build(), ro);
+  reference.run();
+  for (const char* field : {"m_data", "p_data"}) {
+    const std::vector<Age> ages = reference.storage(field).live_ages();
+    ASSERT_FALSE(ages.empty());
+    for (const Age age : ages) {
+      const nd::AnyBuffer want = reference.storage(field).fetch_whole(age);
+      const nd::AnyBuffer got = a.storage(field).fetch_whole(age);
+      ASSERT_EQ(got.extents(), want.extents()) << field << " age " << age;
+      for (int64_t i = 0; i < want.element_count(); ++i) {
+        EXPECT_EQ(got.at<int32_t>(i), want.at<int32_t>(i))
+            << field << " age " << age << " element " << i;
+      }
+    }
+  }
+}
+
+size_t process_threads() {
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+TEST(RunToCompletion, RuntimeStartsItsWorkersAndNoAnalyzerThread) {
+  const size_t before = process_threads();
+  auto most = std::make_shared<std::atomic<size_t>>(0);
+  ProgramBuilder pb;
+  pb.field("a", nd::ElementType::kInt32, 1);
+  pb.kernel("src")
+      .store("v", "a", AgeExpr::relative(0), Slice::whole())
+      .body([most](KernelContext& ctx) {
+        // Later ages run once every worker has started.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        size_t seen = most->load();
+        const size_t now = process_threads();
+        while (now > seen && !most->compare_exchange_weak(seen, now)) {
+        }
+        nd::AnyBuffer v(nd::ElementType::kInt32, nd::Extents({1}));
+        ctx.store_array("v", std::move(v));
+        ctx.continue_next_age();
+      });
+  RunOptions options;
+  options.workers = 3;
+  options.max_age = 20;
+  Runtime rt(pb.build(), options);
+  rt.run();
+  EXPECT_EQ(most->load(), before + 3);
 }
 
 TEST(TimerSetTest, ElapsedAndExpired) {

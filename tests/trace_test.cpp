@@ -86,6 +86,29 @@ TEST(TraceCollector, ConcurrentRecordersMergeIntoOneTrace) {
   EXPECT_NE(json.find("\"tid\": 3"), std::string::npos);
 }
 
+// One thread recording into more collectors than its buffer cache holds
+// (a worker delivering stores to peer nodes records into theirs too):
+// every span lands in the collector it was recorded into, in order.
+TEST(TraceCollector, OneThreadRecordsIntoMoreCollectorsThanItCaches) {
+  constexpr int kCollectors = 6;
+  constexpr int kRounds = 50;
+  std::vector<TraceCollector> traces(kCollectors);
+  for (int i = 0; i < kRounds; ++i) {
+    for (int c = 0; c < kCollectors; ++c) {
+      traces[static_cast<size_t>(c)].record(
+          TraceCollector::Span{"work", 1'000 + i, 10, c, i, 1});
+    }
+  }
+  for (int c = 0; c < kCollectors; ++c) {
+    const auto spans = traces[static_cast<size_t>(c)].spans_snapshot();
+    ASSERT_EQ(spans.size(), static_cast<size_t>(kRounds));
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_EQ(spans[static_cast<size_t>(i)].thread_id, c);
+      EXPECT_EQ(spans[static_cast<size_t>(i)].age, i);
+    }
+  }
+}
+
 TEST(TraceCollector, RuntimeWritesTraceFile) {
   const std::string path =
       std::string(::testing::TempDir()) + "p2g_trace.json";
